@@ -43,7 +43,6 @@ from .offline import (
     Schedule,
     SolverError,
     TransformedVariables,
-    brute_force_oracle,
     objective_from_covariances,
     objective_from_transformed,
     solve_offline_circuit,
@@ -52,15 +51,14 @@ from .offline import (
     verify_structure,
 )
 from .online import OnlineResult, policy_circuit, policy_ideal, run_online, split_arrival
-from .single_epoch import PoTable, build_po_table, solve_p_o, solve_single_epoch
+from .oracle import brute_force_oracle
+from .single_epoch import solve_p_o, solve_single_epoch
 from .waterfill import (
     WaterLevelSolution,
     WaterSystem,
     covariances_for_level,
-    level_for_budget,
     rate_at_power,
     solve_budget,
-    sum_power_for_level,
 )
 
 __version__ = "0.1.0"
@@ -106,16 +104,12 @@ __all__ = [
     "policy_ideal",
     "run_online",
     "split_arrival",
-    "PoTable",
-    "build_po_table",
     "solve_p_o",
     "solve_single_epoch",
     "WaterLevelSolution",
     "WaterSystem",
     "covariances_for_level",
-    "level_for_budget",
     "rate_at_power",
     "solve_budget",
-    "sum_power_for_level",
     "__version__",
 ]

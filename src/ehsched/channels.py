@@ -208,12 +208,16 @@ def _check_psd(Phi: np.ndarray, n: int) -> np.ndarray:
     return Phi
 
 
-def weighted_rate(eff: EffectiveChannels, covs: CovarianceSet) -> float:
-    """Weighted sum rate sum_k gamma_k * ln det(I + L_k Phi_k L_k^H), nats."""
+def weighted_rate(eff: EffectiveChannels, covs: CovarianceSet, weights=None) -> float:
+    """Weighted sum rate sum_k w_k * ln det(I + L_k Phi_k L_k^H), nats.
+
+    The weights w_k default to the users' gammas.
+    """
     if len(covs.Phi) != eff.num_users:
         raise ValueError("one covariance per user is required")
+    w = eff.gammas if weights is None else weights
     total = 0.0
-    for gamma, L, Phi in zip(eff.gammas, eff.L, covs.Phi):
+    for gamma, L, Phi in zip(w, eff.L, covs.Phi):
         n = L.shape[0]
         Phi = _check_psd(np.asarray(Phi, dtype=complex), n)
         A = np.eye(n) + L @ Phi @ L.conj().T

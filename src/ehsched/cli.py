@@ -16,13 +16,14 @@ Inputs are JSON documents: a channel file (either ``{"M", "users":
 equal inputs produce byte-identical files.
 
 Exit codes: 0 on success, 2 on invalid input, 3 when the solver fails to
-converge.
+converge or its schedule fails the feasibility audit.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -44,7 +45,7 @@ from .offline import (
 )
 from .online import run_online
 from .single_epoch import solve_p_o
-from .waterfill import level_for_budget, rate_at_power
+from .waterfill import WaterSystem
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -137,6 +138,9 @@ def _cmd_solve(args) -> int:
         sol = solve_offline_circuit(eff, weights, timeline, storage, args.p_peak, eps)
     else:
         sol = solve_offline_general(eff, weights, timeline, storage, args.p_peak, eps)
+    if not sol.feasibility.feasible:
+        print(f"infeasible schedule ({sol.feasibility.worst()})", file=sys.stderr)
+        return EXIT_SOLVER
     if not sol.converged:
         print(
             f"solver did not converge (stationarity residual "
@@ -211,22 +215,18 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_p_o(args) -> int:
     eff = _channels(args.channels)
-    weights = _weights_argument(args)
-    if args.eps < 0:
-        raise CliError("--eps must be nonnegative")
-    print("%.12g" % solve_p_o(eff, weights, args.eps))
+    print("%.12g" % solve_p_o(eff, _weights_argument(args), args.eps))
     return EXIT_OK
 
 
 def _cmd_level(args) -> int:
     eff = _channels(args.channels)
     weights = _weights_argument(args)
-    if args.budget < 0:
-        raise CliError("--budget must be nonnegative")
-    level = level_for_budget(eff, weights, args.budget)
-    rate = rate_at_power(eff, weights, args.budget)
-    print("level %.12g" % level)
-    print("rate %.12g" % rate)
+    if not (args.budget >= 0 and math.isfinite(args.budget)):
+        raise CliError("--budget must be nonnegative and finite")
+    ws = WaterSystem(eff, weights)
+    print("level %.12g" % ws.level_at_power(args.budget)[0])
+    print("rate %.12g" % ws.rate_at_power(args.budget))
     return EXIT_OK
 
 

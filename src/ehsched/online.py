@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CovarianceSet, EffectiveChannels
+from .channels import EffectiveChannels
 from .energy import ArrivalSplit, EpochTimeline, HybridStorage
 from .offline import Schedule
-from .single_epoch import PoTable, solve_single_epoch
-from .waterfill import WaterSystem, covariances_for_level
+from .single_epoch import solve_single_epoch
+from .waterfill import WaterSystem
 
 __all__ = [
     "SplitDecision",
@@ -120,7 +120,6 @@ def policy_circuit(
     p_peak: float,
     eps: float,
     l: float,
-    p_o: float | None = None,
 ) -> EpochDecision:
     """One-shot burst rule applied to the current epoch.
 
@@ -140,7 +139,6 @@ def policy_circuit(
         eps=eps,
         p_peak=p_peak,
         t=l,
-        p_o=p_o,
     )
     return _split_drains(storage, sol.tau, sol.power, eps if sol.tau > 0.0 else 0.0)
 
@@ -166,15 +164,12 @@ def run_online(
     storage: HybridStorage,
     p_peak: float,
     eps=None,
-    po_table: PoTable | None = None,
 ) -> OnlineResult:
     """Run a causal policy over a timeline.
 
     ``eps=None`` selects the even-spreading rule; a scalar or per-epoch
-    array selects the burst rule with that circuit power.  ``po_table``
-    optionally supplies precomputed burst powers (useful in sweeps where
-    the circuit power varies per epoch).  The caller's storage object is
-    not modified.
+    array selects the burst rule with that circuit power.  The caller's
+    storage object is not modified.
     """
     if not (p_peak > 0.0 and math.isfinite(p_peak)):
         raise ValueError("p_peak must be positive and finite")
@@ -207,17 +202,8 @@ def run_online(
         if eps_arr is None:
             dec = policy_ideal(store, p_peak, float(timeline.l[i]), remaining)
         else:
-            p_o = None
-            if po_table is not None and eps_arr[i] > 0.0:
-                p_o = po_table.lookup(float(eps_arr[i]))[0]
             dec = policy_circuit(
-                eff,
-                ws.weights,
-                store,
-                p_peak,
-                float(eps_arr[i]),
-                float(timeline.l[i]),
-                p_o=p_o,
+                eff, ws.weights, store, p_peak, float(eps_arr[i]), float(timeline.l[i])
             )
         store.drain(dec.d_sc, dec.d_b)
         tau[i], power[i] = dec.tau, dec.power
@@ -226,14 +212,6 @@ def run_online(
         acc.append(dec.tau * ws.rate_at_power(dec.power))
         trace.append((float(timeline.t[i] + timeline.l[i]), math.fsum(acc)))
 
-    rate = ws.rate_at_power_vec(power)
-    covs = []
-    for i in range(N):
-        if power[i] > 0.0:
-            level, _ = ws.level_at_power(float(power[i]))
-            covs.append(covariances_for_level(eff, weights, level))
-        else:
-            covs.append(CovarianceSet.zeros(eff))
     sched = Schedule(
         tau=tau,
         p_sc=p_sc,
@@ -241,9 +219,9 @@ def run_online(
         eps_sc=eps_sc,
         eps_b=eps_b,
         split=ArrivalSplit(sc=dep_sc, b=dep_b),
-        covs=tuple(covs),
+        covs=tuple(ws.covariances(float(p)) for p in power),
         power=power,
-        rate=rate,
+        rate=ws.rate_at_power_vec(power),
         objective=math.fsum(acc),
     )
     return OnlineResult(schedule=sched, trace=np.asarray(trace), discarded=discarded)

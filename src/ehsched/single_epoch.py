@@ -6,8 +6,20 @@ over a window t means choosing p and a transmission length
 tau = E_tol/(p + eps) (equality: leftover energy would be wasted unless
 the peak limit forces it).  The throughput tau*W(p) is maximized by the
 power p_o that maximizes the efficiency ratio W(p)/(p + eps), which does
-not depend on the energies at all; the budget and window then select one
-of three regimes:
+not depend on the energies at all.
+
+p_o is exact.  On each water-filling segment W(p) = S - G ln G +
+G ln(p + C) (see :mod:`ehsched.waterfill`), so the stationarity condition
+W'(p)(p + eps) = W(p) becomes ln u + a/u = k with u = p + C,
+a = C - eps and k = 1 + ln G - S/G.  Writing u = -a/z turns it into
+z e^z = -a e^{-k}, so u = -a / W0(-a e^{-k}) with the principal Lambert-W
+branch (Corless et al., Adv. Comput. Math. 5, 1996), or u = e^k when
+a = 0; the other real branch gives u < a, i.e. p < -eps.  Which segment
+holds p_o is exact too: g(p) = W'(p)(p + eps) - W(p) starts at
+eps*W'(0) > 0 and falls with p, and the ratio rises exactly while g > 0,
+so p_o lies on the segment after the last breakpoint where g > 0.
+
+The budget and window then select one of three regimes:
 
     p_o < p_peak and E_tol <  t*(p_o + eps)    -> p = p_o, tau < t
     p_o < p_peak and E_tol in the middle range -> p = E_tol/t - eps, tau = t
@@ -22,55 +34,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .channels import CovarianceSet, EffectiveChannels
-from .waterfill import WaterSystem, solve_budget
-
-GOLDEN_MAX_ITER = 300
-GOLDEN_RTOL = 1e-10
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+from .channels import EffectiveChannels
+from .waterfill import WaterSystem
 
 
 def solve_p_o(eff: EffectiveChannels, weights, eps: float) -> float:
-    """Maximize the efficiency ratio W(p)/(p + eps) by golden section.
+    """The efficiency-optimal power: the maximizer of W(p)/(p + eps).
 
-    The ratio is unimodal (W is concave with W(0) = 0).  The bracket
-    upper end starts at 1 and doubles until the ratio stops improving.
     Harvested energies are deliberately not inputs: p_o is a property of
     the channels, weights and circuit power alone.  eps = 0 returns 0
     (the ratio W(p)/p is then decreasing).
     """
-    if eps < 0.0:
-        raise ValueError("circuit power must be non-negative")
-    if eps == 0.0:
-        return 0.0
-    sys = WaterSystem(eff, weights)
-
-    def ratio(p: float) -> float:
-        return sys.rate_at_power(p) / (p + eps)
-
-    hi = 1.0
-    while ratio(2.0 * hi) >= ratio(hi):
-        hi *= 2.0
-        if hi > 2.0**60:
-            raise RuntimeError("efficiency ratio kept improving; no finite p_o")
-    a, b = 1e-9, 2.0 * hi
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = ratio(x1), ratio(x2)
-    for _ in range(GOLDEN_MAX_ITER):
-        if b - a <= GOLDEN_RTOL * max(1.0, b):
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = ratio(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = ratio(x1)
-    return 0.5 * (a + b)
+    if not (eps >= 0.0 and math.isfinite(eps)):
+        raise ValueError("circuit power must be non-negative and finite")
+    return WaterSystem(eff, weights).efficient_power(eps)
 
 
 @dataclass(frozen=True)
@@ -86,7 +63,6 @@ class SingleEpochSolution:
     drained_sc: float     # SC energy consumed (J)
     drained_b: float      # battery energy consumed (drainable J)
     throughput: float     # tau * W(power), nats
-    covs: CovarianceSet
 
 
 def solve_single_epoch(
@@ -98,7 +74,6 @@ def solve_single_epoch(
     eps: float,
     p_peak: float,
     t: float,
-    p_o: float | None = None,
 ) -> SingleEpochSolution:
     """Drain (part of) a hybrid store optimally over a window of length t.
 
@@ -116,10 +91,8 @@ def solve_single_epoch(
     sys = WaterSystem(eff, weights)
     e_tol = e_sc + eta * e_b
     if e_tol <= 1e-15:
-        zero = CovarianceSet(tuple(np.zeros_like(L) for L in eff.L))
-        return SingleEpochSolution(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, zero)
-    if p_o is None:
-        p_o = solve_p_o(eff, weights, eps)
+        return SingleEpochSolution(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    p_o = sys.efficient_power(eps)
     if p_o < p_peak:
         if e_tol < t * (p_o + eps):
             power = p_o
@@ -134,7 +107,6 @@ def solve_single_epoch(
     d_sc = min(e_sc, consumed)
     d_b = min(max(0.0, consumed - d_sc), eta * e_b)
     frac = d_sc / consumed if consumed > 0.0 else 0.0
-    sol = solve_budget(eff, sys.weights, power)
     return SingleEpochSolution(
         power=power,
         tau=tau,
@@ -145,30 +117,4 @@ def solve_single_epoch(
         drained_sc=d_sc,
         drained_b=d_b,
         throughput=tau * sys.rate_at_power(power),
-        covs=sol.covs,
     )
-
-
-@dataclass(frozen=True)
-class PoTable:
-    """p_o sampled on a circuit-power grid, queried by linear interpolation."""
-
-    eps: np.ndarray
-    po: np.ndarray
-
-    def lookup(self, eps: float) -> tuple[float, bool]:
-        """Interpolated p_o and a flag set when eps fell outside the grid."""
-        clamped = bool(eps < self.eps[0] or eps > self.eps[-1])
-        value = float(np.interp(eps, self.eps, self.po))
-        return value, clamped
-
-
-def build_po_table(eff: EffectiveChannels, weights, eps_grid) -> PoTable:
-    """Tabulate p_o over an ascending grid of circuit powers."""
-    grid = np.asarray(eps_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("need an ascending circuit-power grid with >= 2 points")
-    if grid[0] < 0.0:
-        raise ValueError("circuit powers must be non-negative")
-    po = np.array([solve_p_o(eff, weights, float(e)) for e in grid])
-    return PoTable(eps=grid, po=po)

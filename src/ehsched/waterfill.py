@@ -6,25 +6,28 @@ water level Delta are
     Phi_k = L_k^{-1} U_k diag((gamma_k*lam/Delta - 1)^+) U_k^H L_k^{-H}
 
 carrying sum power P(Delta) = sum_k sum_lam (gamma_k/Delta - 1/lam)^+.
-P(Delta) is continuous and strictly decreasing wherever positive, so the
-level for a power budget is found by bisection.  The same quantities are
-also available through an exact breakpoint scan over the sorted
-thresholds gamma_k*lam (used by hot loops; both routes agree to the
-bisection tolerance).  Rates are in nats.
+Sort the mode thresholds gamma_k*lam in decreasing order.  While the first
+m modes are active, with G, C and S the sums of their weights, inverse
+gains and gamma*ln(threshold), the level and the rate are closed forms of
+the sum power p:
+
+    Delta = G/(p + C),    W(p) = S - G ln G + G ln(p + C).
+
+Mode m+1 switches on at the power breakpoint G/thr_{m+1} - C, so one
+sorted table of breakpoints locates the segment of any power exactly,
+for scalar and vector queries alike.  Rates are in nats.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lambertw
 
 from .channels import CovarianceSet, EffectiveChannels
-
-# |P(Delta) - budget| <= BUDGET_RTOL * max(1, budget) stops the bisection.
-BUDGET_RTOL = 1e-9
-BISECT_MAX_ITER = 200
 
 
 def _weights(eff: EffectiveChannels, weights) -> np.ndarray:
@@ -37,7 +40,7 @@ def _weights(eff: EffectiveChannels, weights) -> np.ndarray:
 
 
 class WaterSystem:
-    """Flattened eigenmodes with prefix sums for O(modes) exact queries."""
+    """Flattened eigenmodes with prefix sums for exact O(log modes) queries."""
 
     def __init__(self, eff: EffectiveChannels, weights=None):
         w = _weights(eff, weights)
@@ -57,8 +60,11 @@ class WaterSystem:
             cgl.append(cgl[-1] + gamma * math.log(thr_m))
         self.cg, self.cil, self.cgl = cg, cil, cgl
         self.level_max = self.thr[0]
+        # breaks[m-1] is the sum power at which mode m+1 switches on; a
+        # power p runs the first bisect_left(breaks, p) + 1 modes.
+        self.breaks = [cg[m] / self.thr[m] - cil[m] for m in range(1, len(modes))]
         # Array copies for the vectorized paths.
-        self._thr = np.array(self.thr)
+        self._breaks = np.array(self.breaks)
         self._cg = np.array(cg)
         self._cil = np.array(cil)
         self._cgl = np.array(cgl)
@@ -75,60 +81,70 @@ class WaterSystem:
         """Exact water level and active mode count for a sum-power budget."""
         if power <= 0.0:
             return self.level_max, 0
-        for m in range(1, len(self.modes) + 1):
-            level = self.cg[m] / (power + self.cil[m])
-            if level >= self.thr[m]:
-                return level, m
-        # Fallback for rounding at the last breakpoint.
-        m = len(self.modes)
+        m = bisect_left(self.breaks, power) + 1
         return self.cg[m] / (power + self.cil[m]), m
 
     def rate_at_power(self, power: float) -> float:
-        if power <= 0.0:
-            return 0.0
-        level, m = self.level_at_power(power)
+        level, m = self.level_at_power(power)  # m = 0 (no mode) gives 0.0
         return self.cgl[m] - math.log(level) * self.cg[m]
-
-    def marginal_rate(self, power: float) -> float:
-        """dW/dP, the water level itself (finite at P=0)."""
-        return self.level_at_power(power)[0]
 
     def level_at_power_vec(self, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized ``level_at_power`` over an array of sum powers."""
-        p = np.asarray(power, dtype=float).ravel()
-        cand = self._cg[1:, None] / (p[None, :] + self._cil[1:, None])
-        valid = cand >= self._thr[1:, None]
-        idx = np.argmax(valid, axis=0)  # the last row is always valid
-        level = cand[idx, np.arange(p.size)]
-        m = idx + 1
+        p = np.asarray(power, dtype=float)
         off = p <= 0.0
-        level = np.where(off, self.level_max, level)
-        m = np.where(off, 0, m)
-        return level.reshape(np.shape(power)), m.reshape(np.shape(power))
+        m = np.searchsorted(self._breaks, p) + 1
+        level = self._cg[m] / np.where(off, 1.0, p + self._cil[m])
+        return np.where(off, self.level_max, level), np.where(off, 0, m)
 
     def rate_at_power_vec(self, power: np.ndarray) -> np.ndarray:
         """Vectorized ``rate_at_power``."""
         level, m = self.level_at_power_vec(power)
-        rate = self._cgl[m] - np.log(level) * self._cg[m]
-        return np.where(np.asarray(power, dtype=float) <= 0.0, 0.0, rate)
+        return self._cgl[m] - np.log(level) * self._cg[m]
 
     def curvature_vec(self, power: np.ndarray) -> np.ndarray:
-        """Vectorized ``curvature``; zero where no mode is active."""
+        """d^2W/dP^2 = -Delta^2 / (sum of active gammas); 0 where no mode
+        is active."""
         level, m = self.level_at_power_vec(power)
         cg = np.where(m > 0, self._cg[m], 1.0)
         return np.where(m > 0, -(level * level) / cg, 0.0)
 
-    def curvature(self, power: float) -> float:
-        """d^2W/dP^2 = -Delta^2 / (sum of active gammas); 0 at P=0."""
-        level, m = self.level_at_power(power)
-        if m == 0:
+    def covariances(self, power: float) -> CovarianceSet:
+        """Water-filling covariances at a sum power (zero when power <= 0)."""
+        if power <= 0.0:
+            return CovarianceSet.zeros(self.eff)
+        level, _ = self.level_at_power(power)
+        return covariances_for_level(self.eff, self.weights, level)
+
+    def efficient_power(self, eps: float) -> float:
+        """The sum power p_o maximizing the efficiency ratio W(p)/(p + eps).
+
+        The segment after the last breakpoint where W'(p)(p + eps) > W(p)
+        holds p_o, at u = p + C = -a / W0(-a e^{-k}) with a = C - eps and
+        k = 1 + ln G - S/G, or u = e^k when a = 0 (derivation in
+        :mod:`ehsched.single_epoch`).  eps = 0 gives 0, where W(p)/p is
+        largest.
+        """
+        if eps == 0.0:
             return 0.0
-        return -(level * level) / self.cg[m]
-
-
-def sum_power_for_level(eff: EffectiveChannels, weights, level: float) -> float:
-    """P(Delta) = sum_k sum_lam (gamma_k/Delta - 1/lam)^+."""
-    return WaterSystem(eff, weights).power_at_level(level)
+        m = 1
+        for b in self.breaks:
+            thr = self.thr[m]
+            if thr * (b + eps) - self.cgl[m] + self.cg[m] * math.log(thr) <= 0.0:
+                break
+            m += 1
+        G, C, S = self.cg[m], self.cil[m], self.cgl[m]
+        a = C - eps
+        k = 1.0 + math.log(G) - S / G
+        if a == 0.0:
+            u = math.exp(k)
+        else:
+            x = -a * math.exp(-k)
+            # Rounding can push x to or below the branch point -1/e, where
+            # W0 = -1 (and scipy returns NaN at -1/e itself).
+            u = -a / float(lambertw(x).real) if x > -1.0 / math.e else a
+        lo = self.breaks[m - 2] if m > 1 else 0.0
+        hi = self.breaks[m - 1] if m <= len(self.breaks) else math.inf
+        return min(max(u - C, lo), hi)
 
 
 def covariances_for_level(eff: EffectiveChannels, weights, level: float) -> CovarianceSet:
@@ -145,38 +161,6 @@ def covariances_for_level(eff: EffectiveChannels, weights, level: float) -> Cova
         P = (X * d) @ X.conj().T
         Phi.append(0.5 * (P + P.conj().T))
     return CovarianceSet(tuple(Phi))
-
-
-def level_for_budget(eff: EffectiveChannels, weights, budget: float) -> float:
-    """Invert P(Delta) = budget by bisection.
-
-    The upper bracket max_k gamma_k*lam_max carries zero power; the lower
-    bracket is halved until it covers the budget.  Terminates when the
-    bracket's power mismatch is within BUDGET_RTOL*max(1, budget).
-    """
-    sys = WaterSystem(eff, weights)
-    if budget < 0.0 or not np.isfinite(budget):
-        raise ValueError("power budget must be non-negative and finite")
-    hi = sys.level_max
-    if budget == 0.0:
-        return hi
-    lo = hi
-    while sys.power_at_level(lo) < budget:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise ValueError("power budget is out of reach")
-    tol = BUDGET_RTOL * max(1.0, budget)
-    mid = lo
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        p = sys.power_at_level(mid)
-        if abs(p - budget) <= tol:
-            return mid
-        if p > budget:
-            lo = mid
-        else:
-            hi = mid
-    return mid
 
 
 def rate_at_power(eff: EffectiveChannels, weights, power: float) -> float:
@@ -197,9 +181,6 @@ class WaterLevelSolution:
 def solve_budget(eff: EffectiveChannels, weights, budget: float) -> WaterLevelSolution:
     """Full water-filling solution (level, covariances, rate) for a budget."""
     sys = WaterSystem(eff, weights)
-    if budget <= 0.0:
-        zero = CovarianceSet(tuple(np.zeros_like(L) for L in eff.L))
-        return WaterLevelSolution(sys.level_max, 0.0, 0.0, zero)
-    level, _ = sys.level_at_power(budget)
-    covs = covariances_for_level(eff, sys.weights, level)
-    return WaterLevelSolution(level, budget, sys.rate_at_power(budget), covs)
+    power = max(budget, 0.0)
+    level, _ = sys.level_at_power(power)
+    return WaterLevelSolution(level, power, sys.rate_at_power(power), sys.covariances(power))

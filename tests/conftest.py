@@ -9,6 +9,8 @@ library, so generators simply redraw).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,22 @@ def pair_eff():
 @pytest.fixture()
 def two_mode_eff():
     return decompose_zf_dpc(two_mode_channelset())
+
+
+@pytest.fixture()
+def overdrawn_schedules(monkeypatch):
+    """Make the offline solver's reconstruction radiate one watt more from
+    the super-capacitor than it planned, so every schedule it returns
+    drains energy the buffers never held."""
+    from ehsched import offline
+
+    reconstruct = offline._reconstruct
+
+    def overdrawn(*args):
+        sched, x = reconstruct(*args)
+        return replace(sched, p_sc=sched.p_sc + 1.0), x
+
+    monkeypatch.setattr(offline, "_reconstruct", overdrawn)
 
 
 def draw_effective(rng, max_users: int = 2, max_n: int = 2):

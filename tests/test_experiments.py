@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ehsched.cli import EXIT_INVALID, EXIT_OK, main
+from ehsched.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, main
 from ehsched.experiments import (
     ExperimentSpec,
     default_parameters,
@@ -19,8 +19,6 @@ from ehsched.experiments import (
     write_schedule_csv,
     write_trace_csv,
 )
-
-E = math.e
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +206,15 @@ def files(tmp_path):
 def test_cli_p_o_prints_value(files, capsys):
     _, chan, _ = files
     assert main(["p-o", "--channels", chan, "--eps", "1.0"]) == EXIT_OK
-    out = capsys.readouterr().out.strip()
-    assert float(out) == pytest.approx(E - 1.0, abs=1e-6)
+    assert capsys.readouterr().out == "1.71828182846\n"  # e - 1
 
 
 def test_cli_level_prints_level_and_rate(files, capsys):
     _, chan, _ = files
     assert main(["level", "--channels", chan, "--budget", "1.0"]) == EXIT_OK
-    lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0].startswith("level ") and lines[1].startswith("rate ")
-    assert float(lines[0].split()[1]) == pytest.approx(0.5, rel=1e-6)
-    assert float(lines[1].split()[1]) == pytest.approx(math.log(2.0), rel=1e-9)
+    assert capsys.readouterr().out == "level 0.5\nrate 0.69314718056\n"
+    assert main(["level", "--channels", chan, "--budget", "0"]) == EXIT_OK
+    assert capsys.readouterr().out == "level 1\nrate 0\n"
 
 
 def test_cli_solve_writes_deterministic_csv(files, capsys):
@@ -249,6 +245,15 @@ def test_cli_solve_circuit_and_eps_seq(files, capsys):
     capsys.readouterr()
     # Wrong element count is invalid input.
     assert main(argv + ["--eps-seq", "1.0"]) == EXIT_INVALID
+
+
+def test_cli_solve_refuses_an_infeasible_schedule(files, overdrawn_schedules, capsys):
+    tmp, chan, scen = files
+    out = tmp / "s.csv"
+    argv = ["solve", "--channels", chan, "--scenario", scen, "--p-peak", "4.0"]
+    assert main(argv + ["--out", str(out)]) == EXIT_SOLVER
+    assert "infeasible schedule" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_simulate_trace_and_schedule(files, capsys):
@@ -314,6 +319,9 @@ def test_cli_invalid_inputs_exit_2(files, tmp_path, capsys):
         ["p-o", "--channels", str(bad), "--eps", "1.0"],
         ["p-o", "--channels", chan, "--eps", "-1.0"],
         ["level", "--channels", chan, "--budget", "-2.0"],
+        ["level", "--channels", chan, "--budget", "inf"],
+        ["level", "--channels", chan, "--budget", "nan"],
+        ["p-o", "--channels", chan, "--eps", "inf"],
         ["solve", "--channels", chan, "--scenario", str(bad), "--p-peak", "4.0"],
         ["solve", "--channels", chan, "--scenario", scen, "--p-peak", "-1.0"],
         ["sweep", "--modes", "bogus", "--trials", "1"],

@@ -1,6 +1,7 @@
 """Whole-horizon solvers: closed forms, dual routes, structure, oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from ehsched import (
     SolverError,
     TransformedVariables,
     brute_force_oracle,
+    ExperimentSpec,
+    UserConfig,
     build_timeline,
     check_feasibility,
     decompose_zf_dpc,
+    generate_channels,
     objective_from_covariances,
     objective_from_transformed,
     solve_offline_circuit,
@@ -22,6 +26,7 @@ from ehsched import (
     solve_single_epoch,
     verify_structure,
 )
+from ehsched.experiments import run_trial
 from ehsched.offline import _make_instance
 
 from conftest import (
@@ -162,6 +167,52 @@ def test_forced_overflow_is_infeasible(unit_eff):
     storage = HybridStorage(sc_cap=1.0, b_cap=1.5, eta=0.5)
     with pytest.raises(SolverError, match="infeasible"):
         solve_offline_circuit(unit_eff, None, tl, storage, p_peak=4.0, eps=1.0)
+
+
+def _sweep_trial(eta, trial):
+    """Channels and arrivals of one trial of the e_avg = 5 efficiency sweep."""
+    spec = replace(ExperimentSpec(e_avg=5.0), eta=eta)
+    out = run_trial(spec, trial, modes=())
+    storage = HybridStorage(sc_cap=spec.sc_cap, b_cap=spec.b_cap, eta=spec.eta)
+    return decompose_zf_dpc(out.channels), out.timeline, storage, spec.p_peak, spec.eps
+
+
+def _zero_energy():
+    """No energy ever arrives, so every feasible schedule is silent."""
+    users = (UserConfig(n=1, gamma=1.0), UserConfig(n=1, gamma=1.0))
+    eff = decompose_zf_dpc(generate_channels(2, users, seed=3))
+    tl = build_timeline([(0.0, 0.0), (1.0, 0.0)], T=2.0)
+    return eff, tl, HybridStorage(sc_cap=5.0, b_cap=100.0, eta=0.5), 4.0, None
+
+
+@pytest.mark.parametrize(
+    "case",
+    [lambda: _sweep_trial(0.4, 104), lambda: _sweep_trial(0.6, 234), _zero_energy],
+    ids=["sweep-eta0.4-trial104", "sweep-eta0.6-trial234", "zero-energy"],
+)
+def test_converged_implies_feasible(case):
+    """On these instances the solver has returned schedules that violate
+    battery causality (by 4.3 mJ and 19 mJ) or radiate energy that never
+    arrived; such a schedule must not be reported as converged."""
+    eff, tl, storage, p_peak, eps = case()
+    if eps is None:
+        sol = solve_offline_ideal(eff, None, tl, storage, p_peak)
+    else:
+        sol = solve_offline_circuit(eff, None, tl, storage, p_peak, eps)
+    sched = sol.schedule
+    rep = check_feasibility(tl, sched.split, sched, storage, p_peak)
+    split_gap = float(np.max(np.abs(sched.split.sc + sched.split.b - tl.E)))
+    feasible = rep.feasible and split_gap <= 1e-8
+    assert sol.feasibility.feasible == feasible
+    assert feasible or not sol.converged, rep.worst()
+
+
+def test_audit_failure_is_not_converged(unit_eff, overdrawn_schedules):
+    tl = build_timeline([(0.0, 2.0), (1.0, 1.0)], T=2.0)
+    sol = solve_offline_ideal(unit_eff, None, tl, HybridStorage(5.0, 100.0, 0.5), 4.0)
+    assert not sol.feasibility.feasible
+    assert sol.feasibility.slacks["sc_causality"][-1] < -1.0
+    assert not sol.converged
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from ehsched import (
     HybridStorage,
     build_timeline,
     check_feasibility,
-    build_po_table,
     policy_circuit,
     policy_ideal,
     run_online,
@@ -134,18 +133,6 @@ def test_run_online_circuit_feasible_and_consistent(unit_eff):
     assert np.all(sched.power[on] <= 4.0 + 1e-12)
     assert np.all(sched.eps_sc[on] + sched.eps_b[on] == pytest.approx(1.0))
     assert np.all(sched.eps_sc[~on] + sched.eps_b[~on] == 0.0)
-
-
-def test_run_online_po_table_matches_direct(unit_eff):
-    tl = _profile()
-    storage = HybridStorage(sc_cap=5.0, b_cap=100.0, eta=0.6)
-    direct = run_online(unit_eff, None, tl, storage, p_peak=4.0, eps=1.0)
-    table = build_po_table(unit_eff, None, [0.5, 1.0, 2.0])
-    via_table = run_online(
-        unit_eff, None, tl, storage, p_peak=4.0, eps=1.0, po_table=table
-    )
-    assert via_table.throughput == pytest.approx(direct.throughput, rel=1e-6)
-    np.testing.assert_allclose(via_table.schedule.tau, direct.schedule.tau, atol=1e-6)
 
 
 def test_run_online_discards_when_storage_is_tiny(unit_eff):

@@ -1,4 +1,4 @@
-"""Efficiency-optimal power, one-epoch drain regimes, and the p_o table."""
+"""Efficiency-optimal power and one-epoch drain regimes."""
 
 import math
 import time
@@ -9,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from ehsched import (
-    PoTable,
-    WaterSystem,
-    build_po_table,
-    solve_p_o,
-    solve_single_epoch,
-    weighted_rate,
-)
+from ehsched import WaterSystem, solve_p_o, solve_single_epoch
 
 from conftest import draw_effective
 
@@ -62,6 +55,25 @@ def test_p_o_maximizes_the_ratio(seed, eps):
         assert sys.rate_at_power(float(p)) / (float(p) + eps) <= best * (1.0 + 1e-6)
 
 
+@pytest.mark.parametrize("eps", [1e-6, 0.1, 0.5, 2.0, 10.0, 1e5])
+def test_p_o_two_mode_against_stationarity(two_mode_eff, eps):
+    """Independent route on W(p) = ln(1 + 4p) below the breakpoint 0.75
+    and 2 ln(p + 1.25) above it: solve W'(p)(p + eps) = W(p) with a
+    bracketing root finder.  p_o crosses the breakpoint at
+    eps = ln 4 - 0.75, so the eps values put it in the first segment
+    (1e-6, 0.1, 0.5) and in the second (2, 10, 1e5)."""
+
+    def stationarity(p):
+        if p <= 0.75:
+            return 4.0 * (p + eps) / (1.0 + 4.0 * p) - math.log1p(4.0 * p)
+        return 2.0 * (p + eps) / (p + 1.25) - 2.0 * math.log(p + 1.25)
+
+    root = brentq(stationarity, 1e-12, 1e9, xtol=1e-300, rtol=1e-14)
+    po = solve_p_o(two_mode_eff, None, eps)
+    assert po == pytest.approx(root, rel=1e-9)
+    assert (po < 0.75) == (eps < math.log(4.0) - 0.75)
+
+
 def test_p_o_monotone_in_circuit_power(two_mode_eff):
     grid = np.linspace(0.05, 6.0, 15)
     po = [solve_p_o(two_mode_eff, None, float(e)) for e in grid]
@@ -88,7 +100,6 @@ def test_single_epoch_scarce_regime(unit_eff):
     assert sol.p_sc + sol.p_b == pytest.approx(sol.power)
     assert sol.eps_sc + sol.eps_b == pytest.approx(1.0)
     assert sol.p_sc / sol.power == pytest.approx(2.0 / 3.0)
-    assert weighted_rate(unit_eff, sol.covs) == pytest.approx(1.0, rel=1e-7)
 
 
 def test_single_epoch_middle_regime(unit_eff):
@@ -162,34 +173,6 @@ def test_single_epoch_beats_grid(seed, e_sc, e_b, eps):
     for p in np.linspace(1e-3, p_peak, 120):
         tau = min(t, e_tol / (p + eps)) if p + eps > 0 else t
         assert tau * sys.rate_at_power(float(p)) <= best + 1e-7 * max(1.0, best)
-
-
-# ---------------------------------------------------------------------------
-# p_o lookup table
-# ---------------------------------------------------------------------------
-
-
-def test_po_table_roundtrip(unit_eff):
-    table = build_po_table(unit_eff, None, [0.25, 0.5, 1.0, 2.0])
-    assert isinstance(table, PoTable)
-    value, clamped = table.lookup(1.0)
-    assert value == pytest.approx(E - 1.0, abs=1e-7)
-    assert not clamped
-    inside, clamped_in = table.lookup(0.75)
-    assert 0.0 < inside < table.po[-1] and not clamped_in
-    low, clamped_low = table.lookup(0.1)
-    assert clamped_low and low == pytest.approx(table.po[0])
-    high, clamped_high = table.lookup(5.0)
-    assert clamped_high and high == pytest.approx(table.po[-1])
-
-
-def test_po_table_grid_validation(unit_eff):
-    with pytest.raises(ValueError):
-        build_po_table(unit_eff, None, [1.0])
-    with pytest.raises(ValueError):
-        build_po_table(unit_eff, None, [1.0, 0.5])
-    with pytest.raises(ValueError):
-        build_po_table(unit_eff, None, [-1.0, 0.5])
 
 
 def test_p_o_is_fast(unit_eff):

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from ehsched import (
     WaterSystem,
     covariances_for_level,
-    level_for_budget,
     solve_budget,
-    sum_power_for_level,
     weighted_rate,
 )
 
@@ -32,11 +30,10 @@ def test_unit_mode_closed_forms(unit_eff):
         assert m == 1
         assert level == pytest.approx(1.0 / (1.0 + p))
         assert sys.rate_at_power(p) == pytest.approx(math.log1p(p))
-        assert sys.curvature(p) == pytest.approx(-1.0 / (1.0 + p) ** 2)
-        assert sys.marginal_rate(p) == pytest.approx(1.0 / (1.0 + p))
+        assert sys.curvature_vec(p) == pytest.approx(-1.0 / (1.0 + p) ** 2)
     assert sys.rate_at_power(0.0) == 0.0
     assert sys.level_at_power(0.0) == (1.0, 0)
-    assert sys.curvature(0.0) == 0.0
+    assert sys.curvature_vec(0.0) == 0.0
     assert sys.power_at_level(0.5) == pytest.approx(1.0)
     assert sys.power_at_level(2.0) == 0.0
     with pytest.raises(ValueError):
@@ -53,7 +50,12 @@ def test_two_mode_breakpoints(two_mode_eff):
     level, m = sys.level_at_power(6.75)
     assert (level, m) == (pytest.approx(0.25), 2)
     assert sys.rate_at_power(6.75) == pytest.approx(6.0 * math.log(2.0))
-    assert sum_power_for_level(two_mode_eff, None, 0.25) == pytest.approx(6.75)
+    assert sys.power_at_level(0.25) == pytest.approx(6.75)
+    # One breakpoint table serves the scalar and the vector query.
+    assert sys.breaks == [0.75]
+    lvl, m = sys.level_at_power_vec(np.array([[0.5, 0.75], [0.75 + 1e-12, 6.75]]))
+    np.testing.assert_array_equal(m, [[1, 1], [2, 2]])
+    assert lvl[1, 1] == pytest.approx(0.25)
 
 
 def test_weights_reorder_modes(pair_eff):
@@ -98,14 +100,6 @@ def test_solve_budget_zero_and_positive(unit_eff):
     assert sol.rate == pytest.approx(math.log(2.0))
 
 
-def test_level_for_budget_inverts_power(two_mode_eff):
-    lvl = level_for_budget(two_mode_eff, None, 6.75)
-    assert lvl == pytest.approx(0.25, rel=1e-7)
-    assert level_for_budget(two_mode_eff, None, 0.0) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        level_for_budget(two_mode_eff, None, -1.0)
-
-
 # ---------------------------------------------------------------------------
 # Properties on random channels
 # ---------------------------------------------------------------------------
@@ -114,9 +108,9 @@ def test_level_for_budget_inverts_power(two_mode_eff):
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_scan_routes_agree(seed):
-    """The exact breakpoint scan, its vectorized twin, and the bisection
-    route must return the same level; realized covariances must carry the
-    budget as their trace and reproduce the queried rate."""
+    """The scalar and vector breakpoint queries must return the same level,
+    which the independent level-to-power map inverts; realized covariances
+    must carry the budget as their trace and reproduce the queried rate."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     eff = draw_effective(rng)
     sys = WaterSystem(eff)
@@ -129,11 +123,8 @@ def test_scan_routes_agree(seed):
         assert lv == pytest.approx(level, rel=1e-12)
         assert mv == m
         assert rv == pytest.approx(sys.rate_at_power(float(p)), abs=1e-12)
-        assert cv == pytest.approx(sys.curvature(float(p)), abs=1e-12)
+        assert cv == pytest.approx(-(level * level) / sys.cg[m] if m else 0.0, rel=1e-12)
         if p > 0.0:
-            assert level_for_budget(eff, None, float(p)) == pytest.approx(
-                level, rel=1e-6
-            )
             assert sys.power_at_level(level) == pytest.approx(float(p), rel=1e-9)
             sol = solve_budget(eff, None, float(p))
             trace = sum(float(np.trace(Phi).real) for Phi in sol.covs.Phi)
@@ -167,4 +158,7 @@ def test_marginal_rate_is_the_derivative(seed):
     p = float(rng.uniform(0.2, 8.0))
     h = 1e-6
     fd = (sys.rate_at_power(p + h) - sys.rate_at_power(p - h)) / (2.0 * h)
-    assert sys.marginal_rate(p) == pytest.approx(fd, rel=1e-4)
+    level, _ = sys.level_at_power(p)
+    assert level == pytest.approx(fd, rel=1e-4)
+    fd2 = (sys.level_at_power(p + h)[0] - sys.level_at_power(p - h)[0]) / (2.0 * h)
+    assert sys.curvature_vec(p) == pytest.approx(fd2, rel=1e-4)
