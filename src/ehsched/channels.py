@@ -66,14 +66,16 @@ class EffectiveChannels:
 
     B[k] is an orthonormal basis (M x nbar_k) of the subspace user k may
     transmit in, L[k] is the lower-triangular n_k x n_k effective channel
-    with H_k B_k = [L_k, 0], and lam[k] holds the eigenvalues of
-    L_k L_k^H sorted descending.
+    with H_k B_k = [L_k, 0], lam[k] holds the eigenvalues of
+    L_k L_k^H = U_k diag(lam) U_k^H sorted descending, and X[k] is the
+    covariance basis L_k^{-1} U_k with its columns in the same order.
     """
 
     M: int
     B: tuple[np.ndarray, ...]
     L: tuple[np.ndarray, ...]
     lam: tuple[np.ndarray, ...]
+    X: tuple[np.ndarray, ...]
     gammas: np.ndarray = field(repr=False)
 
     @property
@@ -158,6 +160,7 @@ def decompose_zf_dpc(chans: ChannelSet) -> EffectiveChannels:
     B_list: list[np.ndarray] = []
     L_list: list[np.ndarray] = []
     lam_list: list[np.ndarray] = []
+    X_list: list[np.ndarray] = []
     rows = 0
     for k, u in enumerate(chans.users):
         if k == 0:
@@ -171,7 +174,8 @@ def decompose_zf_dpc(chans: ChannelSet) -> EffectiveChannels:
             B = q_full[:, rows:]
         eff = chans.H[k] @ B
         L = _lq(eff)
-        lam = np.linalg.eigvalsh(L @ L.conj().T)[::-1].copy()
+        lam, U = np.linalg.eigh(L @ L.conj().T)
+        lam, U = lam[::-1].copy(), U[:, ::-1]
         if np.any(lam < RANK_EPS):
             raise ValueError(f"user {k} effective channel is rank deficient")
         for j in range(k):
@@ -185,12 +189,14 @@ def decompose_zf_dpc(chans: ChannelSet) -> EffectiveChannels:
         B_list.append(B)
         L_list.append(L)
         lam_list.append(lam)
+        X_list.append(np.linalg.solve(L, U))
         rows += u.n
     return EffectiveChannels(
         M=chans.M,
         B=tuple(B_list),
         L=tuple(L_list),
         lam=tuple(lam_list),
+        X=tuple(X_list),
         gammas=chans.gammas,
     )
 

@@ -210,6 +210,13 @@ def _cmd_sweep(args) -> int:
     finally:
         if close:
             f.close()
+    for v, n in result.failed.items():
+        if n:
+            print(
+                f"dropped {n} of {spec.num_trials} trials at {result.axis or 'point'}="
+                f"{v:.12g}: an offline solve did not converge",
+                file=sys.stderr,
+            )
     return EXIT_OK
 
 

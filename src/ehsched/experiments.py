@@ -100,11 +100,14 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Objectives of one paired trial, keyed by policy name."""
+    """Objectives of one paired trial, keyed by policy name.  ``converged``
+    is False when an offline solve did not converge or its schedule failed
+    the feasibility audit."""
 
     objectives: dict[str, float]
     timeline: EpochTimeline
     channels: ChannelSet
+    converged: bool = True
 
 
 def _draw_channels(spec: ExperimentSpec, rng) -> ChannelSet:
@@ -148,8 +151,10 @@ def run_trial(
 
     storage = HybridStorage(sc_cap=spec.sc_cap, b_cap=spec.b_cap, eta=spec.eta)
     out: dict[str, float] = {}
+    converged = True
     if "ideal" in modes:
         off = solve_offline_ideal(eff, None, timeline, storage, spec.p_peak)
+        converged = converged and off.converged
         out["offline-ideal"] = off.objective
         out["online-ideal"] = run_online(
             eff, None, timeline, storage, spec.p_peak
@@ -163,11 +168,12 @@ def run_trial(
             off = solve_offline_circuit(
                 eff, None, timeline, storage, spec.p_peak, float(eps_input)
             )
+        converged = converged and off.converged
         out["offline-circuit"] = off.objective
         out["online-circuit"] = run_online(
             eff, None, timeline, storage, spec.p_peak, eps=eps_input
         ).throughput
-    return TrialOutcome(objectives=out, timeline=timeline, channels=chans)
+    return TrialOutcome(objectives=out, timeline=timeline, channels=chans, converged=converged)
 
 
 _PAIRS = {"online-ideal": "offline-ideal", "online-circuit": "offline-circuit"}
@@ -181,13 +187,17 @@ class SweepResult:
     ``rows`` holds one report line per (axis value, policy):
     ``(axis_value, policy, mean, stderr, ratio_to_offline)``.  ``raw``
     maps ``(axis_value, policy)`` to the per-trial objectives, in trial
-    order, for finer-grained analysis.
+    order, for finer-grained analysis.  ``failed`` maps each axis value to
+    the number of trials dropped from it, for every policy alike, because
+    an offline solve did not converge; an axis value whose every trial
+    failed has no rows.
     """
 
     axis: str
     values: tuple[float, ...]
     rows: list[tuple[float, str, float, float, float]] = field(default_factory=list)
     raw: dict[tuple[float, str], list[float]] = field(default_factory=dict)
+    failed: dict[float, int] = field(default_factory=dict)
 
     def ratio(self, axis_value: float, policy: str) -> float:
         for v, p, _, _, r in self.rows:
@@ -227,8 +237,12 @@ def run_sweep(
     for v in values:
         sp = spec if axis is None else replace(spec, **{axis: float(v)})
         per: dict[str, list[float]] = {}
+        result.failed[float(v)] = 0
         for k in range(spec.num_trials):
             outcome = run_trial(sp, k, modes)
+            if not outcome.converged:
+                result.failed[float(v)] += 1
+                continue
             for name, val in outcome.objectives.items():
                 per.setdefault(name, []).append(val)
         for name in _ORDER:

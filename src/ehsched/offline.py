@@ -17,12 +17,21 @@ bursts at the most energy-efficient power and sleeps, above it the whole
 epoch is used.  ``V`` is concave and continuously differentiable, so the
 horizon problem is maximization of a smooth separable concave function
 over a polyhedron of buffer-causality, buffer-capacity, deposit and peak
-constraints.  It is solved by an accelerated projected-gradient loop
-(exact Euclidean projection via a least-distance subproblem) followed by
-an active-set Newton refinement that drives the KKT residual to solver
-precision.  Transmission windows, powers and covariances are then
-recovered in closed form, and a dual certificate is fitted for the
-structure checks in :func:`verify_structure`.
+constraints.
+
+It is solved by one primal-dual interior-point loop (Mehrotra
+predictor-corrector; Boyd & Vandenberghe, *Convex Optimization*, ch. 11)
+in cumulative coordinates: per epoch the cumulative super-capacitor
+drain, battery drain and super-capacitor deposits.  There every
+constraint couples only epochs i-1 and i, so each Newton step is one
+banded Cholesky factorization, O(N) in time and memory (the structure
+Wang & Boyd exploit for fast MPC, IEEE TCST 2010).  The loop stops on a
+small dual residual and a small relative duality gap, and proves an
+instance infeasible with a Farkas certificate built from its own
+multipliers.  Transmission windows, powers and covariances are then
+recovered in closed form, and the dual certificate checked by
+:func:`verify_structure` is filled in closed form from the loop's
+multipliers.
 """
 
 from __future__ import annotations
@@ -31,8 +40,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import lsq_linear, nnls
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.sparse import csr_matrix
 
 from .channels import CovarianceSet, EffectiveChannels, weighted_rate
 from .energy import FEAS_TOL, ArrivalSplit, EpochTimeline, FeasibilityReport, HybridStorage
@@ -233,7 +242,9 @@ def objective_from_transformed(
 
 
 class _ValueModel:
-    """Concave per-epoch value of consumed energy, and its derivatives."""
+    """Per-epoch constants of the value of consumed energy: the burst
+    power ``p_thr``, the junction ``c1``, the burst slope ``r0`` and the
+    cap ``cmax``, with the closed-form window recovery."""
 
     def __init__(self, inst: OfflineInstance):
         self.ws = WaterSystem(inst.eff, inst.weights)
@@ -252,25 +263,6 @@ class _ValueModel:
     def _power2(self, c: np.ndarray) -> np.ndarray:
         return np.maximum(c / self.l - self.eps, 0.0)
 
-    def value(self, c: np.ndarray) -> np.ndarray:
-        # Strict comparison: the branches agree at the junction, and with
-        # c1 == 0 (no burst regime) c == 0 must take the full-epoch branch
-        # whose slope there is the top water level, not zero.
-        burst = c * self.r0
-        full = self.l * self.ws.rate_at_power_vec(self._power2(c))
-        return np.where(c < self.c1, burst, full)
-
-    def total(self, c: np.ndarray) -> float:
-        return float(np.sum(self.value(c)))
-
-    def slope(self, c: np.ndarray) -> np.ndarray:
-        level, _ = self.ws.level_at_power_vec(self._power2(c))
-        return np.where(c < self.c1, self.r0, level)
-
-    def curvature(self, c: np.ndarray) -> np.ndarray:
-        curv = self.ws.curvature_vec(self._power2(c)) / self.l
-        return np.where(c < self.c1, 0.0, curv)
-
     def windows(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form (tau, power) recovery from consumed energies."""
         c = np.maximum(c, 0.0)
@@ -286,17 +278,59 @@ class _ValueModel:
 
 
 # ---------------------------------------------------------------------------
-# Constraint polyhedron and exact projection
+# Primal-dual interior-point solve in cumulative coordinates
 # ---------------------------------------------------------------------------
 
+#: Columns of the per-epoch variable block: cumulative super-capacitor
+#: drain S, cumulative battery drain B (drainable J), cumulative
+#: super-capacitor deposits D, and the burst part a of the epoch's use.
+_S, _B, _D, _A = range(4)
+_NV = 4
+#: Every row couples epochs i-1 and i only, so every Newton matrix is
+#: banded with this many diagonals above the main one.
+_BAND = 2 * _NV - 1
+MAX_NEWTON = 200
+#: Stopping tolerances, all relative: the dual residual to the gradient,
+#: the primal residual to the row's right-hand side (energies measured in
+#: units of the total arriving energy) and the mean complementarity
+#: product (duality gap over row count) to the objective.
+TOL_DUAL = 1e-10
+TOL_PRIMAL = 1e-13
+TOL_MU = 1e-13
+#: Fraction of the distance to the boundary of the positive orthant that
+#: one step may cover.
+STEP_FRAC = 0.995
+#: The centring parameter never falls below this multiple of the dual
+#: residual's excess over its tolerance, over mu.
+SIGMA_FLOOR = 0.001
+#: Cumulative variables of order one are known to rounding only: the gap
+#: cannot fall below this multiple of the multiplier-weighted row sizes,
+#: nor the dual residual below it times the largest curvature weight (a
+#: short epoch's use is a small difference of two such variables).
+ROUNDING = 1e3 * np.finfo(float).eps
 
-class _Polyhedron:
-    """Stacked half-space description ``A x <= u`` of the feasible set.
 
-    The variable vector is ``x = [s, b, e]``: per-epoch super-capacitor
-    drains, per-epoch battery drains (in drainable joules, i.e. already
-    multiplied by the conversion efficiency), and per-arrival deposits
-    routed to the super-capacitor.
+def _diff(var: int, coef) -> list:
+    """Stencil terms of ``coef * (X[i, var] - X[i-1, var])``."""
+    return [(0, var, coef), (-1, var, -coef)]
+
+
+class _Program:
+    """The horizon problem as ``max F(x)`` subject to ``A x <= u``.
+
+    Each epoch holds the block ``x[i] = (S_i, B_i, D_i, a_i)`` and every
+    constraint family is a stencil over epochs ``i-1`` and ``i``.  Epoch
+    i's use ``c_i = s_i + b_i`` (with ``s_i = S_i - S_{i-1}``) is worth
+    ``V_i(c_i)``.  Where the burst/full junction ``c1`` lies inside the
+    feasible range, the use is split into a burst part ``a`` in
+    ``[0, c1]`` worth ``r0`` per joule and a full part ``f = c - a >= 0``
+    worth ``l (W(p_thr + f/l) - W(p_thr))``: Newton steps then never
+    straddle the jump of V'' at ``c1``.  Elsewhere ``a`` is an unused
+    placeholder and the curved part takes the whole use (linear with
+    slope ``r0`` when ``c1 = cmax``).  Below zero, where only infeasible
+    iterates go, the curved part continues as its quadratic model at zero.
+    Energies are measured in units of the total arriving energy and F in
+    units of its largest marginal value times that energy.
     """
 
     def __init__(self, inst: OfflineInstance, vm: _ValueModel):
@@ -304,235 +338,228 @@ class _Polyhedron:
         E = inst.timeline.E
         eta = inst.eta
         cumE = np.cumsum(E)
-        T = np.tril(np.ones((N, N)))
-        Ts = np.tril(np.ones((N, N)), k=-1)
-        I = np.eye(N)
-        Z = np.zeros((N, N))
-
-        rows = []
-        keys: list[tuple[str, int]] = []
-
-        def add(block_s, block_b, block_e, rhs, name):
-            rows.append((np.hstack([block_s, block_b, block_e]), rhs))
-            keys.extend((name, i) for i in range(N))
-
-        add(T, Z, -T, np.zeros(N), "sc_caus")
-        add(-Ts, Z, T, np.full(N, inst.sc_cap), "sc_over")
-        add(Z, T, eta * T, eta * cumE, "b_caus")
-        add(Z, -Ts, -eta * T, inst.b_cap - eta * cumE, "b_over")
-        add(I, I, Z, vm.cmax, "cap")
-        add(-I, Z, Z, np.zeros(N), "s_lo")
-        add(Z, -I, Z, np.zeros(N), "b_lo")
-        add(Z, Z, -I, np.zeros(N), "e_lo")
-        add(Z, Z, I, E.copy(), "e_hi")
-
-        self.A = np.vstack([r[0] for r in rows])
-        self.u = np.concatenate([r[1] for r in rows])
-        self.keys = keys
         self.N = N
-        norms = np.linalg.norm(self.A, axis=1)
-        norms[norms == 0.0] = 1.0
-        self.As = self.A / norms[:, None]
-        self.us = self.u / norms
-        self.row_norms = norms
+        self.vm = vm
+        self.escale = float(cumE[-1]) if cumE[-1] > 0.0 else 1.0
+        self.curved = vm.c1 < vm.cmax
+        split = self.curved & (vm.c1 > 0.0)
+        self.split = np.flatnonzero(split)
+        self.base = vm.l * vm.ws.rate_at_power_vec(vm.p_thr)
+        self.slope0 = np.where(
+            self.curved, vm.ws.level_at_power_vec(vm.p_thr)[0], vm.r0
+        )
+        # Magnitude of the right-hand curvature at q = 0 (the first active
+        # mode's, when p_thr = 0).
+        self.curv0 = -vm.ws.curvature_vec(np.nextafter(vm.p_thr, np.inf)) / vm.l
+        self.fscale = self.escale * float(np.max(self.slope0))
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean projection onto the polyhedron (least-distance problem)."""
-        h = self.As @ x - self.us
-        if np.max(h) <= 1e-13:
-            return x
-        G = -self.As
-        n = x.size
-        Emat = np.vstack([G.T, h[None, :]])
-        fvec = np.zeros(n + 1)
-        fvec[-1] = 1.0
-        coef, _ = nnls(Emat, fvec, maxiter=30 * self.As.shape[0])
-        z = _ldp_step(Emat @ coef - fvec)
-        if np.min(self.scaled_slack(x + z)) < -FEAS_TOL:
-            # scipy's nnls can return a wrong point with a zero residual
-            # norm; the bounded-variable solver gets the same problem right.
-            coef = lsq_linear(Emat, fvec, bounds=(0.0, np.inf), method="bvls").x
-            z = _ldp_step(Emat @ coef - fvec)
-        return x + z
+        al, sp = np.arange(N), self.split
+        use = [*_diff(_S, 1.0), *_diff(_B, 1.0)]
+        families = {
+            "sc_caus": (al, 0.0, [(0, _S, 1.0), (0, _D, -1.0)]),
+            "sc_over": (al, inst.sc_cap, [(0, _D, 1.0), (-1, _S, -1.0)]),
+            "b_caus": (al, eta * cumE, [(0, _B, 1.0), (0, _D, eta)]),
+            "b_over": (al, inst.b_cap - eta * cumE, [(-1, _B, -1.0), (0, _D, -eta)]),
+            "cap": (al, vm.cmax, use),
+            "s_lo": (al, 0.0, _diff(_S, -1.0)),
+            "b_lo": (al, 0.0, _diff(_B, -1.0)),
+            "e_lo": (al, 0.0, _diff(_D, -1.0)),
+            "e_hi": (al, E, _diff(_D, 1.0)),
+            "a_lo": (sp, 0.0, [(0, _A, -1.0)]),
+            "a_hi": (sp, vm.c1[sp], [(0, _A, 1.0)]),
+            "f_lo": (sp, 0.0, [(0, _A, 1.0), *_diff(_S, -1.0), *_diff(_B, -1.0)]),
+            # Not a constraint: q_i = c_i - a_i, the curved part's argument.
+            "objective": (al, 0.0, [*use, (0, _A, -split.astype(float))]),
+        }
+        n = self.n = N * _NV
+        self.rows: dict[str, tuple[slice, np.ndarray]] = {}
+        rows, cols, vals, u = [], [], [], []
+        # Band assembly: entry k adds prod[k] * w[brow[k]] to flat position
+        # flat[k] of the upper band, w being the stacked row weights.
+        flat, prod, brow = [], [], []
+        m = 0
+        for name, (ep, rhs, terms) in families.items():
+            k = ep.size
+            r = m + np.arange(k)
+            self.rows[name] = (slice(m, m + k), ep)
+            u.append(np.broadcast_to(np.asarray(rhs, dtype=float) / self.escale, (k,)))
+            idx = [(_NV * (ep + sh) + v, np.broadcast_to(c, (k,))) for sh, v, c in terms]
+            for t, (ja, ca) in enumerate(idx):
+                rows.append(r[ja >= 0])
+                cols.append(ja[ja >= 0])
+                vals.append(ca[ja >= 0])
+                for jb, cb in idx[t:]:
+                    ok = (ja >= 0) & (jb >= 0)
+                    flat.append(((_BAND - np.abs(ja - jb)) * n + np.maximum(ja, jb))[ok])
+                    prod.append((ca * cb)[ok])
+                    brow.append(r[ok])
+            m += k
+        M = csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, n)
+        )
+        nc = self.rows.pop("objective")[0].start
+        self.A, self.Q, self.u = M[:nc], M[nc:], np.concatenate(u)[:nc]
+        self.flat, self.prod, self.brow = map(np.concatenate, (flat, prod, brow))
+        # Placeholder burst parts sit in no row: pin them with a unit
+        # diagonal (their gradient is zero, so they stay at zero).
+        self.idle = _NV * np.flatnonzero(~split) + _A
+        self.lin = np.zeros(n)
+        self.lin[_NV * sp + _A] = self.escale * vm.r0[sp] / self.fscale
+        # Bounds on a feasible x (all of whose entries are nonnegative),
+        # for the infeasibility test.
+        self.xmax = np.zeros((N, _NV))
+        self.xmax[:, :_A] = 1.0
+        self.xmax[sp, _A] = vm.c1[sp] / self.escale
+        self.xmax = self.xmax.ravel()
 
-    def scaled_slack(self, x: np.ndarray) -> np.ndarray:
-        return self.us - self.As @ x
+    def objective(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """Scaled F(x) and its gradient, and per epoch the slope (nats/J)
+        and the scaled curvature magnitude of the curved part."""
+        vm = self.vm
+        q = self.escale * (self.Q @ x)
+        p = vm.p_thr + np.maximum(q, 0.0) / vm.l
+        # Below zero the curved part continues as its quadratic model at 0.
+        qn = np.minimum(q, 0.0)
+        curv = np.where(q > 0.0, -vm.ws.curvature_vec(p) / vm.l, self.curv0)
+        value = vm.l * vm.ws.rate_at_power_vec(p) - self.base
+        value += qn * (self.slope0 - 0.5 * self.curv0 * qn)
+        value = np.where(self.curved, value, self.slope0 * q)
+        slope = np.where(self.curved, vm.ws.level_at_power_vec(p)[0] - self.curv0 * qn, self.slope0)
+        kappa = np.where(self.curved, self.escale**2 / self.fscale * curv, 0.0)
+        F = math.fsum(value) + self.escale * float(vm.r0[self.split] @ x[_NV * self.split + _A])
+        grad = (self.escale / self.fscale) * (self.Q.T @ slope) + self.lin
+        return F / self.fscale, grad, slope, kappa
 
-    def min_slack(self, x: np.ndarray) -> float:
-        return float(np.min(self.u - self.A @ x))
+    def factor(self, w: np.ndarray, kappa: np.ndarray):
+        """Banded Cholesky factor of ``A' diag(w) A + Q' diag(kappa) Q``:
+        row weights ``w`` and the curved parts' scaled curvatures."""
+        ab = np.bincount(
+            self.flat,
+            weights=self.prod * np.concatenate([w, kappa])[self.brow],
+            minlength=(_BAND + 1) * self.n,
+        ).reshape(_BAND + 1, self.n)
+        ab[_BAND, self.idle] += 1.0
+        # Rows tight at the optimum weigh up to 1/mu^2 more than the rest;
+        # when rounding in their block breaks positive definiteness, a
+        # growing relative bump of the diagonal restores it without
+        # perturbing the lightly weighted directions.
+        diag = ab[_BAND].copy()
+        for reg in (0.0, 1e-12, 1e-10, 1e-8):
+            ab[_BAND] = diag * (1.0 + reg)
+            try:
+                return cholesky_banded(ab)
+            except np.linalg.LinAlgError:
+                pass
+        raise np.linalg.LinAlgError("Newton matrix is not positive definite")
+
+    def min_slack(self, s: np.ndarray, b: np.ndarray, e: np.ndarray) -> float:
+        """Smallest slack (J) of the storage, cap and bound rows at the
+        per-epoch drains ``s``, ``b`` and deposits ``e``."""
+        X = np.zeros((self.N, _NV))
+        X[:, _S], X[:, _B], X[:, _D] = np.cumsum(s), np.cumsum(b), np.cumsum(e)
+        stop = self.rows["e_hi"][0].stop
+        slack = self.u[:stop] - self.A[:stop] @ (X.ravel() / self.escale)
+        return self.escale * float(np.min(slack))
 
 
-def _ldp_step(r: np.ndarray) -> np.ndarray:
-    """Least-distance step from the residual of its dual NNLS problem."""
-    if abs(r[-1]) < 1e-12:
-        raise SolverError("instance is infeasible: forced deposits overflow storage")
-    return -r[:-1] / r[-1]
+@dataclass(frozen=True)
+class _Iterate:
+    """Where the interior-point loop stopped: per-epoch drains and
+    deposits, the slope of each epoch's curved part and the multipliers
+    of each row family (nats/J, zero where a family has no row), the
+    Newton step count, the dual residual (nats/J) and whether the stopping
+    test passed."""
+
+    s: np.ndarray
+    b: np.ndarray
+    e: np.ndarray
+    slope: np.ndarray
+    multipliers: dict[str, np.ndarray]
+    iterations: int
+    dual_residual: float
+    optimal: bool
 
 
-def _split_x(x: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return x[:N], x[N : 2 * N], x[2 * N :]
+def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
+    neg = dv < 0.0
+    return float(np.min(-v[neg] / dv[neg])) if np.any(neg) else math.inf
 
 
-def _obj(vm: _ValueModel, x: np.ndarray) -> float:
-    N = vm.l.size
-    s, b, _ = _split_x(x, N)
-    return vm.total(s + b)
-
-
-def _grad(vm: _ValueModel, x: np.ndarray) -> np.ndarray:
-    N = vm.l.size
-    s, b, _ = _split_x(x, N)
-    g = np.zeros_like(x)
-    slope = vm.slope(s + b)
-    g[:N] = slope
-    g[N : 2 * N] = slope
-    return g
-
-
-# ---------------------------------------------------------------------------
-# Accelerated projected gradient + active-set Newton refinement
-# ---------------------------------------------------------------------------
-
-#: Stop when the relative objective change over this many iterations is
-#: below ``PLATEAU_RTOL``.
-PLATEAU_WINDOW = 10
-PLATEAU_RTOL = 1e-9
-MAX_ITER = 4000
-ARMIJO = 1e-4
-
-
-def _maximize(poly: _Polyhedron, vm: _ValueModel, x0: np.ndarray) -> tuple[np.ndarray, int]:
-    x = poly.project(x0)
-    f = _obj(vm, x)
-    y = x.copy()
-    fy = f
-    tk = 1.0
-    curv0 = np.max(np.abs(vm.curvature(np.zeros(vm.l.size) + 1e-3))) + 1.0
-    L = max(1.0, float(curv0))
-    hist = [f]
+def _interior_point(prog: _Program) -> _Iterate:
+    """Mehrotra predictor-corrector on ``max F(x)``, ``A x + s = u``,
+    ``s, z >= 0``; each Newton step is one banded Cholesky factorization
+    and two banded solves."""
+    A, u = prog.A, prog.u
+    x = np.zeros(prog.n)
+    s = np.maximum(u, 1.0)
+    z = np.ones(u.size)
+    rtol = TOL_PRIMAL * np.maximum(1.0, np.abs(u))
     it = 0
-    for it in range(1, MAX_ITER + 1):
-        g = _grad(vm, y)
-        # Backtrack the quadratic model until it upper-bounds the objective.
-        while True:
-            xn = poly.project(y + g / L)
-            d = xn - y
-            fn = _obj(vm, xn)
-            gap = fn - (fy + g @ d - 0.5 * L * (d @ d))
-            if gap >= -1e-12 * max(1.0, abs(fn)) or L > 1e16:
-                break
-            L *= 2.0
-        if fn < f - 1e-12 * max(1.0, abs(f)):
-            # Momentum overshot a kink: restart from the incumbent.
-            y = x.copy()
-            fy = f
-            tk = 1.0
-            hist.append(f)
-        else:
-            tn = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-            y = xn + ((tk - 1.0) / tn) * (xn - x)
-            fy = _obj(vm, y)
-            x, f, tk = xn, fn, tn
-            hist.append(f)
-            L *= 0.97
-        if len(hist) > PLATEAU_WINDOW:
-            if abs(hist[-1] - hist[-1 - PLATEAU_WINDOW]) <= PLATEAU_RTOL * max(1.0, abs(hist[-1])):
-                break
-    return x, it
-
-
-def _face_maximize(
-    x: np.ndarray, poly: _Polyhedron, vm: _ValueModel, wset: set[int]
-) -> tuple[np.ndarray, set[int]]:
-    """Newton ascent restricted to the face where rows in ``wset`` are tight."""
-    n = x.size
-    N = poly.N
-    for _ in range(80):
-        rows = sorted(wset)
-        if rows:
-            Z = null_space(poly.As[rows])
-            if Z.size == 0:
-                break
-        else:
-            Z = np.eye(n)
-        g = _grad(vm, x)
-        gz = Z.T @ g
-        if np.linalg.norm(gz) <= 1e-12 * (1.0 + np.linalg.norm(g)):
+    F, grad, slope, kappa = prog.objective(x)
+    while True:
+        ATz = A.T @ z
+        rd = ATz - grad
+        rp = A @ x + s - u
+        gap = float(s @ z)
+        dual = float(np.max(np.abs(rd)))
+        excess = dual - TOL_DUAL * (1.0 + float(np.max(np.abs(grad))))
+        excess -= ROUNDING * float(np.max(kappa))
+        optimal = (
+            excess <= 0.0
+            and bool(np.all(A @ x - u <= rtol))
+            and gap <= TOL_MU * u.size * abs(F) + ROUNDING * float(z @ np.maximum(1.0, np.abs(u)))
+        )
+        # Farkas test: any z >= 0 with u'z < min over the bounded
+        # nonnegative box of (A'z)'x proves that no x satisfies A x <= u.
+        if u @ z - np.minimum(ATz, 0.0) @ prog.xmax < -1e-9 * (np.abs(u) @ z + 1.0):
+            raise SolverError("instance is infeasible: forced deposits overflow storage")
+        if optimal or it == MAX_NEWTON:
             break
-        s, b, _ = _split_x(x, N)
-        curv = vm.curvature(s + b)
-        MZ = Z[:N] + Z[N : 2 * N]
-        H = MZ.T @ (curv[:, None] * MZ)
-        delta = 1e-10 * (1.0 + float(np.max(np.abs(curv))))
+        it += 1
         try:
-            dv = np.linalg.solve(H - delta * np.eye(H.shape[0]), -gz)
+            L = prog.factor(z / s, kappa)
         except np.linalg.LinAlgError:
-            dv = gz
-        if gz @ dv <= 0.0:
-            dv = gz
-        dx = Z @ dv
-        nrm = np.linalg.norm(dx)
-        if nrm > 1e6 * (1.0 + np.linalg.norm(x)):
-            dx *= 1e6 * (1.0 + np.linalg.norm(x)) / nrm
-        adx = poly.As @ dx
-        slack = poly.scaled_slack(x)
-        blocking = adx > 1e-13
-        for r in rows:
-            blocking[r] = False
-        if np.any(blocking):
-            ratios = np.maximum(slack[blocking], 0.0) / adx[blocking]
-            amax = float(np.min(ratios))
-            if amax <= 1e-14:
-                # A row not in the working set is already tight along the
-                # ascent direction: absorb it instead of taking a null step.
-                tight = np.where(blocking)[0][np.argmin(ratios)]
-                wset.add(int(tight))
-                continue
-        else:
-            amax = math.inf
-        alpha = min(1.0, amax)
-        f0 = _obj(vm, x)
-        gd = g @ dx
-        while alpha > 1e-16:
-            if _obj(vm, x + alpha * dx) >= f0 + ARMIJO * alpha * gd:
-                break
-            alpha *= 0.5
-        if alpha <= 1e-16:
             break
-        x = x + alpha * dx
-        if math.isfinite(amax) and alpha >= amax * (1.0 - 1e-12):
-            new_slack = poly.scaled_slack(x)
-            hit = np.where((new_slack <= 1e-11) & blocking)[0]
-            if hit.size == 0:
-                break
-            wset |= set(int(i) for i in hit)
-    return x, wset
 
+        def newton(rc, shift):
+            rps = rp - shift
+            dx = cho_solve_banded((L, False), A.T @ ((rc - z * rps) / s) - rd)
+            ds = -rps - A @ dx
+            return dx, ds, -(rc + z * ds) / s
 
-def _polish(x: np.ndarray, poly: _Polyhedron, vm: _ValueModel) -> tuple[np.ndarray, float]:
-    """Active-set refinement; returns the point and its stationarity residual."""
-    slack = poly.scaled_slack(x)
-    wset = set(int(i) for i in np.where(slack <= 3e-9)[0])
-    resid = math.inf
-    for _ in range(60):
-        x, wset = _face_maximize(x, poly, vm, wset)
-        g = _grad(vm, x)
-        rows = sorted(wset)
-        if rows:
-            At = poly.As[rows].T
-            _, resid = nnls(At, g, maxiter=30 * len(rows))
-        else:
-            resid = float(np.linalg.norm(g))
-        if resid <= 1e-9 * (1.0 + np.linalg.norm(g)):
-            break
-        if rows:
-            yu, *_ = np.linalg.lstsq(At, g, rcond=None)
-            j = int(np.argmin(yu))
-            if yu[j] < -1e-10:
-                wset.discard(rows[j])
-                continue
-        break
-    return x, resid
+        mu = gap / u.size
+        dx, ds, dz = newton(s * z, 0.0)
+        alpha = min(1.0, _step_to_boundary(s, ds), _step_to_boundary(z, dz))
+        mu_aff = float((s + alpha * ds) @ (z + alpha * dz)) / u.size
+        # Centre harder while the dual residual lags behind mu, or mu
+        # overtakes it and the iteration jams.
+        sigma = min(1.0, max((mu_aff / mu) ** 3, SIGMA_FLOOR * excess / mu))
+        # Every row is relaxed by the target mu: rows that are tight on the
+        # whole feasible set (an empty deposit box, say) then keep slacks
+        # of order mu, so their multipliers stay bounded.
+        dx, ds, dz = newton(s * z + ds * dz - sigma * mu, sigma * mu)
+        alpha = min(1.0, STEP_FRAC * min(_step_to_boundary(s, ds), _step_to_boundary(z, dz)))
+        x, s, z = x + alpha * dx, s + alpha * ds, z + alpha * dz
+        F, grad, slope, kappa = prog.objective(x)
+    if not np.all(np.isfinite(x)):
+        raise SolverError("solver produced non-finite iterates")
+    X = x.reshape(prog.N, _NV)
+    s_, b_, e_ = (np.diff(X[:, v], prepend=0.0) * prog.escale for v in (_S, _B, _D))
+    unit = prog.fscale / prog.escale
+    multipliers = {}
+    for name, (sl, ep) in prog.rows.items():
+        multipliers[name] = np.zeros(prog.N)
+        multipliers[name][ep] = unit * z[sl]
+    return _Iterate(
+        s=s_,
+        b=b_,
+        e=e_,
+        slope=slope,
+        multipliers=multipliers,
+        iterations=it,
+        dual_residual=unit * dual,
+        optimal=optimal,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -580,28 +607,20 @@ def _canonical_split(
 
 
 def _reconstruct(
-    inst: OfflineInstance, vm: _ValueModel, poly: _Polyhedron, x: np.ndarray
-) -> tuple[Schedule, np.ndarray]:
-    N = inst.timeline.N
-    s, b, e = (np.maximum(v, 0.0) for v in _split_x(x, N))
+    inst: OfflineInstance, vm: _ValueModel, prog: _Program, s: np.ndarray, b: np.ndarray,
+    e: np.ndarray,
+) -> Schedule:
+    s, b, e = (np.maximum(v, 0.0) for v in (s, b, e))
     e = np.minimum(e, inst.timeline.E)
-    c = s + b
 
     if not vm.ideal:
-        tau, _ = vm.windows(c)
-        tiny = (tau > 0.0) & (tau < TAU_SNAP)
-        if np.any(tiny):
-            x_try = x.copy()
-            for i in np.where(tiny)[0]:
-                x_zero = x_try.copy()
-                x_zero[i] = 0.0
-                x_zero[N + i] = 0.0
-                if poly.min_slack(x_zero) >= -FEAS_TOL:
-                    x_try = x_zero
-            x = x_try
-            s, b, e = (np.maximum(v, 0.0) for v in _split_x(x, N))
-            e = np.minimum(e, inst.timeline.E)
-            c = s + b
+        tau, _ = vm.windows(s + b)
+        for i in np.flatnonzero((tau > 0.0) & (tau < TAU_SNAP)):
+            s_zero, b_zero = s.copy(), b.copy()
+            s_zero[i] = b_zero[i] = 0.0
+            if prog.min_slack(s_zero, b_zero, e) >= -FEAS_TOL:
+                s, b = s_zero, b_zero
+    c = s + b
 
     s2, b2, ok = _canonical_split(inst, c, e)
     if ok:
@@ -618,7 +637,7 @@ def _reconstruct(
 
     rate = vm.ws.rate_at_power_vec(power)
     objective = math.fsum(float(t) * float(r) for t, r in zip(tau, rate))
-    sched = Schedule(
+    return Schedule(
         tau=tau,
         p_sc=p_sc,
         p_b=p_b,
@@ -630,7 +649,6 @@ def _reconstruct(
         rate=rate,
         objective=objective,
     )
-    return sched, x
 
 
 # ---------------------------------------------------------------------------
@@ -671,12 +689,14 @@ def _paper_slacks(inst: OfflineInstance, sched: Schedule) -> dict[str, np.ndarra
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Fitted KKT multipliers for a schedule, with residual diagnostics.
+    """KKT multipliers for a schedule, with residual diagnostics.
 
+    The multipliers come in closed form from the solve's own.
     ``stationarity`` maps each stationarity-equation family to its worst
-    absolute residual; ``complementarity`` maps each multiplier family to
-    its worst ``multiplier * slack`` product.  ``levels`` holds the water
-    level of each epoch (the marginal value of transmit energy there).
+    absolute residual and ``fit_residual`` is the Euclidean norm of all of
+    them; ``complementarity`` maps each multiplier family to its worst
+    ``multiplier * slack`` product.  ``levels`` holds the water level of
+    each epoch (the marginal value of transmit energy there).
     """
 
     multipliers: dict[str, np.ndarray]
@@ -698,8 +718,16 @@ class DualCertificate:
         return self.max_stationarity <= stat_tol and self.max_complementarity <= comp_tol
 
 
-def _certificate(inst: OfflineInstance, sched: Schedule, vm: _ValueModel) -> DualCertificate:
-    N = inst.timeline.N
+def _suffix(v: np.ndarray) -> np.ndarray:
+    """``out[i] = sum(v[i:])``."""
+    return np.cumsum(v[::-1])[::-1]
+
+
+def _certificate(
+    inst: OfflineInstance, sched: Schedule, vm: _ValueModel, it: _Iterate
+) -> DualCertificate:
+    """The paper's KKT multipliers in closed form from the solve's own
+    multipliers, with the residuals of the paper's KKT rows."""
     circuit = not inst.is_ideal
     eta = inst.eta
     slacks = _paper_slacks(inst, sched)
@@ -712,165 +740,77 @@ def _certificate(inst: OfflineInstance, sched: Schedule, vm: _ValueModel) -> Dua
     on = sched.tau > 0.0
 
     active = {
-        "sc_caus": slacks["sc_caus"] <= atol,
-        "sc_over": slacks["sc_over"] <= atol,
-        "b_caus": slacks["b_caus"] <= atol,
-        "b_over": slacks["b_over"] <= atol,
-        "peak": (inst.p_peak - P <= 1e-7 * max(1.0, inst.p_peak)) | ~on,
-        "tau_lo": sched.tau <= ttol,
-        "tau_hi": slacks["tau_hi"] <= ttol,
-        "alpha_sc": slacks["alpha_sc"] <= atol,
-        "alpha_b": slacks["alpha_b"] <= atol,
-        "sigma_sc": slacks["sigma_sc"] <= atol,
-        "sigma_b": slacks["sigma_b"] <= atol,
-        "dep_sc": slacks["dep_sc"] <= atol,
-        "dep_b": slacks["dep_b"] <= atol,
+        name: slacks[name] <= atol
+        for name in ("sc_caus", "sc_over", "b_caus", "b_over", "alpha_sc", "alpha_b",
+                     "sigma_sc", "sigma_b", "dep_sc", "dep_b")
     }
+    active["peak"] = (inst.p_peak - P <= 1e-7 * max(1.0, inst.p_peak)) | ~on
+    active["tau_lo"] = sched.tau <= ttol
+    active["tau_hi"] = slacks["tau_hi"] <= ttol
 
-    blocks = ["lam1_sc", "lam2_sc", "lam1_b", "lam2_b", "mu", "nu", "varpi"]
-    signed = {"mu", "nu", "omega"}  # sign-free families
-    if circuit:
-        blocks += ["omega", "kappa", "zeta"]
-    blocks += ["rho1_sc", "rho1_b", "rho2_sc", "rho2_b"]
-    if circuit:
-        blocks += ["rho3_sc", "rho3_b"]
-    else:
-        blocks += ["xi"]
-    off = {name: k * N for k, name in enumerate(blocks)}
-    ncols = N * len(blocks)
-
-    allowed = np.zeros(ncols, dtype=bool)
-    lower = np.zeros(ncols)
-
-    def allow(name, mask):
-        allowed[off[name] : off[name] + N] = mask
-
-    allow("lam1_sc", active["sc_caus"])
-    allow("lam2_sc", active["sc_over"])
-    allow("lam1_b", active["b_caus"])
-    allow("lam2_b", active["b_over"])
-    allow("mu", True)
-    allow("nu", True)
-    allow("varpi", active["peak"])
-    allow("rho1_sc", active["dep_sc"])
-    allow("rho1_b", active["dep_b"])
-    allow("rho2_sc", active["alpha_sc"])
-    allow("rho2_b", active["alpha_b"])
-    if circuit:
-        allow("omega", True)
-        allow("kappa", active["tau_lo"])
-        allow("zeta", active["tau_hi"])
-        allow("rho3_sc", active["sigma_sc"])
-        allow("rho3_b", active["sigma_b"])
-    else:
-        allow("xi", ~(P > 0.0))
-    for name in blocks:
-        if name in signed:
-            lower[off[name] : off[name] + N] = -np.inf
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    labels: list[str] = []
-
-    def row(label: str) -> np.ndarray:
-        r = np.zeros(ncols)
-        rows.append(r)
-        labels.append(label)
-        return r
-
-    for i in range(N):
-        for tag, lam1, lam2, extra in (
-            ("alpha_sc", "lam1_sc", "lam2_sc", "rho2_sc"),
-            ("alpha_b", "lam1_b", "lam2_b", "rho2_b"),
-        ):
-            r = row(f"stat_{tag}")
-            r[off[lam1] + i : off[lam1] + N] = -1.0
-            r[off[lam2] + i + 1 : off[lam2] + N] = 1.0
-            r[off["mu"] + i] = 1.0
-            r[off[extra] + i] = 1.0
-            rhs.append(0.0)
-        if circuit:
-            for tag, lam1, lam2, extra in (
-                ("sigma_sc", "lam1_sc", "lam2_sc", "rho3_sc"),
-                ("sigma_b", "lam1_b", "lam2_b", "rho3_b"),
-            ):
-                r = row(f"stat_{tag}")
-                r[off[lam1] + i : off[lam1] + N] = -1.0
-                r[off[lam2] + i + 1 : off[lam2] + N] = 1.0
-                r[off["omega"] + i] = 1.0
-                r[off[extra] + i] = 1.0
-                rhs.append(0.0)
-        r = row("stat_dep_sc")
-        r[off["lam1_sc"] + i : off["lam1_sc"] + N] = 1.0
-        r[off["lam2_sc"] + i : off["lam2_sc"] + N] = -1.0
-        r[off["nu"] + i] = 1.0
-        r[off["rho1_sc"] + i] = 1.0
-        rhs.append(0.0)
-        r = row("stat_dep_b")
-        r[off["lam1_b"] + i : off["lam1_b"] + N] = eta
-        r[off["lam2_b"] + i : off["lam2_b"] + N] = -eta
-        r[off["nu"] + i] = 1.0
-        r[off["rho1_b"] + i] = 1.0
-        rhs.append(0.0)
-        if (not circuit) or sched.tau[i] > 0.0:
-            r = row("level")
-            r[off["mu"] + i] = 1.0
-            r[off["varpi"] + i] = 1.0
-            if (not circuit) and P[i] <= 0.0:
-                r[off["xi"] + i] = -1.0
-            rhs.append(float(levels[i]))
-        if circuit:
-            r = row("stat_tau")
-            r[off["varpi"] + i] = inst.p_peak
-            r[off["omega"] + i] = -float(vm.eps[i])
-            r[off["kappa"] + i] = 1.0
-            r[off["zeta"] + i] = -1.0
-            rhs.append(float(P[i] * levels[i] - sched.rate[i]))
-
-    A = np.vstack(rows)
-    bvec = np.asarray(rhs)
-    keep = np.where(allowed)[0]
-    res = lsq_linear(
-        A[:, keep], bvec, bounds=(lower[keep], np.full(keep.size, np.inf)), tol=1e-14
+    # The marginal value of drained energy, net of the drain cap's price.
+    # An idle split epoch sits on both a >= 0 and f >= 0; the price of the
+    # latter then adds to the burst slope.
+    lam = it.multipliers
+    mu = it.slope - lam["cap"] + lam["f_lo"]
+    mult = {
+        "lam1_sc": lam["sc_caus"],
+        "lam2_sc": lam["sc_over"],
+        "lam1_b": lam["b_caus"],
+        "lam2_b": lam["b_over"],
+        "mu": mu,
+        # The level row holds only while transmitting.
+        "varpi": np.where(on, levels - mu, 0.0),
+        "rho1_sc": lam["e_lo"],
+        "rho1_b": lam["e_hi"],
+        "rho2_sc": lam["s_lo"],
+        "rho2_b": lam["b_lo"],
+    }
+    L1sc, L2sc, L1b, L2b = (
+        _suffix(mult[k]) for k in ("lam1_sc", "lam2_sc", "lam1_b", "lam2_b")
     )
-    y = np.zeros(ncols)
-    y[keep] = res.x
-    r = A @ y - bvec
-
-    stat: dict[str, float] = {}
-    for lab, val in zip(labels, r):
-        stat[lab] = max(stat.get(lab, 0.0), abs(float(val)))
-
-    mult = {name: y[off[name] : off[name] + N].copy() for name in blocks}
-    comp_pairs = [
-        ("lam1_sc", "sc_caus"),
-        ("lam2_sc", "sc_over"),
-        ("lam1_b", "b_caus"),
-        ("lam2_b", "b_over"),
-        ("varpi", "peak"),
-        ("rho1_sc", "dep_sc"),
-        ("rho1_b", "dep_b"),
-        ("rho2_sc", "alpha_sc"),
-        ("rho2_b", "alpha_b"),
-    ]
-    if circuit:
-        comp_pairs += [
-            ("kappa", "tau_lo"),
-            ("zeta", "tau_hi"),
-            ("rho3_sc", "sigma_sc"),
-            ("rho3_b", "sigma_b"),
-        ]
-    comp = {
-        name: float(np.max(np.abs(mult[name] * slacks[slack_name])))
-        for name, slack_name in comp_pairs
+    dep_sc = L1sc - L2sc + mult["rho1_sc"]
+    dep_b = eta * (L1b - L2b) + mult["rho1_b"]
+    mult["nu"] = -0.5 * (dep_sc + dep_b)
+    # Buffer prices seen by energy drained in epoch i: causality rows from
+    # i on, overflow rows from i+1 on.
+    drain_sc = np.append(L2sc[1:], 0.0) - L1sc
+    drain_b = np.append(L2b[1:], 0.0) - L1b
+    rows = {
+        "stat_alpha_sc": drain_sc + mu + mult["rho2_sc"],
+        "stat_alpha_b": drain_b + mu + mult["rho2_b"],
+        "stat_dep_sc": dep_sc + mult["nu"],
+        "stat_dep_b": dep_b + mult["nu"],
     }
+    if circuit:
+        mult["omega"] = mu
+        mult["rho3_sc"] = mult["rho2_sc"]
+        mult["rho3_b"] = mult["rho2_b"]
+        t = P * levels - sched.rate - inst.p_peak * mult["varpi"] + vm.eps * mult["omega"]
+        mult["kappa"] = np.where(active["tau_lo"], np.maximum(t, 0.0), 0.0)
+        mult["zeta"] = np.where(active["tau_hi"], np.maximum(-t, 0.0), 0.0)
+        rows["stat_sigma_sc"] = drain_sc + mult["omega"] + mult["rho3_sc"]
+        rows["stat_sigma_b"] = drain_b + mult["omega"] + mult["rho3_b"]
+        rows["level"] = (mu + mult["varpi"] - levels)[on]
+        rows["stat_tau"] = mult["kappa"] - mult["zeta"] - t
+    else:
+        mult["xi"] = np.zeros(sched.N)
+        rows["level"] = mu + mult["varpi"] - mult["xi"] - levels
+    stat = {name: float(np.max(np.abs(r), initial=0.0)) for name, r in rows.items()}
+
+    pairs = dict(lam1_sc="sc_caus", lam2_sc="sc_over", lam1_b="b_caus", lam2_b="b_over",
+                 varpi="peak", rho1_sc="dep_sc", rho1_b="dep_b", rho2_sc="alpha_sc",
+                 rho2_b="alpha_b")
+    if circuit:
+        pairs.update(kappa="tau_lo", zeta="tau_hi", rho3_sc="sigma_sc", rho3_b="sigma_b")
+    comp = {name: float(np.max(np.abs(mult[name] * slacks[sl]))) for name, sl in pairs.items()}
     return DualCertificate(
         multipliers=mult,
         active=active,
         levels=np.asarray(levels, dtype=float),
         stationarity=stat,
         complementarity=comp,
-        fit_residual=float(np.linalg.norm(r)),
+        fit_residual=float(np.linalg.norm(np.concatenate(list(rows.values())))),
     )
 
 
@@ -901,15 +841,10 @@ class OfflineSolution:
 
 def _solve(inst: OfflineInstance) -> OfflineSolution:
     vm = _ValueModel(inst)
-    poly = _Polyhedron(inst, vm)
-    x0 = np.zeros(3 * inst.timeline.N)
-    x, iters = _maximize(poly, vm, x0)
-    x, resid = _polish(x, poly, vm)
-    if not np.all(np.isfinite(x)):
-        raise SolverError("solver produced non-finite iterates")
-    sched, x = _reconstruct(inst, vm, poly, x)
-    cert = _certificate(inst, sched, vm)
-    gnorm = float(np.linalg.norm(_grad(vm, x)))
+    prog = _Program(inst, vm)
+    it = _interior_point(prog)
+    sched = _reconstruct(inst, vm, prog, it.s, it.b, it.e)
+    cert = _certificate(inst, sched, vm, it)
     audit = check_feasibility(inst.timeline, sched.split, sched, inst.storage(), inst.p_peak)
     feas = FeasibilityReport(
         slacks=audit.slacks,
@@ -919,9 +854,9 @@ def _solve(inst: OfflineInstance) -> OfflineSolution:
         schedule=sched,
         certificate=cert,
         instance=inst,
-        iterations=iters,
-        stationarity_residual=float(resid),
-        converged=resid <= 1e-6 * (1.0 + gnorm) and feas.feasible,
+        iterations=it.iterations,
+        stationarity_residual=it.dual_residual,
+        converged=bool(it.optimal and feas.feasible),
         feasibility=feas,
     )
 

@@ -27,7 +27,7 @@ import numpy as np
 from .channels import EffectiveChannels
 from .energy import ArrivalSplit, EpochTimeline, HybridStorage
 from .offline import Schedule
-from .single_epoch import solve_single_epoch
+from .single_epoch import EpochDecision, _burst_window, _split_drains
 from .waterfill import WaterSystem
 
 __all__ = [
@@ -67,55 +67,17 @@ def split_arrival(storage: HybridStorage, amount: float) -> SplitDecision:
     return SplitDecision(sc=sc, b=b, discarded=discarded)
 
 
-@dataclass(frozen=True)
-class EpochDecision:
-    """One epoch's transmission decision and the resulting buffer drains."""
-
-    tau: float
-    power: float
-    p_sc: float
-    p_b: float
-    eps_sc: float
-    eps_b: float
-    d_sc: float
-    d_b: float
-
-
-def _split_drains(
-    storage: HybridStorage, tau: float, power: float, eps: float
-) -> EpochDecision:
-    """Drain the consumed energy super-capacitor-first and attribute powers
-    to the buffers in proportion to their share of the consumption."""
-    consumed = tau * (power + eps)
-    if consumed <= 0.0:
-        return EpochDecision(tau, power, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    d_sc = min(storage.level_sc, consumed)
-    d_b = min(storage.level_b, consumed - d_sc)
-    frac = d_sc / consumed
-    return EpochDecision(
-        tau=tau,
-        power=power,
-        p_sc=power * frac,
-        p_b=power * (1.0 - frac),
-        eps_sc=eps * frac,
-        eps_b=eps * (1.0 - frac),
-        d_sc=d_sc,
-        d_b=d_b,
-    )
-
-
 def policy_ideal(
     storage: HybridStorage, p_peak: float, l: float, remaining: float
 ) -> EpochDecision:
     """Even spreading: radiate ``drainable / remaining`` (clipped at the
     peak) for the whole epoch."""
     power = min(p_peak, storage.drainable / remaining)
-    return _split_drains(storage, l, power, 0.0)
+    return _split_drains(storage.level_sc, storage.level_b, l, power, 0.0)
 
 
 def policy_circuit(
-    eff: EffectiveChannels,
-    weights,
+    ws: WaterSystem,
     storage: HybridStorage,
     p_peak: float,
     eps: float,
@@ -130,17 +92,8 @@ def policy_circuit(
     never pays here: the throughput per joule is already maximal at that
     power, so holding energy only risks stranding it at the deadline.
     """
-    sol = solve_single_epoch(
-        eff,
-        weights,
-        e_sc=storage.level_sc,
-        e_b=storage.level_b / storage.eta,
-        eta=storage.eta,
-        eps=eps,
-        p_peak=p_peak,
-        t=l,
-    )
-    return _split_drains(storage, sol.tau, sol.power, eps if sol.tau > 0.0 else 0.0)
+    tau, power = _burst_window(ws, storage.drainable, eps, p_peak, l)
+    return _split_drains(storage.level_sc, storage.level_b, tau, power, eps)
 
 
 @dataclass(frozen=True)
@@ -202,9 +155,7 @@ def run_online(
         if eps_arr is None:
             dec = policy_ideal(store, p_peak, float(timeline.l[i]), remaining)
         else:
-            dec = policy_circuit(
-                eff, ws.weights, store, p_peak, float(eps_arr[i]), float(timeline.l[i])
-            )
+            dec = policy_circuit(ws, store, p_peak, float(eps_arr[i]), float(timeline.l[i]))
         store.drain(dec.d_sc, dec.d_b)
         tau[i], power[i] = dec.tau, dec.power
         p_sc[i], p_b[i] = dec.p_sc, dec.p_b

@@ -65,6 +65,64 @@ class SingleEpochSolution:
     throughput: float     # tau * W(power), nats
 
 
+@dataclass(frozen=True)
+class EpochDecision:
+    """One epoch's transmission decision and the resulting buffer drains."""
+
+    tau: float
+    power: float
+    p_sc: float
+    p_b: float
+    eps_sc: float
+    eps_b: float
+    d_sc: float
+    d_b: float
+
+
+def _burst_window(
+    ws: WaterSystem, e_tol: float, eps: float, p_peak: float, t: float
+) -> tuple[float, float]:
+    """``(tau, power)`` of the one-shot burst rule for a drainable budget
+    ``e_tol`` over a window of length ``t`` (the three regimes above)."""
+    if e_tol <= 1e-15:
+        return 0.0, 0.0
+    p_o = ws.efficient_power(eps)
+    if p_o < p_peak:
+        if e_tol < t * (p_o + eps):
+            power = p_o
+        elif e_tol > t * (p_peak + eps):
+            power = p_peak
+        else:
+            power = e_tol / t - eps
+    else:
+        power = p_peak
+    return min(t, e_tol / (power + eps)), power
+
+
+def _split_drains(
+    level_sc: float, level_b: float, tau: float, power: float, eps: float
+) -> EpochDecision:
+    """Drain the consumed energy ``tau * (power + eps)`` super-capacitor
+    first (``level_b`` is drainable J) and attribute powers to the buffers
+    in proportion to their share of the consumption."""
+    consumed = tau * (power + eps)
+    if consumed <= 0.0:
+        return EpochDecision(tau, power, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    d_sc = min(level_sc, consumed)
+    d_b = min(level_b, consumed - d_sc)
+    frac = d_sc / consumed
+    return EpochDecision(
+        tau=tau,
+        power=power,
+        p_sc=power * frac,
+        p_b=power * (1.0 - frac),
+        eps_sc=eps * frac,
+        eps_b=eps * (1.0 - frac),
+        d_sc=d_sc,
+        d_b=d_b,
+    )
+
+
 def solve_single_epoch(
     eff: EffectiveChannels,
     weights,
@@ -89,32 +147,16 @@ def solve_single_epoch(
     if min(e_sc, e_b) < 0.0 or eps < 0.0 or p_peak <= 0.0:
         raise ValueError("energies and circuit power must be non-negative, peak positive")
     sys = WaterSystem(eff, weights)
-    e_tol = e_sc + eta * e_b
-    if e_tol <= 1e-15:
-        return SingleEpochSolution(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    p_o = sys.efficient_power(eps)
-    if p_o < p_peak:
-        if e_tol < t * (p_o + eps):
-            power = p_o
-        elif e_tol > t * (p_peak + eps):
-            power = p_peak
-        else:
-            power = e_tol / t - eps
-    else:
-        power = p_peak
-    tau = min(t, e_tol / (power + eps))
-    consumed = tau * (power + eps)
-    d_sc = min(e_sc, consumed)
-    d_b = min(max(0.0, consumed - d_sc), eta * e_b)
-    frac = d_sc / consumed if consumed > 0.0 else 0.0
+    tau, power = _burst_window(sys, e_sc + eta * e_b, eps, p_peak, t)
+    dec = _split_drains(e_sc, eta * e_b, tau, power, eps)
     return SingleEpochSolution(
         power=power,
         tau=tau,
-        p_sc=power * frac,
-        p_b=power * (1.0 - frac),
-        eps_sc=eps * frac,
-        eps_b=eps * (1.0 - frac),
-        drained_sc=d_sc,
-        drained_b=d_b,
+        p_sc=dec.p_sc,
+        p_b=dec.p_b,
+        eps_sc=dec.eps_sc,
+        eps_b=dec.eps_b,
+        drained_sc=dec.d_sc,
+        drained_b=dec.d_b,
         throughput=tau * sys.rate_at_power(power),
     )

@@ -153,11 +153,8 @@ def covariances_for_level(eff: EffectiveChannels, weights, level: float) -> Cova
         raise ValueError("water level must be positive")
     w = _weights(eff, weights)
     Phi = []
-    for gamma, L, lam_sorted in zip(w, eff.L, eff.lam):
-        G = L @ L.conj().T
-        lam, U = np.linalg.eigh(G)
+    for gamma, X, lam in zip(w, eff.X, eff.lam):
         d = np.maximum(gamma * lam / level - 1.0, 0.0)
-        X = np.linalg.solve(L, U)
         P = (X * d) @ X.conj().T
         Phi.append(0.5 * (P + P.conj().T))
     return CovarianceSet(tuple(Phi))

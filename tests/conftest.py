@@ -73,8 +73,8 @@ def overdrawn_schedules(monkeypatch):
     reconstruct = offline._reconstruct
 
     def overdrawn(*args):
-        sched, x = reconstruct(*args)
-        return replace(sched, p_sc=sched.p_sc + 1.0), x
+        sched = reconstruct(*args)
+        return replace(sched, p_sc=sched.p_sc + 1.0)
 
     monkeypatch.setattr(offline, "_reconstruct", overdrawn)
 

@@ -131,6 +131,15 @@ def test_run_sweep_validation():
         run_sweep(spec, axis="eta")
 
 
+def test_run_sweep_drops_unconverged_trials(overdrawn_schedules):
+    # Every offline schedule fails its audit, so no trial may be averaged;
+    # each is counted as failed at its axis value.
+    spec = ExperimentSpec(**_FAST)
+    res = run_sweep(spec, axis="eta", values=[0.5, 1.0])
+    assert res.failed == {0.5: spec.num_trials, 1.0: spec.num_trials}
+    assert res.rows == [] and res.raw == {}
+
+
 # ---------------------------------------------------------------------------
 # CSV writers
 # ---------------------------------------------------------------------------
@@ -305,9 +314,20 @@ def test_cli_sweep_smoke(files, capsys):
         ]
     )
     assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
     lines = open(out).read().strip().split("\n")
     assert lines[0] == "axis_value,policy,mean,stderr,ratio_to_offline"
     assert len(lines) == 3
+
+
+def test_cli_sweep_reports_dropped_trials(files, overdrawn_schedules, capsys):
+    tmp, _, _ = files
+    out = str(tmp / "report.csv")
+    argv = ["sweep", "--axis", "eta", "--values", "0.5", "--trials", "2", "--T", "4.0"]
+    assert main(argv + ["--out", out]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "dropped 2 of 2 trials at eta=0.5" in err
+    assert open(out).read() == "axis_value,policy,mean,stderr,ratio_to_offline\n"
 
 
 def test_cli_invalid_inputs_exit_2(files, tmp_path, capsys):

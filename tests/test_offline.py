@@ -8,6 +8,7 @@ import pytest
 
 from ehsched import (
     ArrivalSplit,
+    ChannelSet,
     HybridStorage,
     SolverError,
     TransformedVariables,
@@ -213,6 +214,49 @@ def test_audit_failure_is_not_converged(unit_eff, overdrawn_schedules):
     assert not sol.feasibility.feasible
     assert sol.feasibility.slacks["sc_causality"][-1] < -1.0
     assert not sol.converged
+
+
+def _degenerate(arrivals=((0.0, 3.0), (1.0, 0.5), (2.5, 2.0)), T=4.0, eta=0.6, p_peak=2.0,
+                scale=1.0):
+    """A three-epoch instance whose energies, capacities, peak and circuit
+    power all carry the factor ``scale``; the channel gain carries
+    1/scale, so every rate, and the optimum, is scale-free."""
+    h = np.array([[1.0 / math.sqrt(scale) + 0.0j]])
+    eff = decompose_zf_dpc(ChannelSet(M=1, users=(UserConfig(n=1, gamma=1.0),), H=(h,)))
+    tl = build_timeline([(t, e * scale) for t, e in arrivals], T=T)
+    storage = HybridStorage(sc_cap=1.5 * scale, b_cap=8.0 * scale, eta=eta)
+    return eff, tl, storage, p_peak * scale, 0.5 * scale
+
+
+_DEGENERATE = {
+    "single-epoch": dict(arrivals=((0.0, 3.0),), T=2.0),
+    "eta-1": dict(eta=1.0),
+    "tiny-epoch": dict(arrivals=((0.0, 3.0), (1e-7, 0.5), (1.0, 2.0)), T=2.0),
+    "p-peak-1e-6": dict(p_peak=1e-6),
+    "zero-arrivals": dict(arrivals=((0.0, 0.0), (1.0, 2.0), (2.5, 0.0))),
+    "no-energy": dict(arrivals=((0.0, 0.0), (1.0, 0.0), (2.5, 0.0))),
+    **{f"scale-{k:g}J": dict(scale=k) for k in (1e-6, 1e-3, 1.0, 1e3, 1e5)},
+}
+
+
+@pytest.mark.parametrize("circuit", [False, True], ids=["ideal", "circuit"])
+@pytest.mark.parametrize("case", _DEGENERATE.values(), ids=_DEGENERATE.keys())
+def test_degenerate_inputs_converge_audited(case, circuit):
+    """Every degenerate instance returns a converged schedule that passes
+    the audit and matches the exhaustive-search oracle; at the parent the
+    1e5 J instance returned converged=False with storage slacks near
+    -1e-4 J."""
+    eff, tl, storage, p_peak, eps = _degenerate(**case)
+    if circuit:
+        sol = solve_offline_circuit(eff, None, tl, storage, p_peak, eps)
+    else:
+        sol = solve_offline_ideal(eff, None, tl, storage, p_peak)
+    assert sol.converged
+    assert sol.feasibility.feasible, sol.feasibility.worst()
+    sched = sol.schedule
+    assert check_feasibility(tl, sched.split, sched, storage, p_peak).feasible
+    ref = brute_force_oracle(sol.instance)
+    assert abs(sol.objective - ref) <= max(1e-6, 1e-6 * abs(ref)), (sol.objective, ref)
 
 
 # ---------------------------------------------------------------------------

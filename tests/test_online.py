@@ -7,6 +7,7 @@ import pytest
 
 from ehsched import (
     HybridStorage,
+    WaterSystem,
     build_timeline,
     check_feasibility,
     policy_circuit,
@@ -64,7 +65,7 @@ def test_policy_ideal_spreads_and_clips():
 
 def test_policy_circuit_scarce_bursts_at_p_o(unit_eff):
     storage = HybridStorage(sc_cap=5.0, b_cap=50.0, eta=0.5, level_sc=1.0)
-    dec = policy_circuit(unit_eff, None, storage, p_peak=4.0, eps=1.0, l=2.0)
+    dec = policy_circuit(WaterSystem(unit_eff), storage, p_peak=4.0, eps=1.0, l=2.0)
     assert dec.power == pytest.approx(E - 1.0, abs=1e-6)
     assert dec.tau == pytest.approx(1.0 / E, rel=1e-6)
     assert dec.d_sc == pytest.approx(1.0, rel=1e-9)
@@ -74,7 +75,7 @@ def test_policy_circuit_scarce_bursts_at_p_o(unit_eff):
 
 def test_policy_circuit_abundant_runs_at_peak(unit_eff):
     storage = HybridStorage(sc_cap=5.0, b_cap=50.0, eta=0.5, level_sc=5.0, level_b=20.0)
-    dec = policy_circuit(unit_eff, None, storage, p_peak=4.0, eps=1.0, l=1.0)
+    dec = policy_circuit(WaterSystem(unit_eff), storage, p_peak=4.0, eps=1.0, l=1.0)
     assert dec.power == pytest.approx(4.0)
     assert dec.tau == pytest.approx(1.0)
     # 5 J consumed in the epoch, SC-first.
@@ -84,7 +85,7 @@ def test_policy_circuit_abundant_runs_at_peak(unit_eff):
 
 def test_policy_circuit_empty_store_is_silent(unit_eff):
     storage = HybridStorage(sc_cap=5.0, b_cap=50.0, eta=0.5)
-    dec = policy_circuit(unit_eff, None, storage, p_peak=4.0, eps=1.0, l=1.0)
+    dec = policy_circuit(WaterSystem(unit_eff), storage, p_peak=4.0, eps=1.0, l=1.0)
     assert dec.tau == 0.0 and dec.power == 0.0 and dec.eps_sc == 0.0
 
 
