@@ -96,11 +96,6 @@ class CovarianceSet:
         """Energy-form covariances Theta_k = tau * Phi_k."""
         return CovarianceSet(tuple(tau * p for p in self.Phi))
 
-    @classmethod
-    def zeros(cls, eff: "EffectiveChannels") -> "CovarianceSet":
-        """All-zero covariances in the per-user mode coordinates."""
-        return cls(tuple(np.zeros((L.shape[1], L.shape[1]), dtype=complex) for L in eff.L))
-
 
 def generate_channels(
     M: int, users: Sequence[UserConfig], seed: int | None = None, rng=None

@@ -399,6 +399,7 @@ class _Program:
         )
         nc = self.rows.pop("objective")[0].start
         self.A, self.Q, self.u = M[:nc], M[nc:], np.concatenate(u)[:nc]
+        self.AT, self.QT = self.A.T, self.Q.T
         self.flat, self.prod, self.brow = map(np.concatenate, (flat, prod, brow))
         # Placeholder burst parts sit in no row: pin them with a unit
         # diagonal (their gradient is zero, so they stay at zero).
@@ -427,7 +428,7 @@ class _Program:
         slope = np.where(self.curved, vm.ws.level_at_power_vec(p)[0] - self.curv0 * qn, self.slope0)
         kappa = np.where(self.curved, self.escale**2 / self.fscale * curv, 0.0)
         F = math.fsum(value) + self.escale * float(vm.r0[self.split] @ x[_NV * self.split + _A])
-        grad = (self.escale / self.fscale) * (self.Q.T @ slope) + self.lin
+        grad = (self.escale / self.fscale) * (self.QT @ slope) + self.lin
         return F / self.fscale, grad, slope, kappa
 
     def factor(self, w: np.ndarray, kappa: np.ndarray):
@@ -489,7 +490,7 @@ def _interior_point(prog: _Program) -> _Iterate:
     """Mehrotra predictor-corrector on ``max F(x)``, ``A x + s = u``,
     ``s, z >= 0``; each Newton step is one banded Cholesky factorization
     and two banded solves."""
-    A, u = prog.A, prog.u
+    A, AT, u = prog.A, prog.AT, prog.u
     x = np.zeros(prog.n)
     s = np.maximum(u, 1.0)
     z = np.ones(u.size)
@@ -497,7 +498,7 @@ def _interior_point(prog: _Program) -> _Iterate:
     it = 0
     F, grad, slope, kappa = prog.objective(x)
     while True:
-        ATz = A.T @ z
+        ATz = AT @ z
         rd = ATz - grad
         rp = A @ x + s - u
         gap = float(s @ z)
@@ -523,7 +524,7 @@ def _interior_point(prog: _Program) -> _Iterate:
 
         def newton(rc, shift):
             rps = rp - shift
-            dx = cho_solve_banded((L, False), A.T @ ((rc - z * rps) / s) - rd)
+            dx = cho_solve_banded((L, False), AT @ ((rc - z * rps) / s) - rd)
             ds = -rps - A @ dx
             return dx, ds, -(rc + z * ds) / s
 
@@ -644,7 +645,7 @@ def _reconstruct(
         eps_sc=eps_sc,
         eps_b=eps_b,
         split=ArrivalSplit(sc=e.copy(), b=(inst.timeline.E - e)),
-        covs=tuple(vm.ws.covariances(float(p)) for p in power),
+        covs=vm.ws.covariances(power),
         power=power,
         rate=rate,
         objective=objective,
@@ -696,12 +697,15 @@ class DualCertificate:
     absolute residual and ``fit_residual`` is the Euclidean norm of all of
     them; ``complementarity`` maps each multiplier family to its worst
     ``multiplier * slack`` product.  ``levels`` holds the water level of
-    each epoch (the marginal value of transmit energy there).
+    each epoch (the marginal value of transmit energy there) and
+    ``rate_scale`` the largest epoch rate (the rate at the peak power when
+    no epoch transmits).
     """
 
     multipliers: dict[str, np.ndarray]
     active: dict[str, np.ndarray]
     levels: np.ndarray
+    rate_scale: float
     stationarity: dict[str, float]
     complementarity: dict[str, float]
     fit_residual: float
@@ -715,7 +719,16 @@ class DualCertificate:
         return max(self.complementarity.values(), default=0.0)
 
     def ok(self, stat_tol: float = 1e-6, comp_tol: float = 1e-8) -> bool:
-        return self.max_stationarity <= stat_tol and self.max_complementarity <= comp_tol
+        """Stationarity within ``stat_tol`` of its unit (the largest water
+        level for the nats/J families, ``rate_scale`` for ``stat_tau`` in
+        nats/s) and complementarity (nats) within ``comp_tol``: both tests
+        are free of the energy scale."""
+        level = float(np.max(self.levels))
+        stat = all(
+            r <= stat_tol * (self.rate_scale if name == "stat_tau" else level)
+            for name, r in self.stationarity.items()
+        )
+        return stat and self.max_complementarity <= comp_tol
 
 
 def _suffix(v: np.ndarray) -> np.ndarray:
@@ -808,6 +821,7 @@ def _certificate(
         multipliers=mult,
         active=active,
         levels=np.asarray(levels, dtype=float),
+        rate_scale=float(np.max(sched.rate)) or vm.ws.rate_at_power(inst.p_peak),
         stationarity=stat,
         complementarity=comp,
         fit_residual=float(np.linalg.norm(np.concatenate(list(rows.values())))),

@@ -96,6 +96,23 @@ def policy_circuit(
     return _split_drains(storage.level_sc, storage.level_b, tau, power, eps)
 
 
+def _add_exact(partials: list[float], x: float) -> None:
+    """Add ``x`` to a running sum held as non-overlapping partials
+    (Shewchuk, DCG 1997; the algorithm of ``math.fsum``), so that
+    ``math.fsum(partials)`` equals ``math.fsum`` of every term added so far."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
 @dataclass(frozen=True)
 class OnlineResult:
     """Realized causal schedule, its cumulative-throughput trace (one row
@@ -131,8 +148,8 @@ def run_online(
         eps_arr = None
     else:
         eps_arr = np.broadcast_to(np.asarray(eps, dtype=float), (N,)).copy()
-        if np.any(eps_arr < 0.0):
-            raise ValueError("circuit power must be nonnegative")
+        if np.any(eps_arr < 0.0) or not np.all(np.isfinite(eps_arr)):
+            raise ValueError("circuit power must be nonnegative and finite")
     store = storage.copy()
     ws = WaterSystem(eff, weights)
 
@@ -146,7 +163,7 @@ def run_online(
     discarded = np.zeros(N)
     power = np.zeros(N)
     trace = [(0.0, 0.0)]
-    acc: list[float] = []
+    partials: list[float] = []
 
     for i in range(N):
         split = split_arrival(store, float(timeline.E[i]))
@@ -160,8 +177,8 @@ def run_online(
         tau[i], power[i] = dec.tau, dec.power
         p_sc[i], p_b[i] = dec.p_sc, dec.p_b
         eps_sc[i], eps_b[i] = dec.eps_sc, dec.eps_b
-        acc.append(dec.tau * ws.rate_at_power(dec.power))
-        trace.append((float(timeline.t[i] + timeline.l[i]), math.fsum(acc)))
+        _add_exact(partials, dec.tau * ws.rate_at_power(dec.power))
+        trace.append((float(timeline.t[i] + timeline.l[i]), math.fsum(partials)))
 
     sched = Schedule(
         tau=tau,
@@ -170,9 +187,9 @@ def run_online(
         eps_sc=eps_sc,
         eps_b=eps_b,
         split=ArrivalSplit(sc=dep_sc, b=dep_b),
-        covs=tuple(ws.covariances(float(p)) for p in power),
+        covs=ws.covariances(power),
         power=power,
         rate=ws.rate_at_power_vec(power),
-        objective=math.fsum(acc),
+        objective=trace[-1][1],
     )
     return OnlineResult(schedule=sched, trace=np.asarray(trace), discarded=discarded)

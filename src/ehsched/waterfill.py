@@ -108,12 +108,12 @@ class WaterSystem:
         cg = np.where(m > 0, self._cg[m], 1.0)
         return np.where(m > 0, -(level * level) / cg, 0.0)
 
-    def covariances(self, power: float) -> CovarianceSet:
-        """Water-filling covariances at a sum power (zero when power <= 0)."""
-        if power <= 0.0:
-            return CovarianceSet.zeros(self.eff)
-        level, _ = self.level_at_power(power)
-        return covariances_for_level(self.eff, self.weights, level)
+    def covariances(self, power) -> tuple[CovarianceSet, ...]:
+        """Water-filling covariances at each sum power of an array, in one
+        batched build (exact zero matrices where power <= 0)."""
+        p = np.ravel(np.asarray(power, dtype=float))
+        level, _ = self.level_at_power_vec(p)
+        return covariances_for_level(self.eff, self.weights, np.where(p <= 0.0, np.inf, level))
 
     def efficient_power(self, eps: float) -> float:
         """The sum power p_o maximizing the efficiency ratio W(p)/(p + eps).
@@ -147,17 +147,23 @@ class WaterSystem:
         return min(max(u - C, lo), hi)
 
 
-def covariances_for_level(eff: EffectiveChannels, weights, level: float) -> CovarianceSet:
-    """Closed-form covariances for a water level (positive part applied)."""
-    if level <= 0.0:
-        raise ValueError("water level must be positive")
+def covariances_for_level(eff: EffectiveChannels, weights, levels) -> tuple[CovarianceSet, ...]:
+    """Closed-form covariances for each water level of an array (positive
+    part applied); an infinite level carries no power and gives exact zero
+    matrices."""
+    levels = np.ravel(np.asarray(levels, dtype=float))
+    if not np.all(levels > 0.0):
+        raise ValueError("water levels must be positive")
     w = _weights(eff, weights)
+    on = np.isfinite(levels)
     Phi = []
     for gamma, X, lam in zip(w, eff.X, eff.lam):
-        d = np.maximum(gamma * lam / level - 1.0, 0.0)
-        P = (X * d) @ X.conj().T
-        Phi.append(0.5 * (P + P.conj().T))
-    return CovarianceSet(tuple(Phi))
+        d = np.maximum(gamma * lam / levels[on, None] - 1.0, 0.0)
+        P = (X * d[:, None, :]) @ X.conj().T
+        out = np.zeros((levels.size, *P.shape[1:]), dtype=complex)
+        out[on] = 0.5 * (P + P.conj().swapaxes(1, 2))
+        Phi.append(out)
+    return tuple(CovarianceSet(tuple(P[i] for P in Phi)) for i in range(levels.size))
 
 
 def rate_at_power(eff: EffectiveChannels, weights, power: float) -> float:
@@ -180,4 +186,5 @@ def solve_budget(eff: EffectiveChannels, weights, budget: float) -> WaterLevelSo
     sys = WaterSystem(eff, weights)
     power = max(budget, 0.0)
     level, _ = sys.level_at_power(power)
-    return WaterLevelSolution(level, power, sys.rate_at_power(power), sys.covariances(power))
+    covs = sys.covariances(power)[0]
+    return WaterLevelSolution(level, power, sys.rate_at_power(power), covs)

@@ -12,6 +12,7 @@ from ehsched import (
     ChannelSet,
     CovarianceSet,
     UserConfig,
+    WaterSystem,
     channelset_from_json,
     channelset_to_json,
     decompose_zf_dpc,
@@ -174,7 +175,7 @@ def test_weighted_rate_rejects_bad_covariances(pair_eff):
 
 
 def test_covarianceset_helpers(pair_eff):
-    z = CovarianceSet.zeros(pair_eff)
+    z = WaterSystem(pair_eff).covariances([0.0])[0]
     assert z.total_power() == 0.0
     assert all(p.shape == (1, 1) for p in z.Phi)
     s = CovarianceSet((np.eye(1), 2.0 * np.eye(1))).scaled(3.0)

@@ -342,6 +342,10 @@ def test_cli_invalid_inputs_exit_2(files, tmp_path, capsys):
         ["level", "--channels", chan, "--budget", "inf"],
         ["level", "--channels", chan, "--budget", "nan"],
         ["p-o", "--channels", chan, "--eps", "inf"],
+        ["simulate", "--channels", chan, "--scenario", scen, "--p-peak", "4.0", "--eps", "inf"],
+        ["simulate", "--channels", chan, "--scenario", scen, "--p-peak", "4.0", "--eps", "nan"],
+        ["simulate", "--channels", chan, "--scenario", scen, "--p-peak", "4.0",
+         "--eps-seq", "1,nan"],
         ["solve", "--channels", chan, "--scenario", str(bad), "--p-peak", "4.0"],
         ["solve", "--channels", chan, "--scenario", scen, "--p-peak", "-1.0"],
         ["sweep", "--modes", "bogus", "--trials", "1"],

@@ -243,9 +243,8 @@ _DEGENERATE = {
 @pytest.mark.parametrize("case", _DEGENERATE.values(), ids=_DEGENERATE.keys())
 def test_degenerate_inputs_converge_audited(case, circuit):
     """Every degenerate instance returns a converged schedule that passes
-    the audit and matches the exhaustive-search oracle; at the parent the
-    1e5 J instance returned converged=False with storage slacks near
-    -1e-4 J."""
+    the audit, carries a certificate that holds at the default (scale-free)
+    tolerances, and matches the exhaustive-search oracle."""
     eff, tl, storage, p_peak, eps = _degenerate(**case)
     if circuit:
         sol = solve_offline_circuit(eff, None, tl, storage, p_peak, eps)
@@ -253,10 +252,27 @@ def test_degenerate_inputs_converge_audited(case, circuit):
         sol = solve_offline_ideal(eff, None, tl, storage, p_peak)
     assert sol.converged
     assert sol.feasibility.feasible, sol.feasibility.worst()
+    assert sol.certificate.ok(), (sol.certificate.stationarity, sol.certificate.complementarity)
     sched = sol.schedule
     assert check_feasibility(tl, sched.split, sched, storage, p_peak).feasible
     ref = brute_force_oracle(sol.instance)
     assert abs(sol.objective - ref) <= max(1e-6, 1e-6 * abs(ref)), (sol.objective, ref)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e5])
+def test_certificate_ok_is_scale_free(scale):
+    """A stationarity residual of 1% of the largest water level fails the
+    check at every energy scale: measured in absolute nats/J, a 1e-6 J
+    instance (levels near 5e5) failed on rounding alone, while at 1e5 J
+    (levels near 5e-6) a 20% error passed."""
+    eff, tl, storage, p_peak, eps = _degenerate(scale=scale)
+    cert = solve_offline_circuit(eff, None, tl, storage, p_peak, eps).certificate
+    assert cert.ok()
+    level = float(np.max(cert.levels))
+    for name in cert.stationarity:
+        unit = cert.rate_scale if name == "stat_tau" else level
+        off = replace(cert, stationarity={**cert.stationarity, name: 0.01 * unit})
+        assert not off.ok(), name
 
 
 # ---------------------------------------------------------------------------

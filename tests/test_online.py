@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehsched import (
     HybridStorage,
@@ -17,6 +19,7 @@ from ehsched import (
     solve_offline_ideal,
     split_arrival,
 )
+from ehsched.online import _add_exact
 
 from conftest import draw_problem
 
@@ -153,6 +156,9 @@ def test_run_online_validation(unit_eff):
         run_online(unit_eff, None, tl, storage, p_peak=0.0)
     with pytest.raises(ValueError, match="circuit power"):
         run_online(unit_eff, None, tl, storage, p_peak=4.0, eps=-1.0)
+    for bad in (math.nan, math.inf, [0.5, 1.0, math.nan, 1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="circuit power must be nonnegative and finite"):
+            run_online(unit_eff, None, tl, storage, p_peak=4.0, eps=bad)
 
 
 def test_run_online_per_epoch_eps_array(unit_eff):
@@ -163,6 +169,26 @@ def test_run_online_per_epoch_eps_array(unit_eff):
     on = res.schedule.tau > 1e-12
     total_eps = res.schedule.eps_sc + res.schedule.eps_b
     np.testing.assert_allclose(total_eps[on], np.asarray(eps)[on])
+
+
+@given(
+    terms=st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.floats(1e-300, 1e300),
+            st.integers(-300, 300).map(lambda k: 10.0**k),
+        ),
+        max_size=60,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_running_sum_equals_fsum_of_every_prefix(terms):
+    """The running partials give every prefix sum bit for bit as
+    math.fsum of that prefix, for terms spanning 1e-300..1e300."""
+    partials: list[float] = []
+    for n, x in enumerate(terms, start=1):
+        _add_exact(partials, x)
+        assert math.fsum(partials).hex() == math.fsum(terms[:n]).hex()
 
 
 def test_online_never_beats_offline(unit_eff):

@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehsched import (
+    UserConfig,
     WaterSystem,
     covariances_for_level,
+    decompose_zf_dpc,
+    generate_channels,
     solve_budget,
     weighted_rate,
 )
@@ -83,11 +86,44 @@ def test_weight_validation(pair_eff):
 
 
 def test_covariances_match_closed_form(two_mode_eff):
-    covs = covariances_for_level(two_mode_eff, None, 0.25)
+    covs = covariances_for_level(two_mode_eff, None, [0.25])[0]
     np.testing.assert_allclose(covs.Phi[0], np.diag([3.0, 3.75]), atol=1e-12)
     assert weighted_rate(two_mode_eff, covs) == pytest.approx(6.0 * math.log(2.0))
     with pytest.raises(ValueError):
-        covariances_for_level(two_mode_eff, None, 0.0)
+        covariances_for_level(two_mode_eff, None, [0.0])
+
+
+def test_batched_covariances_match_per_level_closed_form():
+    """One batched build over an array of sum powers equals, epoch by
+    epoch, Phi_k = L_k^-1 U_k diag((gamma_k lam / Delta - 1)^+) U_k^H L_k^-H
+    from a fresh eigendecomposition; idle epochs are exact zero matrices
+    and every set carries the queried rate."""
+    users = (UserConfig(n=2, gamma=1.0), UserConfig(n=2, gamma=1.7))
+    eff = decompose_zf_dpc(generate_channels(4, users, seed=2024))
+    sys = WaterSystem(eff)
+    power = np.array([0.0, 0.05, 0.7, -1.0, 3.0, 12.0, 0.0, 40.0])
+    covs = sys.covariances(power)
+    assert len(covs) == power.size
+    levels, _ = sys.level_at_power_vec(power)
+    rates = sys.rate_at_power_vec(power)
+    for p, level, rate, cs in zip(power, levels, rates, covs):
+        if p <= 0.0:
+            for P in cs.Phi:
+                assert P.shape == (2, 2) and P.tobytes() == bytes(P.nbytes)
+            continue
+        for gamma, L, P in zip(eff.gammas, eff.L, cs.Phi):
+            lam, U = np.linalg.eigh(L @ L.conj().T)
+            X = np.linalg.solve(L, U)
+            d = np.maximum(gamma * lam / level - 1.0, 0.0)
+            np.testing.assert_allclose(P, (X * d) @ X.conj().T, rtol=1e-12, atol=1e-12 * p)
+        assert cs.total_power() == pytest.approx(p, rel=1e-12)
+        assert weighted_rate(eff, cs) == pytest.approx(rate, rel=1e-12, abs=1e-12)
+    np.testing.assert_array_equal(covariances_for_level(eff, None, levels)[1].Phi[0], covs[1].Phi[0])
+    for bad in ([0.5, math.nan], [0.5, 0.0]):
+        with pytest.raises(ValueError, match="positive"):
+            covariances_for_level(eff, None, bad)
+    with pytest.raises(ValueError, match="positive"):
+        sys.covariances([1.0, math.nan])
 
 
 def test_solve_budget_zero_and_positive(unit_eff):
