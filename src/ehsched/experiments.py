@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import ChannelSet, UserConfig, decompose_zf_dpc, generate_channels
+from .channels import ChannelSet, EffectiveChannels, UserConfig, decompose_zf_dpc
+from .channels import generate_channels
 from .energy import EpochTimeline, HybridStorage, build_timeline, generate_compound_poisson
 from .offline import solve_offline_circuit, solve_offline_general, solve_offline_ideal
 from .online import run_online
@@ -110,15 +111,15 @@ class TrialOutcome:
     converged: bool = True
 
 
-def _draw_channels(spec: ExperimentSpec, rng) -> ChannelSet:
+def _draw_channels(spec: ExperimentSpec, rng) -> tuple[ChannelSet, EffectiveChannels]:
+    """A full-rank channel draw and its ZF-DPC decomposition."""
     users = spec.users()
     for _ in range(8):
         chans = generate_channels(spec.M, users, rng=rng)
         try:
-            decompose_zf_dpc(chans)
+            return chans, decompose_zf_dpc(chans)
         except ValueError:
             continue  # pathologically ill-conditioned draw; redraw
-        return chans
     raise RuntimeError("could not draw a full-rank channel realization")
 
 
@@ -139,10 +140,9 @@ def run_trial(
             spec.arrival_rate, spec.e_avg, spec.T, spec.initial_energy, rng=rng
         )
     if spec.pin_channels:
-        chans = _draw_channels(spec, trial_rng(spec.master_seed, 0x5EED))
+        chans, eff = _draw_channels(spec, trial_rng(spec.master_seed, 0x5EED))
     else:
-        chans = _draw_channels(spec, rng)
-    eff = decompose_zf_dpc(chans)
+        chans, eff = _draw_channels(spec, rng)
     if spec.eps_range is not None:
         lo, hi = spec.eps_range
         eps_input = rng.uniform(lo, hi, timeline.N)

@@ -25,10 +25,15 @@ in cumulative coordinates: per epoch the cumulative super-capacitor
 drain, battery drain and super-capacitor deposits.  There every
 constraint couples only epochs i-1 and i, so each Newton step is one
 banded Cholesky factorization, O(N) in time and memory (the structure
-Wang & Boyd exploit for fast MPC, IEEE TCST 2010).  The loop stops on a
-small dual residual and a small relative duality gap, and proves an
-instance infeasible with a Farkas certificate built from its own
-multipliers.  Transmission windows, powers and covariances are then
+Wang & Boyd exploit for fast MPC, IEEE TCST 2010).  Because each row
+family is one fixed stencil shifted along the epochs, the constraint
+matrix and the band tables of the Newton matrix are assembled with a few
+whole-array operations per block of families, and each Newton step
+evaluates the objective from one water-filling lookup: at short horizons
+these fixed costs, not the factorization, set the solve time.  The loop
+stops on a small dual residual and a small relative duality gap, and
+proves an instance infeasible with a Farkas certificate built from its
+own multipliers.  Transmission windows, powers and covariances are then
 recovered in closed form, and the dual certificate checked by
 :func:`verify_structure` is filled in closed form from the loop's
 multipliers.
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
@@ -243,8 +249,9 @@ def objective_from_transformed(
 
 class _ValueModel:
     """Per-epoch constants of the value of consumed energy: the burst
-    power ``p_thr``, the junction ``c1``, the burst slope ``r0`` and the
-    cap ``cmax``, with the closed-form window recovery."""
+    power ``p_thr`` with its water level and rate, the junction ``c1``,
+    the burst slope ``r0`` and the cap ``cmax``, with the closed-form
+    window recovery."""
 
     def __init__(self, inst: OfflineInstance):
         self.ws = WaterSystem(inst.eff, inst.weights)
@@ -252,12 +259,15 @@ class _ValueModel:
         self.eps = inst.eps_array
         self.ideal = inst.is_ideal
         self.p_peak = inst.p_peak
-        p_o = [self.ws.efficient_power(float(e)) for e in self.eps]
+        # p_o depends on eps alone: one Lambert-W solve per distinct value.
+        eps, which = np.unique(self.eps, return_inverse=True)
+        p_o = np.array([self.ws.efficient_power(float(e)) for e in eps])[which]
         self.p_thr = np.minimum(p_o, inst.p_peak)
         self.c1 = self.l * (self.p_thr + self.eps)
-        rate_thr = self.ws.rate_at_power_vec(self.p_thr)
+        self.level_thr, m = self.ws.level_at_power_vec(self.p_thr)
+        self.rate_thr = self.ws.rate_at_level_vec(self.level_thr, m)
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.r0 = np.where(self.c1 > 0.0, rate_thr / (self.p_thr + self.eps), 0.0)
+            self.r0 = np.where(self.c1 > 0.0, self.rate_thr / (self.p_thr + self.eps), 0.0)
         self.cmax = self.l * (inst.p_peak + self.eps)
 
     def _power2(self, c: np.ndarray) -> np.ndarray:
@@ -310,27 +320,145 @@ SIGMA_FLOOR = 0.001
 ROUNDING = 1e3 * np.finfo(float).eps
 
 
-def _diff(var: int, coef) -> list:
+def _diff(var: int, coef) -> tuple:
     """Stencil terms of ``coef * (X[i, var] - X[i-1, var])``."""
-    return [(0, var, coef), (-1, var, -coef)]
+    return (0, var, coef), (-1, var, -coef)
+
+
+_USE = (*_diff(_S, 1.0), *_diff(_B, 1.0))
+#: The row families in row order: whether a family has rows on the split
+#: epochs only, and its stencil terms ``(epoch shift, column,
+#: coefficient)``, a string naming a coefficient that depends on the
+#: instance.  The last family is not a constraint but the map from x to
+#: the curved parts' arguments.
+_FAMILIES = {
+    "sc_caus": (False, ((0, _S, 1.0), (0, _D, -1.0))),
+    "sc_over": (False, ((0, _D, 1.0), (-1, _S, -1.0))),
+    "b_caus": (False, ((0, _B, 1.0), (0, _D, "eta"))),
+    "b_over": (False, ((-1, _B, -1.0), (0, _D, "-eta"))),
+    "cap": (False, _USE),
+    "s_lo": (False, _diff(_S, -1.0)),
+    "b_lo": (False, _diff(_B, -1.0)),
+    "e_lo": (False, _diff(_D, -1.0)),
+    "e_hi": (False, _diff(_D, 1.0)),
+    "a_lo": (True, ((0, _A, -1.0),)),
+    "a_hi": (True, ((0, _A, 1.0),)),
+    "f_lo": (True, ((0, _A, 1.0), *_diff(_S, -1.0), *_diff(_B, -1.0))),
+    # q_i = c_i - a_i, the burst part counting only on split epochs.
+    "objective": (False, (*_USE, (0, _A, "-split"))),
+}
+
+
+#: A column offset no epoch reaches, padding rows with fewer terms.
+_ABSENT = np.iinfo(np.int64).min
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Consecutive row families with rows on the same epochs, as one table
+    of their fixed stencils.  ``const`` holds every term's coefficient,
+    family by family, and ``named`` the terms whose coefficient depends on
+    the instance.  Family f's row at epoch i has the terms ``term[f]`` in
+    columns ``_NV * i + off[f]``, in column order and padded with
+    ``_ABSENT``.  The upper-triangle term pairs ``(pa, pb)`` of family
+    ``fam`` add to band diagonal ``diag`` at column ``_NV * i + col``, and
+    exist only where ``_NV * i + low`` (their first column) does."""
+
+    names: tuple
+    on_split: bool
+    const: np.ndarray
+    named: tuple
+    term: np.ndarray
+    off: np.ndarray
+    fam: np.ndarray
+    pa: np.ndarray
+    pb: np.ndarray
+    diag: np.ndarray
+    col: np.ndarray
+    low: np.ndarray
+
+    @classmethod
+    def of(cls, names: tuple, on_split: bool, families: tuple) -> "_Block":
+        terms = [t for family in families for t in family]
+        off = np.array([_NV * shift + var for shift, var, _ in terms])
+        term = np.zeros((len(families), max(map(len, families))), dtype=int)
+        padded = np.full(term.shape, _ABSENT)
+        fam, pa, pb = [], [], []
+        first = 0
+        for f, family in enumerate(families):
+            t = first + np.argsort(off[first : first + len(family)])
+            term[f, : t.size], padded[f, : t.size] = t, off[t]
+            a, b = np.triu_indices(len(family))
+            fam.append(np.full(a.size, f))
+            pa.append(first + a)
+            pb.append(first + b)
+            first += len(family)
+        fam, pa, pb = map(np.concatenate, (fam, pa, pb))
+        return cls(
+            names=tuple(names),
+            on_split=on_split,
+            const=np.array([0.0 if isinstance(c, str) else c for *_, c in terms]),
+            named=tuple((t, c) for t, (*_, c) in enumerate(terms) if isinstance(c, str)),
+            term=term,
+            off=padded,
+            fam=fam,
+            pa=pa,
+            pb=pb,
+            diag=_BAND - np.abs(off[pa] - off[pb]),
+            col=np.maximum(off[pa], off[pb]),
+            low=np.minimum(off[pa], off[pb]),
+        )
+
+
+def _blocks() -> tuple[_Block, ...]:
+    """``_FAMILIES`` as blocks of consecutive families on the same epochs;
+    the objective map, which is not a constraint, is a block of its own."""
+    blocks = []
+    for (on_split, _), group in groupby(
+        _FAMILIES.items(), key=lambda item: (item[1][0], item[0] == "objective")
+    ):
+        names, families = zip(*((name, terms) for name, (_, terms) in group))
+        blocks.append(_Block.of(names, on_split, families))
+    return tuple(blocks)
+
+
+_BLOCKS = _blocks()
+
+
+def _csr(indices: list, data: list, counts: list, ncols: int) -> csr_matrix:
+    """A CSR matrix from blocks of rows: their column indices and values,
+    row after row, and their entry counts per row."""
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), indptr), shape=(indptr.size - 1, ncols)
+    )
 
 
 class _Program:
     """The horizon problem as ``max F(x)`` subject to ``A x <= u``.
 
     Each epoch holds the block ``x[i] = (S_i, B_i, D_i, a_i)`` and every
-    constraint family is a stencil over epochs ``i-1`` and ``i``.  Epoch
-    i's use ``c_i = s_i + b_i`` (with ``s_i = S_i - S_{i-1}``) is worth
-    ``V_i(c_i)``.  Where the burst/full junction ``c1`` lies inside the
-    feasible range, the use is split into a burst part ``a`` in
-    ``[0, c1]`` worth ``r0`` per joule and a full part ``f = c - a >= 0``
-    worth ``l (W(p_thr + f/l) - W(p_thr))``: Newton steps then never
-    straddle the jump of V'' at ``c1``.  Elsewhere ``a`` is an unused
-    placeholder and the curved part takes the whole use (linear with
-    slope ``r0`` when ``c1 = cmax``).  Below zero, where only infeasible
-    iterates go, the curved part continues as its quadratic model at zero.
-    Energies are measured in units of the total arriving energy and F in
-    units of its largest marginal value times that energy.
+    constraint family is a stencil over epochs ``i-1`` and ``i``
+    (``_FAMILIES``).  Epoch i's use ``c_i = s_i + b_i`` (with
+    ``s_i = S_i - S_{i-1}``) is worth ``V_i(c_i)``.  Where the burst/full
+    junction ``c1`` lies inside the feasible range, the use is split into
+    a burst part ``a`` in ``[0, c1]`` worth ``r0`` per joule and a full
+    part ``f = c - a >= 0`` worth ``l (W(p_thr + f/l) - W(p_thr))``:
+    Newton steps then never straddle the jump of V'' at ``c1``.  Elsewhere
+    ``a`` is an unused placeholder and the curved part takes the whole use
+    (linear with slope ``r0`` when ``c1 = cmax``).  Below zero, where only
+    infeasible iterates go, the curved part continues as its quadratic
+    model at zero.  Energies are measured in units of the total arriving
+    energy and F in units of its largest marginal value times that energy.
+
+    Assembly works on whole arrays, one block of families at a time
+    (``_BLOCKS``): every family's pattern is fixed, so its CSR rows and
+    its contributions to the banded Newton matrix are that pattern
+    shifted by ``_NV`` columns per epoch, less the terms of epoch -1.
+    ``A`` (the constraints) and ``Q`` (the curved parts' arguments) are
+    built as CSR matrices directly, and the band tables
+    ``flat``/``prod``/``brow`` list every term pair's product, family by
+    family, pair by pair and row by row.
     """
 
     def __init__(self, inst: OfflineInstance, vm: _ValueModel):
@@ -344,68 +472,73 @@ class _Program:
         self.curved = vm.c1 < vm.cmax
         split = self.curved & (vm.c1 > 0.0)
         self.split = np.flatnonzero(split)
-        self.base = vm.l * vm.ws.rate_at_power_vec(vm.p_thr)
-        self.slope0 = np.where(
-            self.curved, vm.ws.level_at_power_vec(vm.p_thr)[0], vm.r0
-        )
+        self.base = vm.l * vm.rate_thr
+        self.slope0 = np.where(self.curved, vm.level_thr, vm.r0)
         # Magnitude of the right-hand curvature at q = 0 (the first active
         # mode's, when p_thr = 0).
         self.curv0 = -vm.ws.curvature_vec(np.nextafter(vm.p_thr, np.inf)) / vm.l
         self.fscale = self.escale * float(np.max(self.slope0))
 
         al, sp = np.arange(N), self.split
-        use = [*_diff(_S, 1.0), *_diff(_B, 1.0)]
-        families = {
-            "sc_caus": (al, 0.0, [(0, _S, 1.0), (0, _D, -1.0)]),
-            "sc_over": (al, inst.sc_cap, [(0, _D, 1.0), (-1, _S, -1.0)]),
-            "b_caus": (al, eta * cumE, [(0, _B, 1.0), (0, _D, eta)]),
-            "b_over": (al, inst.b_cap - eta * cumE, [(-1, _B, -1.0), (0, _D, -eta)]),
-            "cap": (al, vm.cmax, use),
-            "s_lo": (al, 0.0, _diff(_S, -1.0)),
-            "b_lo": (al, 0.0, _diff(_B, -1.0)),
-            "e_lo": (al, 0.0, _diff(_D, -1.0)),
-            "e_hi": (al, E, _diff(_D, 1.0)),
-            "a_lo": (sp, 0.0, [(0, _A, -1.0)]),
-            "a_hi": (sp, vm.c1[sp], [(0, _A, 1.0)]),
-            "f_lo": (sp, 0.0, [(0, _A, 1.0), *_diff(_S, -1.0), *_diff(_B, -1.0)]),
-            # Not a constraint: q_i = c_i - a_i, the curved part's argument.
-            "objective": (al, 0.0, [*use, (0, _A, -split.astype(float))]),
+        rhs = {
+            "sc_caus": 0.0,
+            "sc_over": inst.sc_cap,
+            "b_caus": eta * cumE,
+            "b_over": inst.b_cap - eta * cumE,
+            "cap": vm.cmax,
+            "s_lo": 0.0,
+            "b_lo": 0.0,
+            "e_lo": 0.0,
+            "e_hi": E,
+            "a_lo": 0.0,
+            "a_hi": vm.c1[sp],
+            "f_lo": 0.0,
         }
+        coef = {"eta": eta, "-eta": -eta, "-split": -split.astype(float)}
         n = self.n = N * _NV
         self.rows: dict[str, tuple[slice, np.ndarray]] = {}
-        rows, cols, vals, u = [], [], [], []
+        # CSR parts (columns, values, entries per row) of A and of Q.
+        parts = {"A": ([], [], []), "Q": ([], [], [])}
         # Band assembly: entry k adds prod[k] * w[brow[k]] to flat position
         # flat[k] of the upper band, w being the stacked row weights.
         flat, prod, brow = [], [], []
         m = 0
-        for name, (ep, rhs, terms) in families.items():
+        for blk in _BLOCKS:
+            ep = sp if blk.on_split else al
             k = ep.size
-            r = m + np.arange(k)
-            self.rows[name] = (slice(m, m + k), ep)
-            u.append(np.broadcast_to(np.asarray(rhs, dtype=float) / self.escale, (k,)))
-            idx = [(_NV * (ep + sh) + v, np.broadcast_to(c, (k,))) for sh, v, c in terms]
-            for t, (ja, ca) in enumerate(idx):
-                rows.append(r[ja >= 0])
-                cols.append(ja[ja >= 0])
-                vals.append(ca[ja >= 0])
-                for jb, cb in idx[t:]:
-                    ok = (ja >= 0) & (jb >= 0)
-                    flat.append(((_BAND - np.abs(ja - jb)) * n + np.maximum(ja, jb))[ok])
-                    prod.append((ca * cb)[ok])
-                    brow.append(r[ok])
-            m += k
-        M = csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, n)
-        )
-        nc = self.rows.pop("objective")[0].start
-        self.A, self.Q, self.u = M[:nc], M[nc:], np.concatenate(u)[:nc]
+            ep4 = _NV * ep
+            C = np.repeat(blk.const[:, None], k, axis=1)
+            for t, c in blk.named:
+                C[t] = coef[c]
+            # A term of epoch -1 has a negative column: it is left out.
+            cols = ep4[:, None] + blk.off[:, None, :]
+            keep = cols >= 0
+            indices, data, counts = parts["Q" if "objective" in blk.names else "A"]
+            indices.append(cols[keep])
+            data.append(C[blk.term].transpose(0, 2, 1)[keep])
+            counts.append(keep.sum(axis=2).ravel())
+            # Term pairs by rows, less the pairs with a term of epoch -1.
+            pos = ep4 + (blk.diag * n + blk.col)[:, None]
+            keep = ep4 + blk.low[:, None] >= 0
+            flat.append(pos[keep])
+            prod.append((C[blk.pa] * C[blk.pb])[keep])
+            brow.append((m + k * blk.fam[:, None] + np.arange(k))[keep])
+            for name in blk.names:
+                self.rows[name] = (slice(m, m + k), ep)
+                m += k
+        del self.rows["objective"]
+        self.u = np.empty(m - N)
+        for name, (rows, _) in self.rows.items():
+            self.u[rows] = rhs[name] / self.escale
+        self.A, self.Q = (_csr(*p, n) for p in parts.values())
         self.AT, self.QT = self.A.T, self.Q.T
         self.flat, self.prod, self.brow = map(np.concatenate, (flat, prod, brow))
         # Placeholder burst parts sit in no row: pin them with a unit
         # diagonal (their gradient is zero, so they stay at zero).
         self.idle = _NV * np.flatnonzero(~split) + _A
+        self.burst = _NV * sp + _A
         self.lin = np.zeros(n)
-        self.lin[_NV * sp + _A] = self.escale * vm.r0[sp] / self.fscale
+        self.lin[self.burst] = self.escale * vm.r0[sp] / self.fscale
         # Bounds on a feasible x (all of whose entries are nonnegative),
         # for the infeasibility test.
         self.xmax = np.zeros((N, _NV))
@@ -415,19 +548,21 @@ class _Program:
 
     def objective(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         """Scaled F(x) and its gradient, and per epoch the slope (nats/J)
-        and the scaled curvature magnitude of the curved part."""
+        and the scaled curvature magnitude of the curved part, all from
+        one water-filling lookup."""
         vm = self.vm
         q = self.escale * (self.Q @ x)
         p = vm.p_thr + np.maximum(q, 0.0) / vm.l
+        level, m = vm.ws.level_at_power_vec(p)
         # Below zero the curved part continues as its quadratic model at 0.
         qn = np.minimum(q, 0.0)
-        curv = np.where(q > 0.0, -vm.ws.curvature_vec(p) / vm.l, self.curv0)
-        value = vm.l * vm.ws.rate_at_power_vec(p) - self.base
+        curv = np.where(q > 0.0, -vm.ws.curvature_at_level_vec(level, m) / vm.l, self.curv0)
+        value = vm.l * vm.ws.rate_at_level_vec(level, m) - self.base
         value += qn * (self.slope0 - 0.5 * self.curv0 * qn)
         value = np.where(self.curved, value, self.slope0 * q)
-        slope = np.where(self.curved, vm.ws.level_at_power_vec(p)[0] - self.curv0 * qn, self.slope0)
+        slope = np.where(self.curved, level - self.curv0 * qn, self.slope0)
         kappa = np.where(self.curved, self.escale**2 / self.fscale * curv, 0.0)
-        F = math.fsum(value) + self.escale * float(vm.r0[self.split] @ x[_NV * self.split + _A])
+        F = math.fsum(value) + self.escale * float(vm.r0[self.split] @ x[self.burst])
         grad = (self.escale / self.fscale) * (self.QT @ slope) + self.lin
         return F / self.fscale, grad, slope, kappa
 
@@ -483,7 +618,7 @@ class _Iterate:
 
 def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
     neg = dv < 0.0
-    return float(np.min(-v[neg] / dv[neg])) if np.any(neg) else math.inf
+    return float((-v[neg] / dv[neg]).min()) if neg.any() else math.inf
 
 
 def _interior_point(prog: _Program) -> _Iterate:
@@ -491,28 +626,34 @@ def _interior_point(prog: _Program) -> _Iterate:
     ``s, z >= 0``; each Newton step is one banded Cholesky factorization
     and two banded solves."""
     A, AT, u = prog.A, prog.AT, prog.u
+    m = u.size
     x = np.zeros(prog.n)
-    s = np.maximum(u, 1.0)
-    z = np.ones(u.size)
-    rtol = TOL_PRIMAL * np.maximum(1.0, np.abs(u))
+    # Slacks and multipliers share one vector, so one ratio test bounds
+    # the step of both.
+    sz = np.concatenate((np.maximum(u, 1.0), np.ones(m)))
+    s, z = sz[:m], sz[m:]
+    uabs = np.abs(u)
+    usize = np.maximum(1.0, uabs)
+    rtol = TOL_PRIMAL * usize
     it = 0
     F, grad, slope, kappa = prog.objective(x)
     while True:
         ATz = AT @ z
         rd = ATz - grad
-        rp = A @ x + s - u
+        Ax = A @ x
+        rp = Ax + s - u
         gap = float(s @ z)
-        dual = float(np.max(np.abs(rd)))
-        excess = dual - TOL_DUAL * (1.0 + float(np.max(np.abs(grad))))
-        excess -= ROUNDING * float(np.max(kappa))
+        dual = float(np.abs(rd).max())
+        excess = dual - TOL_DUAL * (1.0 + float(np.abs(grad).max()))
+        excess -= ROUNDING * float(kappa.max())
         optimal = (
             excess <= 0.0
-            and bool(np.all(A @ x - u <= rtol))
-            and gap <= TOL_MU * u.size * abs(F) + ROUNDING * float(z @ np.maximum(1.0, np.abs(u)))
+            and bool((Ax - u <= rtol).all())
+            and gap <= TOL_MU * m * abs(F) + ROUNDING * float(z @ usize)
         )
         # Farkas test: any z >= 0 with u'z < min over the bounded
         # nonnegative box of (A'z)'x proves that no x satisfies A x <= u.
-        if u @ z - np.minimum(ATz, 0.0) @ prog.xmax < -1e-9 * (np.abs(u) @ z + 1.0):
+        if u @ z - np.minimum(ATz, 0.0) @ prog.xmax < -1e-9 * (uabs @ z + 1.0):
             raise SolverError("instance is infeasible: forced deposits overflow storage")
         if optimal or it == MAX_NEWTON:
             break
@@ -525,22 +666,27 @@ def _interior_point(prog: _Program) -> _Iterate:
         def newton(rc, shift):
             rps = rp - shift
             dx = cho_solve_banded((L, False), AT @ ((rc - z * rps) / s) - rd)
-            ds = -rps - A @ dx
-            return dx, ds, -(rc + z * ds) / s
+            dsz = np.empty(2 * m)
+            ds, dz = dsz[:m], dsz[m:]
+            np.subtract(-rps, A @ dx, out=ds)
+            np.divide(-(rc + z * ds), s, out=dz)
+            return dx, dsz
 
-        mu = gap / u.size
-        dx, ds, dz = newton(s * z, 0.0)
-        alpha = min(1.0, _step_to_boundary(s, ds), _step_to_boundary(z, dz))
-        mu_aff = float((s + alpha * ds) @ (z + alpha * dz)) / u.size
+        mu = gap / m
+        dx, dsz = newton(s * z, 0.0)
+        ds, dz = dsz[:m], dsz[m:]
+        affine = sz + min(1.0, _step_to_boundary(sz, dsz)) * dsz
+        mu_aff = float(affine[:m] @ affine[m:]) / m
         # Centre harder while the dual residual lags behind mu, or mu
         # overtakes it and the iteration jams.
         sigma = min(1.0, max((mu_aff / mu) ** 3, SIGMA_FLOOR * excess / mu))
         # Every row is relaxed by the target mu: rows that are tight on the
         # whole feasible set (an empty deposit box, say) then keep slacks
         # of order mu, so their multipliers stay bounded.
-        dx, ds, dz = newton(s * z + ds * dz - sigma * mu, sigma * mu)
-        alpha = min(1.0, STEP_FRAC * min(_step_to_boundary(s, ds), _step_to_boundary(z, dz)))
-        x, s, z = x + alpha * dx, s + alpha * ds, z + alpha * dz
+        dx, dsz = newton(s * z + ds * dz - sigma * mu, sigma * mu)
+        alpha = min(1.0, STEP_FRAC * _step_to_boundary(sz, dsz))
+        x, sz = x + alpha * dx, sz + alpha * dsz
+        s, z = sz[:m], sz[m:]
         F, grad, slope, kappa = prog.objective(x)
     if not np.all(np.isfinite(x)):
         raise SolverError("solver produced non-finite iterates")

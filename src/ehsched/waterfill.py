@@ -98,13 +98,20 @@ class WaterSystem:
 
     def rate_at_power_vec(self, power: np.ndarray) -> np.ndarray:
         """Vectorized ``rate_at_power``."""
-        level, m = self.level_at_power_vec(power)
-        return self._cgl[m] - np.log(level) * self._cg[m]
+        return self.rate_at_level_vec(*self.level_at_power_vec(power))
 
     def curvature_vec(self, power: np.ndarray) -> np.ndarray:
         """d^2W/dP^2 = -Delta^2 / (sum of active gammas); 0 where no mode
         is active."""
-        level, m = self.level_at_power_vec(power)
+        return self.curvature_at_level_vec(*self.level_at_power_vec(power))
+
+    def rate_at_level_vec(self, level: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """W at the levels and mode counts of a ``level_at_power_vec``
+        lookup, so one lookup serves the level, the rate and the curvature."""
+        return self._cgl[m] - np.log(level) * self._cg[m]
+
+    def curvature_at_level_vec(self, level: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """``curvature_vec`` from a ``level_at_power_vec`` lookup."""
         cg = np.where(m > 0, self._cg[m], 1.0)
         return np.where(m > 0, -(level * level) / cg, 0.0)
 

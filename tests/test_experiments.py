@@ -88,6 +88,19 @@ def test_run_trial_pinned_channels_share_fading():
     assert a.timeline.N != b.timeline.N or not np.array_equal(a.timeline.E, b.timeline.E)
 
 
+@pytest.mark.parametrize("pin", [False, True], ids=["fresh", "pinned"])
+def test_run_trial_decomposes_its_channel_once(pin, monkeypatch):
+    from ehsched import experiments
+
+    calls = []
+    decompose = experiments.decompose_zf_dpc
+    monkeypatch.setattr(
+        experiments, "decompose_zf_dpc", lambda chans: calls.append(chans) or decompose(chans)
+    )
+    out = run_trial(ExperimentSpec(pin_channels=pin, **_FAST), 3)
+    assert len(calls) == 1 and calls[0] is out.channels
+
+
 def test_run_trial_eps_range_draws_per_epoch():
     spec = ExperimentSpec(eps_range=(0.2, 0.8), **_FAST)
     out = run_trial(spec, 1, modes=("circuit",))

@@ -428,3 +428,173 @@ def test_make_instance_eps_broadcast(unit_eff):
     np.testing.assert_allclose(ideal.eps_array, [0.0, 0.0])
     fresh = inst.storage()
     assert fresh.level_sc == 0.0 and fresh.sc_cap == 50.0
+
+
+# ---------------------------------------------------------------------------
+# Program assembly and objective
+# ---------------------------------------------------------------------------
+
+_S, _B, _D, _A = range(4)
+
+
+def _use(i, sign):
+    """Terms of ``sign * c_i`` with ``c_i = S_i - S_{i-1} + B_i - B_{i-1}``."""
+    return [(i, _S, sign), (i - 1, _S, -sign), (i, _B, sign), (i - 1, _B, -sign)]
+
+
+def _dense_program(inst, vm):
+    """Dense A, u and Q of the horizon program, row by row from the row
+    families as ``_Program`` states them (variables S, B, D, a per epoch,
+    right-hand sides in units of the total arriving energy)."""
+    N, E, eta = inst.timeline.N, inst.timeline.E, inst.eta
+    cumE = np.cumsum(E)
+    escale = float(cumE[-1]) if cumE[-1] > 0.0 else 1.0
+    split = (vm.c1 < vm.cmax) & (vm.c1 > 0.0)
+
+    def dense(terms):
+        row = np.zeros(4 * N)
+        for i, var, coef in terms:
+            if i >= 0:
+                row[4 * i + var] += coef
+        return row
+
+    families = [
+        (range(N), lambda i: ([(i, _S, 1.0), (i, _D, -1.0)], 0.0)),
+        (range(N), lambda i: ([(i, _D, 1.0), (i - 1, _S, -1.0)], inst.sc_cap)),
+        (range(N), lambda i: ([(i, _B, 1.0), (i, _D, eta)], eta * cumE[i])),
+        (range(N), lambda i: ([(i - 1, _B, -1.0), (i, _D, -eta)], inst.b_cap - eta * cumE[i])),
+        (range(N), lambda i: (_use(i, 1.0), vm.cmax[i])),
+        (range(N), lambda i: ([(i, _S, -1.0), (i - 1, _S, 1.0)], 0.0)),
+        (range(N), lambda i: ([(i, _B, -1.0), (i - 1, _B, 1.0)], 0.0)),
+        (range(N), lambda i: ([(i, _D, -1.0), (i - 1, _D, 1.0)], 0.0)),
+        (range(N), lambda i: ([(i, _D, 1.0), (i - 1, _D, -1.0)], E[i])),
+        (np.flatnonzero(split), lambda i: ([(i, _A, -1.0)], 0.0)),
+        (np.flatnonzero(split), lambda i: ([(i, _A, 1.0)], vm.c1[i])),
+        (np.flatnonzero(split), lambda i: ([(i, _A, 1.0), *_use(i, -1.0)], 0.0)),
+    ]
+    rows, u = [], []
+    for epochs, family in families:
+        for i in epochs:
+            terms, rhs = family(i)
+            rows.append(dense(terms))
+            u.append(rhs / escale)
+    Q = [dense(_use(i, 1.0) + ([(i, _A, -1.0)] if split[i] else [])) for i in range(N)]
+    return np.array(rows), np.array(u), np.array(Q), split
+
+
+def _assembly_cases():
+    unit = decompose_zf_dpc(unit_scalar_channelset())
+    pair = decompose_zf_dpc(orthogonal_pair_channelset(1.0, 0.5))
+    arrivals = [(0.0, 3.0), (1.0, 0.5), (2.5, 2.0), (3.0, 1.0), (3.5, 0.0)]
+    tl = build_timeline(arrivals, T=4.5)
+    storage = HybridStorage(sc_cap=1.5, b_cap=8.0, eta=0.6)
+    return {
+        "ideal": (pair, tl, storage, 4.0, None),
+        "constant-eps": (unit, tl, storage, 4.0, 1.0),
+        # eps = 0 runs from zero power (unsplit), eps = 50 has p_o above
+        # the peak (c1 = cmax, unsplit and linear), eps = 1 splits.
+        "per-epoch-eps": (unit, tl, storage, 4.0, np.array([1.0, 0.0, 50.0, 1.0, 0.0])),
+        "one-epoch": (unit, build_timeline([(0.0, 2.0)], T=1.5), storage, 4.0, 1.0),
+    }
+
+
+@pytest.mark.parametrize("case", _assembly_cases().values(), ids=_assembly_cases().keys())
+def test_program_assembly_matches_dense_build(case, monkeypatch):
+    from ehsched import offline
+
+    eff, *rest = case
+    inst = _make_instance(eff, None, *rest)
+    vm = offline._ValueModel(inst)
+    prog = offline._Program(inst, vm)
+    A, u, Q, split = _dense_program(inst, vm)
+    if not inst.is_ideal and inst.timeline.N > 1:
+        kinds = {(bool(s), bool(c)) for s, c in zip(split, vm.c1 < vm.cmax)}
+        assert (True, True) in kinds
+        if np.ndim(case[-1]):
+            assert kinds == {(True, True), (False, True), (False, False)}
+    assert np.array_equal(prog.A.toarray(), A)
+    assert np.array_equal(prog.u, u)
+    assert np.array_equal(prog.Q.toarray(), Q)
+    # Canonical row order: every matvec sums a row in column order.
+    assert prog.A.has_sorted_indices and prog.Q.has_sorted_indices
+
+    captured = []
+    cholesky = offline.cholesky_banded
+    monkeypatch.setattr(
+        offline, "cholesky_banded", lambda ab: captured.append(ab.copy()) or cholesky(ab)
+    )
+    rng = np.random.default_rng(7)
+    w, kappa = rng.uniform(0.1, 10.0, u.size), rng.uniform(0.1, 10.0, inst.timeline.N)
+    prog.factor(w, kappa)
+    H = A.T @ (w[:, None] * A) + Q.T @ (kappa[:, None] * Q)
+    H[np.diag_indices_from(H)] += np.where(np.arange(prog.n) % 4 == _A, ~split.repeat(4), False)
+    band = offline._BAND
+    ab = captured[0]
+    banded = np.zeros_like(H)
+    for d in range(min(band, prog.n - 1) + 1):
+        banded += np.diag(ab[band - d, d:], d)
+    assert np.all(np.triu(H, band + 1) == 0.0)
+    assert np.max(np.abs(np.triu(H) - banded)) <= 1e-12 * np.max(np.abs(H))
+
+
+def _three_query_objective(prog, x):
+    """``_Program.objective`` written with one water-filling query per
+    quantity (rate, level and curvature)."""
+    vm, ws = prog.vm, prog.vm.ws
+    q = prog.escale * (prog.Q @ x)
+    p = vm.p_thr + np.maximum(q, 0.0) / vm.l
+    qn = np.minimum(q, 0.0)
+    curv = np.where(q > 0.0, -ws.curvature_vec(p) / vm.l, prog.curv0)
+    value = vm.l * ws.rate_at_power_vec(p) - prog.base
+    value += qn * (prog.slope0 - 0.5 * prog.curv0 * qn)
+    value = np.where(prog.curved, value, prog.slope0 * q)
+    slope = np.where(prog.curved, ws.level_at_power_vec(p)[0] - prog.curv0 * qn, prog.slope0)
+    kappa = np.where(prog.curved, prog.escale**2 / prog.fscale * curv, 0.0)
+    F = math.fsum(value) + prog.escale * float(vm.r0[prog.split] @ x[4 * prog.split + _A])
+    grad = (prog.escale / prog.fscale) * (prog.QT @ slope) + prog.lin
+    return F / prog.fscale, grad, slope, kappa
+
+
+@pytest.mark.parametrize("eps", [None, 0.3], ids=["ideal", "circuit"])
+def test_objective_matches_three_query_path(eps):
+    from ehsched import offline
+
+    users = (UserConfig(n=2, gamma=1.0), UserConfig(n=2, gamma=0.6))
+    eff = decompose_zf_dpc(generate_channels(4, users, seed=5))
+    arrivals = [(0.5 * k, 1.0 + 0.25 * k) for k in range(8)]
+    tl = build_timeline(arrivals, T=4.0)
+    inst = _make_instance(eff, None, tl, _big_storage(), 50.0, eps)
+    vm = offline._ValueModel(inst)
+    prog = offline._Program(inst, vm)
+    breaks = np.array(vm.ws.breaks)
+    assert breaks.size == 3
+    # Sum powers on both sides of every breakpoint and past the last one.
+    factor = np.array([0.5, 0.99, 1.01, 0.99, 1.01, 0.99, 1.01, 3.0])
+    target = factor * breaks[[0, 0, 0, 1, 1, 2, 2, 2]]
+    target = np.maximum(target, vm.p_thr + 1e-3)
+    use = {
+        "negative": -np.linspace(0.05, 0.4, tl.N),
+        "zero": np.zeros(tl.N),
+        "across-breakpoints": vm.l * (target - vm.p_thr) / prog.escale,
+    }
+    rng = np.random.default_rng(11)
+    xs = {}
+    for name, c in use.items():
+        X = np.zeros((tl.N, 4))
+        X[:, _S] = np.cumsum(c)
+        xs[name] = X.ravel()
+    xs["random"] = rng.uniform(-0.5, 0.5, prog.n)
+    seen = set()
+    for name, x in xs.items():
+        q = prog.escale * (prog.Q @ x)
+        seen |= {"q<0"} if np.any(q < 0.0) else set()
+        seen |= {"q=0"} if np.any(q == 0.0) else set()
+        if name == "across-breakpoints":
+            assert np.all(q > 0.0)
+            _, m = vm.ws.level_at_power_vec(vm.p_thr + q / vm.l)
+            assert len(set(m.tolist())) >= 3
+        got, want = prog.objective(x), _three_query_objective(prog, x)
+        assert got[0] == want[0], name
+        for a, b in zip(got[1:], want[1:]):
+            assert np.array_equal(a, b), name
+    assert seen == {"q<0", "q=0"}
