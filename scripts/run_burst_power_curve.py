@@ -38,8 +38,7 @@ def main() -> int:
     with open(args.out, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["eps", "p_o", "p_applied"])
-        for e in grid:
-            po = solve_p_o(eff, None, float(e))
+        for e, po in zip(grid, solve_p_o(eff, None, grid)):
             w.writerow([f"{e:.12g}", f"{po:.12g}", f"{min(po, args.p_peak):.12g}"])
     print(f"wrote {args.out} ({args.points} points, p_peak={args.p_peak})")
     return 0

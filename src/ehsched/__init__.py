@@ -57,7 +57,6 @@ from .waterfill import (
     WaterLevelSolution,
     WaterSystem,
     covariances_for_level,
-    rate_at_power,
     solve_budget,
 )
 
@@ -109,7 +108,6 @@ __all__ = [
     "WaterLevelSolution",
     "WaterSystem",
     "covariances_for_level",
-    "rate_at_power",
     "solve_budget",
     "__version__",
 ]

@@ -85,16 +85,24 @@ class EffectiveChannels:
 
 @dataclass(frozen=True)
 class CovarianceSet:
-    """Per-user transmit covariances Phi_k over the effective channels."""
+    """Per-user transmit covariances Phi_k over the effective channels.
+
+    ``Phi[k]`` has shape ``(..., n_k, n_k)``: one matrix for a single
+    epoch, or a stack whose leading axis indexes the epochs of a schedule
+    (``Phi[k][i]`` is user k's covariance in epoch i).
+    """
 
     Phi: tuple[np.ndarray, ...]
 
-    def total_power(self) -> float:
-        return float(sum(np.trace(p).real for p in self.Phi))
+    def total_power(self):
+        """Sum power sum_k tr(Phi_k), one value per epoch."""
+        return sum(np.trace(p, axis1=-2, axis2=-1).real for p in self.Phi)
 
-    def scaled(self, tau: float) -> "CovarianceSet":
-        """Energy-form covariances Theta_k = tau * Phi_k."""
-        return CovarianceSet(tuple(tau * p for p in self.Phi))
+    def scaled(self, tau) -> "CovarianceSet":
+        """Energy-form covariances Theta_k = tau * Phi_k, with ``tau`` a
+        scalar or one value per epoch."""
+        t = np.asarray(tau)[..., None, None]
+        return CovarianceSet(tuple(t * p for p in self.Phi))
 
 
 def generate_channels(
@@ -197,20 +205,23 @@ def decompose_zf_dpc(chans: ChannelSet) -> EffectiveChannels:
 
 
 def _check_psd(Phi: np.ndarray, n: int) -> np.ndarray:
-    if Phi.shape != (n, n):
+    if Phi.shape[-2:] != (n, n):
         raise ValueError(f"covariance shape {Phi.shape} does not match channel size {n}")
-    scale = max(1.0, float(np.linalg.norm(Phi)))
-    if np.linalg.norm(Phi - Phi.conj().T) > 1e-8 * scale:
+    scale = np.maximum(1.0, np.linalg.norm(Phi, axis=(-2, -1)))
+    PhiH = Phi.conj().swapaxes(-1, -2)
+    if np.any(np.linalg.norm(Phi - PhiH, axis=(-2, -1)) > 1e-8 * scale):
         raise ValueError("covariance is not Hermitian")
-    Phi = 0.5 * (Phi + Phi.conj().T)
-    w = np.linalg.eigvalsh(Phi)
-    if w[0] < -1e-10 * scale:
-        raise ValueError(f"covariance is not PSD (min eigenvalue {w[0]:.3e})")
+    Phi = 0.5 * (Phi + PhiH)
+    w = np.linalg.eigvalsh(Phi)[..., 0]
+    bad = w < -1e-10 * scale
+    if np.any(bad):
+        raise ValueError(f"covariance is not PSD (min eigenvalue {w[bad][0]:.3e})")
     return Phi
 
 
-def weighted_rate(eff: EffectiveChannels, covs: CovarianceSet, weights=None) -> float:
-    """Weighted sum rate sum_k w_k * ln det(I + L_k Phi_k L_k^H), nats.
+def weighted_rate(eff: EffectiveChannels, covs: CovarianceSet, weights=None):
+    """Weighted sum rate sum_k w_k * ln det(I + L_k Phi_k L_k^H), nats, one
+    value per epoch of ``covs``.
 
     The weights w_k default to the users' gammas.
     """
@@ -222,11 +233,11 @@ def weighted_rate(eff: EffectiveChannels, covs: CovarianceSet, weights=None) -> 
         n = L.shape[0]
         Phi = _check_psd(np.asarray(Phi, dtype=complex), n)
         A = np.eye(n) + L @ Phi @ L.conj().T
-        sign, logdet = np.linalg.slogdet(0.5 * (A + A.conj().T))
-        if sign.real <= 0:
+        sign, logdet = np.linalg.slogdet(0.5 * (A + A.conj().swapaxes(-1, -2)))
+        if np.any(sign.real <= 0):
             raise ValueError("rate matrix is not positive definite")
         total += gamma * logdet
-    return float(total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +264,12 @@ def channelset_to_json(chans: ChannelSet) -> dict:
     return doc
 
 
+def _complex_entry(entry) -> complex:
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+        raise ValueError(f"explicit matrix entry {entry!r} is not an [re, im] pair")
+    return complex(entry[0], entry[1])
+
+
 def channelset_from_json(doc: dict | str) -> ChannelSet:
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -265,18 +282,16 @@ def channelset_from_json(doc: dict | str) -> ChannelSet:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed channel document: {exc}") from exc
     if "H" in doc:
+        if len(doc["H"]) != len(users):
+            raise ValueError("one explicit matrix per user is required")
         H = []
         for u, mat in zip(users, doc["H"]):
-            arr = np.array(
-                [[complex(entry[0], entry[1]) for entry in row] for row in mat]
-            )
+            arr = np.array([[_complex_entry(entry) for entry in row] for row in mat])
             if arr.shape != (u.n, M):
                 raise ValueError(
                     f"explicit matrix shape {arr.shape} does not match (n={u.n}, M={M})"
                 )
             H.append(arr)
-        if len(H) != len(users):
-            raise ValueError("one explicit matrix per user is required")
         return ChannelSet(M=M, users=users, H=tuple(H), seed=None)
     if "seed" not in doc:
         raise ValueError("channel document needs either a seed or explicit matrices")

@@ -8,12 +8,12 @@ Subcommands::
     p-o        most efficient burst power for a given circuit power
     level      water level and rate for a sum-power budget
 
-Inputs are JSON documents: a channel file (either ``{"M", "users":
-[{"n", "gamma"}], "seed"}`` for a reproducible draw or an explicit
-``{"H": ...}`` with ``[re, im]`` entry pairs) and a scenario file
-(``{"arrivals": [[t, E], ...]`` or ``{"poisson": {...}}``, plus ``"T"``,
-``"sc_cap"``, ``"b_cap"``, ``"eta"``).  CSV outputs are deterministic:
-equal inputs produce byte-identical files.
+Inputs are JSON documents: a channel file (``{"M", "users": [{"n",
+"gamma"}]}`` plus either ``"seed"`` for a reproducible draw or an explicit
+``"H"`` list, one ``n x M`` matrix of ``[re, im]`` entry pairs per user)
+and a scenario file (``{"arrivals": [[t, E], ...]`` or ``{"poisson":
+{...}}``, plus ``"T"``, ``"sc_cap"``, ``"b_cap"``, ``"eta"``).  CSV outputs
+are deterministic: equal inputs produce byte-identical files.
 
 Exit codes: 0 on success, 2 on invalid input, 3 when the solver fails to
 converge or its schedule fails the feasibility audit.
@@ -232,8 +232,9 @@ def _cmd_level(args) -> int:
     if not (args.budget >= 0 and math.isfinite(args.budget)):
         raise CliError("--budget must be nonnegative and finite")
     ws = WaterSystem(eff, weights)
-    print("level %.12g" % ws.level_at_power(args.budget)[0])
-    print("rate %.12g" % ws.rate_at_power(args.budget))
+    level, m = ws.level_at_power_vec(args.budget)
+    print("level %.12g" % level)
+    print("rate %.12g" % ws.rate_at_level_vec(level, m))
     return EXIT_OK
 
 

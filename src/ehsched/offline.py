@@ -158,7 +158,8 @@ class Schedule:
     Powers are split by source buffer: ``p_sc + p_b`` is the radiated sum
     power and ``eps_sc + eps_b`` the circuit power while transmitting.
     ``split`` records how each arrival was divided between the buffers and
-    ``covs[i]`` holds the per-user transmit covariances of epoch ``i``.
+    ``covs`` holds the per-user transmit covariance stacks:
+    ``covs.Phi[k][i]`` is user ``k``'s covariance in epoch ``i``.
     """
 
     tau: np.ndarray
@@ -167,7 +168,7 @@ class Schedule:
     eps_sc: np.ndarray
     eps_b: np.ndarray
     split: ArrivalSplit
-    covs: tuple[CovarianceSet, ...]
+    covs: CovarianceSet
     power: np.ndarray
     rate: np.ndarray
     objective: float
@@ -190,9 +191,10 @@ class TransformedVariables:
     """Energy-domain image of a schedule.
 
     ``alpha`` and ``sigma`` are transmit/circuit energies per epoch and
-    ``Theta[i]`` holds time-scaled covariances ``tau_i * Phi_k(i)``.  The
-    throughput of an epoch is ``tau * rate(Theta/tau)``, which equals the
-    power-domain value whenever ``tau > 0`` and is zero when ``tau == 0``.
+    ``Theta`` holds the time-scaled covariance stacks,
+    ``Theta.Phi[k][i] = tau_i * Phi_k(i)``.  The throughput of an epoch is
+    ``tau * rate(Theta/tau)``, which equals the power-domain value whenever
+    ``tau > 0`` and is zero when ``tau == 0``.
     """
 
     alpha_sc: np.ndarray
@@ -200,7 +202,7 @@ class TransformedVariables:
     sigma_sc: np.ndarray
     sigma_b: np.ndarray
     tau: np.ndarray
-    Theta: tuple[CovarianceSet, ...]
+    Theta: CovarianceSet
 
     @classmethod
     def from_schedule(cls, sched: Schedule) -> "TransformedVariables":
@@ -210,16 +212,15 @@ class TransformedVariables:
             sigma_sc=sched.eps_sc * sched.tau,
             sigma_b=sched.eps_b * sched.tau,
             tau=sched.tau.copy(),
-            Theta=tuple(c.scaled(t) for c, t in zip(sched.covs, sched.tau)),
+            Theta=sched.covs.scaled(sched.tau),
         )
 
 
-def _throughput(eff: EffectiveChannels, weights, taus, covsets) -> float:
+def _throughput(eff: EffectiveChannels, weights, taus, covs: CovarianceSet) -> float:
     """Sum of tau * (weighted log-det rate) over the epochs with tau > 0."""
-    w = _resolve_weights(eff, weights)
-    return math.fsum(
-        tau * weighted_rate(eff, covs, w) for tau, covs in zip(taus, covsets) if tau > 0.0
-    )
+    on = taus > 0.0
+    active = CovarianceSet(tuple(P[on] for P in covs.Phi))
+    return math.fsum(taus[on] * weighted_rate(eff, active, _resolve_weights(eff, weights)))
 
 
 def objective_from_covariances(eff: EffectiveChannels, weights, sched: Schedule) -> float:
@@ -235,11 +236,9 @@ def objective_from_transformed(
     Epochs with ``tau == 0`` contribute exactly zero regardless of their
     (necessarily zero) ``Theta``.
     """
-    covsets = (
-        CovarianceSet(Phi=tuple(m / tau for m in theta.Phi)) if tau > 0.0 else theta
-        for tau, theta in zip(tv.tau, tv.Theta)
-    )
-    return _throughput(eff, weights, tv.tau, covsets)
+    tau = np.where(tv.tau > 0.0, tv.tau, 1.0)[:, None, None]
+    covs = CovarianceSet(tuple(theta / tau for theta in tv.Theta.Phi))
+    return _throughput(eff, weights, tv.tau, covs)
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +258,7 @@ class _ValueModel:
         self.eps = inst.eps_array
         self.ideal = inst.is_ideal
         self.p_peak = inst.p_peak
-        # p_o depends on eps alone: one Lambert-W solve per distinct value.
-        eps, which = np.unique(self.eps, return_inverse=True)
-        p_o = np.array([self.ws.efficient_power(float(e)) for e in eps])[which]
-        self.p_thr = np.minimum(p_o, inst.p_peak)
+        self.p_thr = np.minimum(self.ws.efficient_power(self.eps), inst.p_peak)
         self.c1 = self.l * (self.p_thr + self.eps)
         self.level_thr, m = self.ws.level_at_power_vec(self.p_thr)
         self.rate_thr = self.ws.rate_at_level_vec(self.level_thr, m)
@@ -735,9 +731,9 @@ def _canonical_split(
     U = Dsc.copy()
     if N > 1:
         U[:-1] = np.minimum(U[:-1], C[:-1] + inst.b_cap - Db[1:])
-    Ubar = U.copy()
-    for i in range(N - 2, -1, -1):
-        Ubar[i] = min(Ubar[i], Ubar[i + 1])
+    Ubar = np.minimum.accumulate(U[::-1])[::-1]
+    # Kept as a loop: the closed form C_i + min(0, min_{j<=i} Ubar_j - C_j)
+    # rounds differently and changes the drain split's last bits.
     S = np.zeros(N)
     prev = 0.0
     for i in range(N):
@@ -967,7 +963,7 @@ def _certificate(
         multipliers=mult,
         active=active,
         levels=np.asarray(levels, dtype=float),
-        rate_scale=float(np.max(sched.rate)) or vm.ws.rate_at_power(inst.p_peak),
+        rate_scale=float(np.max(sched.rate)) or float(vm.ws.rate_at_power_vec(inst.p_peak)),
         stationarity=stat,
         complementarity=comp,
         fit_residual=float(np.linalg.norm(np.concatenate(list(rows.values())))),

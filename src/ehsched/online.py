@@ -77,13 +77,14 @@ def policy_ideal(
 
 
 def policy_circuit(
-    ws: WaterSystem,
     storage: HybridStorage,
+    p_o: float,
     p_peak: float,
     eps: float,
     l: float,
 ) -> EpochDecision:
-    """One-shot burst rule applied to the current epoch.
+    """One-shot burst rule applied to the current epoch, with ``p_o`` the
+    burst power of the circuit power ``eps``.
 
     The window is the epoch itself, so a well-stocked buffer is drained
     aggressively (up to the peak power for the whole epoch) rather than
@@ -92,7 +93,7 @@ def policy_circuit(
     never pays here: the throughput per joule is already maximal at that
     power, so holding energy only risks stranding it at the deadline.
     """
-    tau, power = _burst_window(ws, storage.drainable, eps, p_peak, l)
+    tau, power = _burst_window(storage.drainable, p_o, eps, p_peak, l)
     return _split_drains(storage.level_sc, storage.level_b, tau, power, eps)
 
 
@@ -152,6 +153,7 @@ def run_online(
             raise ValueError("circuit power must be nonnegative and finite")
     store = storage.copy()
     ws = WaterSystem(eff, weights)
+    p_o = None if eps_arr is None else ws.efficient_power(eps_arr)
 
     tau = np.zeros(N)
     p_sc = np.zeros(N)
@@ -162,8 +164,6 @@ def run_online(
     dep_b = np.zeros(N)
     discarded = np.zeros(N)
     power = np.zeros(N)
-    trace = [(0.0, 0.0)]
-    partials: list[float] = []
 
     for i in range(N):
         split = split_arrival(store, float(timeline.E[i]))
@@ -172,13 +172,20 @@ def run_online(
         if eps_arr is None:
             dec = policy_ideal(store, p_peak, float(timeline.l[i]), remaining)
         else:
-            dec = policy_circuit(ws, store, p_peak, float(eps_arr[i]), float(timeline.l[i]))
+            dec = policy_circuit(
+                store, float(p_o[i]), p_peak, float(eps_arr[i]), float(timeline.l[i])
+            )
         store.drain(dec.d_sc, dec.d_b)
         tau[i], power[i] = dec.tau, dec.power
         p_sc[i], p_b[i] = dec.p_sc, dec.p_b
         eps_sc[i], eps_b[i] = dec.eps_sc, dec.eps_b
-        _add_exact(partials, dec.tau * ws.rate_at_power(dec.power))
-        trace.append((float(timeline.t[i] + timeline.l[i]), math.fsum(partials)))
+
+    rate = ws.rate_at_power_vec(power)
+    trace = [(0.0, 0.0)]
+    partials: list[float] = []
+    for end, gain in zip((timeline.t + timeline.l).tolist(), (tau * rate).tolist()):
+        _add_exact(partials, gain)
+        trace.append((end, math.fsum(partials)))
 
     sched = Schedule(
         tau=tau,
@@ -189,7 +196,7 @@ def run_online(
         split=ArrivalSplit(sc=dep_sc, b=dep_b),
         covs=ws.covariances(power),
         power=power,
-        rate=ws.rate_at_power_vec(power),
+        rate=rate,
         objective=trace[-1][1],
     )
     return OnlineResult(schedule=sched, trace=np.asarray(trace), discarded=discarded)

@@ -31,21 +31,24 @@ whichever buffer funds that slice of time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .channels import EffectiveChannels
 from .waterfill import WaterSystem
 
 
-def solve_p_o(eff: EffectiveChannels, weights, eps: float) -> float:
-    """The efficiency-optimal power: the maximizer of W(p)/(p + eps).
+def solve_p_o(eff: EffectiveChannels, weights, eps):
+    """The efficiency-optimal power: the maximizer of W(p)/(p + eps), for
+    a scalar circuit power or each of an array.
 
     Harvested energies are deliberately not inputs: p_o is a property of
     the channels, weights and circuit power alone.  eps = 0 returns 0
     (the ratio W(p)/p is then decreasing).
     """
-    if not (eps >= 0.0 and math.isfinite(eps)):
+    eps = np.asarray(eps, dtype=float)
+    if not np.all((eps >= 0.0) & np.isfinite(eps)):
         raise ValueError("circuit power must be non-negative and finite")
     return WaterSystem(eff, weights).efficient_power(eps)
 
@@ -80,13 +83,13 @@ class EpochDecision:
 
 
 def _burst_window(
-    ws: WaterSystem, e_tol: float, eps: float, p_peak: float, t: float
+    e_tol: float, p_o: float, eps: float, p_peak: float, t: float
 ) -> tuple[float, float]:
     """``(tau, power)`` of the one-shot burst rule for a drainable budget
-    ``e_tol`` over a window of length ``t`` (the three regimes above)."""
+    ``e_tol`` over a window of length ``t`` (the three regimes above),
+    given the burst power ``p_o`` of the circuit power ``eps``."""
     if e_tol <= 1e-15:
         return 0.0, 0.0
-    p_o = ws.efficient_power(eps)
     if p_o < p_peak:
         if e_tol < t * (p_o + eps):
             power = p_o
@@ -147,7 +150,8 @@ def solve_single_epoch(
     if min(e_sc, e_b) < 0.0 or eps < 0.0 or p_peak <= 0.0:
         raise ValueError("energies and circuit power must be non-negative, peak positive")
     sys = WaterSystem(eff, weights)
-    tau, power = _burst_window(sys, e_sc + eta * e_b, eps, p_peak, t)
+    p_o = float(sys.efficient_power(eps))
+    tau, power = _burst_window(e_sc + eta * e_b, p_o, eps, p_peak, t)
     dec = _split_drains(e_sc, eta * e_b, tau, power, eps)
     return SingleEpochSolution(
         power=power,
@@ -158,5 +162,5 @@ def solve_single_epoch(
         eps_b=dec.eps_b,
         drained_sc=dec.d_sc,
         drained_b=dec.d_b,
-        throughput=tau * sys.rate_at_power(power),
+        throughput=tau * float(sys.rate_at_power_vec(power)),
     )

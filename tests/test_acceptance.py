@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from ehsched import (
+    CovarianceSet,
     HybridStorage,
     SolverError,
     TransformedVariables,
@@ -39,7 +40,6 @@ from ehsched import (
 from ehsched.channels import UserConfig, ZF_RTOL
 from ehsched.cli import EXIT_OK, main
 from ehsched.experiments import ExperimentSpec, run_sweep
-from ehsched.waterfill import rate_at_power
 
 from conftest import (
     draw_problem,
@@ -235,8 +235,8 @@ def test_criterion_09_energy_domain_identity():
             tau = float(tv.tau[i])
             if tau < 1e-6:
                 continue
-            direct = tau * rate_at_power(eff, None, float(sched.power[i]))
-            covs_from_theta = [m / tau for m in tv.Theta[i].Phi]
+            direct = tau * float(ws.rate_at_power_vec(sched.power[i]))
+            covs_from_theta = [m[i] / tau for m in tv.Theta.Phi]
             back = tau * math.fsum(
                 g * math.log(np.linalg.det(
                     np.eye(L.shape[0]) + L @ Q @ L.conj().T
@@ -258,11 +258,11 @@ def test_criterion_09_energy_domain_identity():
     assert idle.size > 0
     for i in idle:
         assert tv.tau[i] == 0.0
-        assert all(np.all(Q == 0.0) for Q in tv.Theta[i].Phi)
+        assert all(np.all(Q[i] == 0.0) for Q in tv.Theta.Phi)
     active = TransformedVariables(
         alpha_sc=tv.alpha_sc[1:], alpha_b=tv.alpha_b[1:],
         sigma_sc=tv.sigma_sc[1:], sigma_b=tv.sigma_b[1:],
-        tau=tv.tau[1:], Theta=tv.Theta[1:],
+        tau=tv.tau[1:], Theta=CovarianceSet(tuple(Q[1:] for Q in tv.Theta.Phi)),
     )
     assert objective_from_transformed(eff, None, tv) == objective_from_transformed(
         eff, None, active

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,11 +176,43 @@ def test_weighted_rate_rejects_bad_covariances(pair_eff):
 
 
 def test_covarianceset_helpers(pair_eff):
-    z = WaterSystem(pair_eff).covariances([0.0])[0]
+    z = WaterSystem(pair_eff).covariances(0.0)
     assert z.total_power() == 0.0
     assert all(p.shape == (1, 1) for p in z.Phi)
     s = CovarianceSet((np.eye(1), 2.0 * np.eye(1))).scaled(3.0)
     assert s.total_power() == pytest.approx(9.0)
+
+
+def test_weighted_rate_on_a_stack_matches_per_epoch_calls():
+    """One batched call over an epoch stack equals one call per epoch bit
+    for bit; per-epoch power and scaling follow the leading axis."""
+    users = (UserConfig(n=2, gamma=1.0), UserConfig(n=1, gamma=1.7))
+    eff = decompose_zf_dpc(generate_channels(4, users, seed=7))
+    power = np.array([0.0, 0.3, 2.0, 9.0, 0.05])
+    covs = WaterSystem(eff).covariances(power)
+    assert [P.shape for P in covs.Phi] == [(5, 2, 2), (5, 1, 1)]
+    rates = weighted_rate(eff, covs)
+    assert rates.shape == power.shape
+    for i in range(power.size):
+        one = CovarianceSet(tuple(P[i] for P in covs.Phi))
+        assert rates[i] == weighted_rate(eff, one)
+        assert covs.total_power()[i] == one.total_power()
+    tau = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
+    np.testing.assert_allclose(covs.scaled(tau).total_power(), tau * power, rtol=1e-12, atol=1e-15)
+
+
+def test_weighted_rate_rejects_one_bad_epoch_in_a_stack(pair_eff):
+    good = np.ones((3, 1, 1), dtype=complex)
+    not_psd = good.copy()
+    not_psd[1] = -1.0
+    with pytest.raises(ValueError, match="PSD"):
+        weighted_rate(pair_eff, CovarianceSet((not_psd, good)))
+    not_herm = good.copy()
+    not_herm[2] = 1.0 + 1.0j
+    with pytest.raises(ValueError, match="Hermitian"):
+        weighted_rate(pair_eff, CovarianceSet((good, not_herm)))
+    with pytest.raises(ValueError, match="shape"):
+        weighted_rate(pair_eff, CovarianceSet((good, np.ones((3, 2, 2)))))
 
 
 # ---------------------------------------------------------------------------
@@ -215,3 +248,21 @@ def test_json_rejects_malformed_documents():
         channelset_from_json(
             {"M": 2, "users": [{"n": 1}], "H": [[[[0.0, 0.0]]]]}
         )  # 1x1 matrix against M=2
+    with pytest.raises(ValueError, match="one explicit matrix per user"):
+        channelset_from_json(
+            {"M": 1, "users": [{"n": 1}], "H": [[[[1.0, 0.0]]], [[[2.0, 0.0]]]]}
+        )  # a surplus matrix
+    for entry in ([1.0], [1.0, 0.0, 2.0], 1.0):
+        with pytest.raises(ValueError, match=r"\[re, im\] pair"):
+            channelset_from_json({"M": 1, "users": [{"n": 1}], "H": [[[entry]]]})
+
+
+def test_readme_channel_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Channel JSON", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    docs = [line for line in block.splitlines() if line.strip()]
+    assert len(docs) == 2
+    seeded, explicit = (channelset_from_json(doc) for doc in docs)
+    assert seeded.seed == 42 and explicit.seed is None
+    for chans in (seeded, explicit):
+        decompose_zf_dpc(chans)

@@ -347,7 +347,10 @@ def test_cli_invalid_inputs_exit_2(files, tmp_path, capsys):
     tmp, chan, scen = files
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    half_entry = tmp_path / "half_entry.json"
+    half_entry.write_text(json.dumps({"M": 1, "users": [{"n": 1}], "H": [[[[1.0]]]]}))
     cases = [
+        ["level", "--channels", str(half_entry), "--budget", "1.0"],
         ["p-o", "--channels", str(tmp / "missing.json"), "--eps", "1.0"],
         ["p-o", "--channels", str(bad), "--eps", "1.0"],
         ["p-o", "--channels", chan, "--eps", "-1.0"],

@@ -130,9 +130,9 @@ def test_weighted_users_share_ordering():
     tl = build_timeline([(0.0, 0.4)], T=1.0)
     sol = solve_offline_ideal(eff, [1.0, 3.0], tl, _big_storage(), p_peak=4.0)
     assert sol.objective == pytest.approx(3.0 * math.log(1.4), abs=1e-6)
-    Phi = sol.schedule.covs[0].Phi
-    assert Phi[0][0, 0] == pytest.approx(0.0, abs=1e-7)
-    assert Phi[1][0, 0] == pytest.approx(0.4, abs=1e-6)
+    Phi = sol.schedule.covs.Phi
+    assert Phi[0][0][0, 0] == pytest.approx(0.0, abs=1e-7)
+    assert Phi[1][0][0, 0] == pytest.approx(0.4, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +392,8 @@ def test_transformed_roundtrip_handles_idle_epochs(unit_eff):
     idle = sol.schedule.tau <= 1e-9
     assert np.any(idle)
     for i in np.flatnonzero(idle):
-        for Q in tv.Theta[i].Phi:
-            assert np.all(Q == 0.0)
+        for Q in tv.Theta.Phi:
+            assert np.all(Q[i] == 0.0)
     assert objective_from_transformed(unit_eff, None, tv) == pytest.approx(
         sol.objective, rel=1e-9, abs=1e-12
     )
@@ -566,7 +566,7 @@ def test_objective_matches_three_query_path(eps):
     inst = _make_instance(eff, None, tl, _big_storage(), 50.0, eps)
     vm = offline._ValueModel(inst)
     prog = offline._Program(inst, vm)
-    breaks = np.array(vm.ws.breaks)
+    breaks = vm.ws.breaks
     assert breaks.size == 3
     # Sum powers on both sides of every breakpoint and past the last one.
     factor = np.array([0.5, 0.99, 1.01, 0.99, 1.01, 0.99, 1.01, 3.0])

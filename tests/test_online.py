@@ -17,6 +17,7 @@ from ehsched import (
     run_online,
     solve_offline_circuit,
     solve_offline_ideal,
+    solve_p_o,
     split_arrival,
 )
 from ehsched.online import _add_exact
@@ -68,7 +69,7 @@ def test_policy_ideal_spreads_and_clips():
 
 def test_policy_circuit_scarce_bursts_at_p_o(unit_eff):
     storage = HybridStorage(sc_cap=5.0, b_cap=50.0, eta=0.5, level_sc=1.0)
-    dec = policy_circuit(WaterSystem(unit_eff), storage, p_peak=4.0, eps=1.0, l=2.0)
+    dec = policy_circuit(storage, solve_p_o(unit_eff, None, 1.0), p_peak=4.0, eps=1.0, l=2.0)
     assert dec.power == pytest.approx(E - 1.0, abs=1e-6)
     assert dec.tau == pytest.approx(1.0 / E, rel=1e-6)
     assert dec.d_sc == pytest.approx(1.0, rel=1e-9)
@@ -78,7 +79,7 @@ def test_policy_circuit_scarce_bursts_at_p_o(unit_eff):
 
 def test_policy_circuit_abundant_runs_at_peak(unit_eff):
     storage = HybridStorage(sc_cap=5.0, b_cap=50.0, eta=0.5, level_sc=5.0, level_b=20.0)
-    dec = policy_circuit(WaterSystem(unit_eff), storage, p_peak=4.0, eps=1.0, l=1.0)
+    dec = policy_circuit(storage, solve_p_o(unit_eff, None, 1.0), p_peak=4.0, eps=1.0, l=1.0)
     assert dec.power == pytest.approx(4.0)
     assert dec.tau == pytest.approx(1.0)
     # 5 J consumed in the epoch, SC-first.
@@ -88,7 +89,7 @@ def test_policy_circuit_abundant_runs_at_peak(unit_eff):
 
 def test_policy_circuit_empty_store_is_silent(unit_eff):
     storage = HybridStorage(sc_cap=5.0, b_cap=50.0, eta=0.5)
-    dec = policy_circuit(WaterSystem(unit_eff), storage, p_peak=4.0, eps=1.0, l=1.0)
+    dec = policy_circuit(storage, solve_p_o(unit_eff, None, 1.0), p_peak=4.0, eps=1.0, l=1.0)
     assert dec.tau == 0.0 and dec.power == 0.0 and dec.eps_sc == 0.0
 
 
@@ -137,6 +138,8 @@ def test_run_online_circuit_feasible_and_consistent(unit_eff):
     assert np.all(sched.power[on] <= 4.0 + 1e-12)
     assert np.all(sched.eps_sc[on] + sched.eps_b[on] == pytest.approx(1.0))
     assert np.all(sched.eps_sc[~on] + sched.eps_b[~on] == 0.0)
+    # The trace, the throughput and the schedule's rates agree exactly.
+    assert res.trace[-1, 1] == res.throughput == math.fsum(sched.tau * sched.rate)
 
 
 def test_run_online_discards_when_storage_is_tiny(unit_eff):
@@ -161,11 +164,18 @@ def test_run_online_validation(unit_eff):
             run_online(unit_eff, None, tl, storage, p_peak=4.0, eps=bad)
 
 
-def test_run_online_per_epoch_eps_array(unit_eff):
+def test_run_online_per_epoch_eps_array(unit_eff, monkeypatch):
     tl = build_timeline([(0.0, 3.0), (1.0, 3.0)], T=2.0)
     storage = HybridStorage(sc_cap=5.0, b_cap=100.0, eta=0.5)
     eps = [0.5, 2.0]
+    calls = []
+    efficient_power = WaterSystem.efficient_power
+    monkeypatch.setattr(
+        WaterSystem, "efficient_power",
+        lambda ws, e: calls.append(np.shape(e)) or efficient_power(ws, e),
+    )
     res = run_online(unit_eff, None, tl, storage, p_peak=4.0, eps=eps)
+    assert calls == [(2,)]  # p_o for every epoch from one call
     on = res.schedule.tau > 1e-12
     total_eps = res.schedule.eps_sc + res.schedule.eps_b
     np.testing.assert_allclose(total_eps[on], np.asarray(eps)[on])

@@ -36,23 +36,29 @@ def test_p_o_zero_circuit_power(unit_eff):
 def test_p_o_unit_mode_against_stationarity(unit_eff):
     """Independent route: solve the stationarity condition
     (p + eps)/(1 + p) = ln(1 + p) directly with a bracketing root finder."""
-    for eps in (0.3, 1.0, 2.5, 7.0):
+    eps = np.array([0.3, 1.0, 2.5, 7.0])
+    for e, po in zip(eps, solve_p_o(unit_eff, None, eps)):
         root = brentq(
-            lambda p: (p + eps) / (1.0 + p) - math.log1p(p), 1e-9, 1e6, xtol=1e-12
+            lambda p: (p + e) / (1.0 + p) - math.log1p(p), 1e-9, 1e6, xtol=1e-12
         )
-        assert solve_p_o(unit_eff, None, eps) == pytest.approx(root, rel=1e-7)
+        assert po == pytest.approx(root, rel=1e-7)
 
 
-@given(seed=st.integers(0, 2**32 - 1), eps=st.floats(0.05, 5.0))
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=4),
+)
 @settings(max_examples=40, deadline=None)
 def test_p_o_maximizes_the_ratio(seed, eps):
     rng = np.random.Generator(np.random.Philox(key=seed))
     eff = draw_effective(rng)
     sys = WaterSystem(eff)
+    eps = np.array(eps)
     po = solve_p_o(eff, None, eps)
-    best = sys.rate_at_power(po) / (po + eps)
-    for p in np.linspace(1e-3, max(4.0 * po, 10.0), 200):
-        assert sys.rate_at_power(float(p)) / (float(p) + eps) <= best * (1.0 + 1e-6)
+    best = sys.rate_at_power_vec(po) / (po + eps)
+    for e, p_o, b in zip(eps, po, best):
+        p = np.linspace(1e-3, max(4.0 * p_o, 10.0), 200)
+        assert np.all(sys.rate_at_power_vec(p) / (p + e) <= b * (1.0 + 1e-6))
 
 
 @pytest.mark.parametrize("eps", [1e-6, 0.1, 0.5, 2.0, 10.0, 1e5])
@@ -76,8 +82,8 @@ def test_p_o_two_mode_against_stationarity(two_mode_eff, eps):
 
 def test_p_o_monotone_in_circuit_power(two_mode_eff):
     grid = np.linspace(0.05, 6.0, 15)
-    po = [solve_p_o(two_mode_eff, None, float(e)) for e in grid]
-    assert all(b >= a - 1e-8 for a, b in zip(po, po[1:]))
+    po = solve_p_o(two_mode_eff, None, grid)
+    assert np.all(np.diff(po) >= -1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +176,9 @@ def test_single_epoch_beats_grid(seed, e_sc, e_b, eps):
     assert sol.tau * (sol.power + eps) <= e_tol + 1e-9
     assert sol.power <= p_peak + 1e-12 and sol.tau <= t + 1e-12
     best = sol.throughput
-    for p in np.linspace(1e-3, p_peak, 120):
-        tau = min(t, e_tol / (p + eps)) if p + eps > 0 else t
-        assert tau * sys.rate_at_power(float(p)) <= best + 1e-7 * max(1.0, best)
+    p = np.linspace(1e-3, p_peak, 120)
+    tau = np.minimum(t, e_tol / (p + eps))
+    assert np.all(tau * sys.rate_at_power_vec(p) <= best + 1e-7 * max(1.0, best))
 
 
 def test_p_o_is_fast(unit_eff):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehsched import (
+    CovarianceSet,
     UserConfig,
     WaterSystem,
     covariances_for_level,
@@ -28,14 +29,14 @@ from conftest import draw_effective
 def test_unit_mode_closed_forms(unit_eff):
     sys = WaterSystem(unit_eff)
     assert sys.level_max == pytest.approx(1.0)
-    for p in (0.1, 1.0, 3.0, 17.5):
-        level, m = sys.level_at_power(p)
-        assert m == 1
-        assert level == pytest.approx(1.0 / (1.0 + p))
-        assert sys.rate_at_power(p) == pytest.approx(math.log1p(p))
-        assert sys.curvature_vec(p) == pytest.approx(-1.0 / (1.0 + p) ** 2)
-    assert sys.rate_at_power(0.0) == 0.0
-    assert sys.level_at_power(0.0) == (1.0, 0)
+    p = np.array([0.1, 1.0, 3.0, 17.5])
+    level, m = sys.level_at_power_vec(p)
+    np.testing.assert_array_equal(m, 1)
+    assert level == pytest.approx(1.0 / (1.0 + p))
+    assert sys.rate_at_power_vec(p) == pytest.approx(np.log1p(p))
+    assert sys.curvature_vec(p) == pytest.approx(-1.0 / (1.0 + p) ** 2)
+    assert sys.rate_at_power_vec(0.0) == 0.0
+    assert sys.level_at_power_vec(0.0) == (1.0, 0)
     assert sys.curvature_vec(0.0) == 0.0
     assert sys.power_at_level(0.5) == pytest.approx(1.0)
     assert sys.power_at_level(2.0) == 0.0
@@ -47,15 +48,14 @@ def test_two_mode_breakpoints(two_mode_eff):
     # Eigenvalues 4 and 1; the second mode switches on at level 1,
     # i.e. at sum power 1/1 - 1/4 = 0.75.
     sys = WaterSystem(two_mode_eff)
-    assert sys.thr[:2] == [4.0, 1.0]
-    assert sys.level_at_power(0.75)[1] == 1
-    assert sys.rate_at_power(0.75) == pytest.approx(math.log(4.0))
-    level, m = sys.level_at_power(6.75)
+    assert sys.thr[:2].tolist() == [4.0, 1.0]
+    assert sys.level_at_power_vec(0.75)[1] == 1
+    assert sys.rate_at_power_vec(0.75) == pytest.approx(math.log(4.0))
+    level, m = sys.level_at_power_vec(6.75)
     assert (level, m) == (pytest.approx(0.25), 2)
-    assert sys.rate_at_power(6.75) == pytest.approx(6.0 * math.log(2.0))
+    assert sys.rate_at_power_vec(6.75) == pytest.approx(6.0 * math.log(2.0))
     assert sys.power_at_level(0.25) == pytest.approx(6.75)
-    # One breakpoint table serves the scalar and the vector query.
-    assert sys.breaks == [0.75]
+    assert sys.breaks.tolist() == [0.75]
     lvl, m = sys.level_at_power_vec(np.array([[0.5, 0.75], [0.75 + 1e-12, 6.75]]))
     np.testing.assert_array_equal(m, [[1, 1], [2, 2]])
     assert lvl[1, 1] == pytest.approx(0.25)
@@ -64,7 +64,7 @@ def test_two_mode_breakpoints(two_mode_eff):
 def test_weights_reorder_modes(pair_eff):
     # Doubling user 2's weight lifts its threshold above user 1's.
     sys = WaterSystem(pair_eff, weights=[1.0, 2.0])
-    assert sys.thr[:2] == [2.0, 1.0]
+    assert sys.thr[:2].tolist() == [2.0, 1.0]
     # Below the second breakpoint only user 2 transmits.
     sol = solve_budget(pair_eff, [1.0, 2.0], 0.25)
     assert np.allclose(sol.covs.Phi[0], 0.0)
@@ -86,7 +86,7 @@ def test_weight_validation(pair_eff):
 
 
 def test_covariances_match_closed_form(two_mode_eff):
-    covs = covariances_for_level(two_mode_eff, None, [0.25])[0]
+    covs = covariances_for_level(two_mode_eff, None, 0.25)
     np.testing.assert_allclose(covs.Phi[0], np.diag([3.0, 3.75]), atol=1e-12)
     assert weighted_rate(two_mode_eff, covs) == pytest.approx(6.0 * math.log(2.0))
     with pytest.raises(ValueError):
@@ -103,10 +103,11 @@ def test_batched_covariances_match_per_level_closed_form():
     sys = WaterSystem(eff)
     power = np.array([0.0, 0.05, 0.7, -1.0, 3.0, 12.0, 0.0, 40.0])
     covs = sys.covariances(power)
-    assert len(covs) == power.size
+    assert [P.shape for P in covs.Phi] == [(power.size, 2, 2)] * 2
     levels, _ = sys.level_at_power_vec(power)
     rates = sys.rate_at_power_vec(power)
-    for p, level, rate, cs in zip(power, levels, rates, covs):
+    for i, (p, level, rate) in enumerate(zip(power, levels, rates)):
+        cs = CovarianceSet(tuple(P[i] for P in covs.Phi))
         if p <= 0.0:
             for P in cs.Phi:
                 assert P.shape == (2, 2) and P.tobytes() == bytes(P.nbytes)
@@ -118,7 +119,7 @@ def test_batched_covariances_match_per_level_closed_form():
             np.testing.assert_allclose(P, (X * d) @ X.conj().T, rtol=1e-12, atol=1e-12 * p)
         assert cs.total_power() == pytest.approx(p, rel=1e-12)
         assert weighted_rate(eff, cs) == pytest.approx(rate, rel=1e-12, abs=1e-12)
-    np.testing.assert_array_equal(covariances_for_level(eff, None, levels)[1].Phi[0], covs[1].Phi[0])
+    np.testing.assert_array_equal(covariances_for_level(eff, None, levels).Phi[0][1], covs.Phi[0][1])
     for bad in ([0.5, math.nan], [0.5, 0.0]):
         with pytest.raises(ValueError, match="positive"):
             covariances_for_level(eff, None, bad)
@@ -144,9 +145,10 @@ def test_solve_budget_zero_and_positive(unit_eff):
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_scan_routes_agree(seed):
-    """The scalar and vector breakpoint queries must return the same level,
-    which the independent level-to-power map inverts; realized covariances
-    must carry the budget as their trace and reproduce the queried rate."""
+    """The breakpoint query's level is inverted by the independent
+    level-to-power map and its mode count is the number of thresholds
+    above it; realized covariances must carry the budget as their trace
+    and reproduce the queried rate."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     eff = draw_effective(rng)
     sys = WaterSystem(eff)
@@ -155,17 +157,17 @@ def test_scan_routes_agree(seed):
     rate_vec = sys.rate_at_power_vec(powers)
     curv_vec = sys.curvature_vec(powers)
     for p, lv, mv, rv, cv in zip(powers, lvl_vec, m_vec, rate_vec, curv_vec):
-        level, m = sys.level_at_power(float(p))
-        assert lv == pytest.approx(level, rel=1e-12)
-        assert mv == m
-        assert rv == pytest.approx(sys.rate_at_power(float(p)), abs=1e-12)
-        assert cv == pytest.approx(-(level * level) / sys.cg[m] if m else 0.0, rel=1e-12)
+        assert cv == pytest.approx(-(lv * lv) / sys.cg[mv] if mv else 0.0, rel=1e-12)
         if p > 0.0:
-            assert sys.power_at_level(level) == pytest.approx(float(p), rel=1e-9)
+            assert mv == np.count_nonzero(sys.thr > lv)
+            assert sys.power_at_level(lv) == pytest.approx(float(p), rel=1e-9)
             sol = solve_budget(eff, None, float(p))
+            assert sol.level == lv and sol.rate == rv
             trace = sum(float(np.trace(Phi).real) for Phi in sol.covs.Phi)
             assert trace == pytest.approx(float(p), rel=1e-8, abs=1e-10)
             assert weighted_rate(eff, sol.covs) == pytest.approx(sol.rate, rel=1e-9)
+        else:
+            assert (lv, mv, rv) == (sys.level_max, 0, 0.0)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -175,7 +177,7 @@ def test_rate_concave_increasing(seed):
     eff = draw_effective(rng)
     sys = WaterSystem(eff)
     p = np.sort(rng.uniform(0.0, 10.0, size=8))
-    rates = [sys.rate_at_power(float(x)) for x in p]
+    rates = sys.rate_at_power_vec(p).tolist()
     assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
     slopes = [
         (rb - ra) / (pb - pa)
@@ -193,8 +195,8 @@ def test_marginal_rate_is_the_derivative(seed):
     sys = WaterSystem(eff)
     p = float(rng.uniform(0.2, 8.0))
     h = 1e-6
-    fd = (sys.rate_at_power(p + h) - sys.rate_at_power(p - h)) / (2.0 * h)
-    level, _ = sys.level_at_power(p)
+    fd = (sys.rate_at_power_vec(p + h) - sys.rate_at_power_vec(p - h)) / (2.0 * h)
+    level, _ = sys.level_at_power_vec(p)
     assert level == pytest.approx(fd, rel=1e-4)
-    fd2 = (sys.level_at_power(p + h)[0] - sys.level_at_power(p - h)[0]) / (2.0 * h)
+    fd2 = (sys.level_at_power_vec(p + h)[0] - sys.level_at_power_vec(p - h)[0]) / (2.0 * h)
     assert sys.curvature_vec(p) == pytest.approx(fd2, rel=1e-4)
