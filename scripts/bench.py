@@ -1,0 +1,246 @@
+#!/usr/bin/env python3
+"""Offline-solver benchmark along the epoch count N, with a phase split.
+
+    python scripts/bench.py --label mychange
+
+writes ``BENCH_<label>.json`` with three parts:
+
+* ``scaling``: ``solve_offline_ideal`` and ``solve_offline_circuit``
+  (eps = 1 W) at N in {10, 100, 1000, 10^4} on perfbench's generator
+  (``draw_timeline`` and ``rng_for`` from ``perfbench/workloads.py``,
+  streams 100 and 101, the channel drawn after the arrivals; a 5 J
+  super-capacitor over a 100 J battery at eta = 0.5, a 4 W peak, 1 J mean
+  packets).  Per cell: the median wall time of a solve and of its Newton
+  loop, the Newton steps, microseconds per Newton step (loop time over
+  steps), ``converged``, ``certificate.ok()``, the dual residual (nats/J)
+  and the objective.
+* ``phases``: mean per-solve times of the solver's phases (value model,
+  program assembly, Newton loop, reconstruction, certificate, audit) over
+  an efficiency sweep shaped like acceptance gate 06 (5 J mean packets,
+  eta in {0.2, 0.4, 0.6, 0.8, 1.0}, 20 trials by default), timed by
+  wrapping each phase function of ``ehsched.offline``.
+* ``environment``: interpreter and library versions, the CPU count and
+  the BLAS thread count.
+
+Each scaling cell repeats its solve up to ``--repeats`` times within a
+time budget of ``--budget`` seconds.  A cell whose first solve is
+predicted (linearly in N from the cell of the next smaller N) to exceed
+the budget is not run and is recorded with ``"status": "skipped"``.  The
+default run takes about a minute on a 2-core machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+#: One BLAS thread, as perfbench runs its workloads; an explicit setting
+#: in the environment wins.
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_VARS:
+    os.environ.setdefault(_var, "1")
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+from workloads import (  # noqa: E402
+    M,
+    P_PEAK,
+    REFERENCE_SEED,
+    USERS,
+    default_storage,
+    draw_timeline,
+    rng_for,
+)
+
+from ehsched import offline  # noqa: E402
+from ehsched.channels import decompose_zf_dpc, generate_channels  # noqa: E402
+from ehsched.experiments import ExperimentSpec, run_sweep  # noqa: E402
+
+STREAMS = (100, 101)
+E_AVG = 1.0
+EPS = 1.0
+ETAS = (0.2, 0.4, 0.6, 0.8, 1.0)
+#: The phase functions of one offline solve, in call order.
+PHASES = {
+    "value_model": "_ValueModel",
+    "program": "_Program",
+    "loop": "_interior_point",
+    "reconstruct": "_reconstruct",
+    "certificate": "_certificate",
+    "audit": "check_feasibility",
+}
+
+
+def instance(stream: int, n: int):
+    """The arrivals and channel of one scaling cell."""
+    rng = rng_for(REFERENCE_SEED, stream)
+    timeline = draw_timeline(rng, n, E_AVG)
+    eff = decompose_zf_dpc(generate_channels(M, USERS, rng=rng))
+    return eff, timeline
+
+
+def solve(model: str, eff, timeline):
+    if model == "ideal":
+        return offline.solve_offline_ideal(eff, None, timeline, default_storage(), P_PEAK)
+    return offline.solve_offline_circuit(eff, None, timeline, default_storage(), P_PEAK, EPS)
+
+
+@contextlib.contextmanager
+def phase_timers():
+    """Wrap the phase functions of ``ehsched.offline`` for the duration:
+    yields the seconds spent in each phase so far and the Newton step
+    count of each finished loop."""
+    spent = dict.fromkeys(PHASES, 0.0)
+    steps = []
+    saved = {name: getattr(offline, name) for name in PHASES.values()}
+
+    def timed(phase, fn):
+        def call(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                out = fn(*args, **kwargs)
+            finally:
+                spent[phase] += time.perf_counter() - t0
+            if phase == "loop":
+                steps.append(out.iterations)
+            return out
+
+        return call
+
+    try:
+        for phase, name in PHASES.items():
+            setattr(offline, name, timed(phase, saved[name]))
+        yield spent, steps
+    finally:
+        for name, fn in saved.items():
+            setattr(offline, name, fn)
+
+
+def scaling_cell(model: str, stream: int, n: int, repeats: int, budget: float,
+                 predicted: float | None) -> dict:
+    cell = {"model": model, "stream": stream, "N": n}
+    if predicted is not None and predicted > budget:
+        cell.update(status="skipped", predicted_s=predicted,
+                    reason=f"predicted {predicted:.1f} s over the {budget:g} s budget")
+        return cell
+    eff, timeline = instance(stream, n)
+    times, loops = [], []
+    while len(times) < repeats and (not times or sum(times) + times[-1] <= budget):
+        with phase_timers() as (spent, _):
+            t0 = time.perf_counter()
+            try:
+                sol = solve(model, eff, timeline)
+            except offline.SolverError as exc:
+                cell.update(status="error", error=str(exc))
+                return cell
+            times.append(time.perf_counter() - t0)
+        loops.append(spent["loop"])
+    loop = statistics.median(loops)
+    cell.update(
+        status="ok",
+        runs=len(times),
+        median_s=statistics.median(times),
+        loop_median_s=loop,
+        newton_steps=sol.iterations,
+        us_per_newton_step=1e6 * loop / max(sol.iterations, 1),
+        converged=sol.converged,
+        certificate_ok=bool(sol.certificate.ok()),
+        dual_residual=sol.stationarity_residual,
+        objective=sol.objective,
+    )
+    return cell
+
+
+def scaling(sizes, repeats: int, budget: float) -> list[dict]:
+    cells = []
+    for model in ("ideal", "circuit"):
+        for stream in STREAMS:
+            # Seconds per solve at the previous size, measured or predicted.
+            est = n_prev = None
+            for n in sizes:
+                predicted = None if est is None else est * n / n_prev
+                cell = scaling_cell(model, stream, n, repeats, budget, predicted)
+                cells.append(cell)
+                print(json.dumps(cell), file=sys.stderr)
+                est, n_prev = cell.get("median_s", predicted), n
+    return cells
+
+
+def phases(trials: int) -> dict:
+    """Mean per-solve phase times (ms) over a gate-06-shaped sweep."""
+    spec = ExperimentSpec(num_trials=trials, e_avg=5.0)
+    with phase_timers() as (spent, steps):
+        t0 = time.perf_counter()
+        run_sweep(spec, axis="eta", values=list(ETAS), modes=("ideal", "circuit"))
+        wall = time.perf_counter() - t0
+    solves = len(steps)
+    per_solve = {phase: 1e3 * t / max(solves, 1) for phase, t in spent.items()}
+    per_solve["total"] = sum(per_solve.values())
+    return {
+        "trials": trials,
+        "etas": list(ETAS),
+        "solves": solves,
+        "newton_steps": sum(steps),
+        "us_per_newton_step": 1e6 * spent["loop"] / max(sum(steps), 1),
+        "sweep_s": wall,
+        "ms_per_solve": per_solve,
+    }
+
+
+def environment() -> dict:
+    try:
+        affinity = len(os.sched_getaffinity(0))
+    except AttributeError:
+        affinity = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "cpus_usable": affinity,
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_VARS},
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="output is BENCH_<label>.json")
+    ap.add_argument("--out-dir", type=Path, default=ROOT)
+    ap.add_argument("--sizes", default="10,100,1000,10000",
+                    help="comma-separated epoch counts of the scaling cells")
+    ap.add_argument("--repeats", type=int, default=5, help="solves per scaling cell at most")
+    ap.add_argument("--budget", type=float, default=20.0, help="seconds per scaling cell")
+    ap.add_argument("--trials", type=int, default=20, help="sweep trials per eta for phases")
+    args = ap.parse_args(argv)
+    sizes = [int(v) for v in args.sizes.split(",")]
+    if args.repeats < 1 or args.trials < 1 or min(sizes) < 1:
+        ap.error("--repeats, --trials and every size must be positive")
+
+    t0 = time.perf_counter()
+    report = {
+        "label": args.label,
+        "environment": environment(),
+        "scaling": scaling(sizes, args.repeats, args.budget),
+        "phases": phases(args.trials),
+    }
+    report["bench_s"] = time.perf_counter() - t0
+    out = args.out_dir / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out} in {report['bench_s']:.1f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

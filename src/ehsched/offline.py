@@ -30,13 +30,19 @@ family is one fixed stencil shifted along the epochs, the constraint
 matrix and the band tables of the Newton matrix are assembled with a few
 whole-array operations per block of families, and each Newton step
 evaluates the objective from one water-filling lookup: at short horizons
-these fixed costs, not the factorization, set the solve time.  The loop
-stops on a small dual residual and a small relative duality gap, and
-proves an instance infeasible with a Farkas certificate built from its
-own multipliers.  Transmission windows, powers and covariances are then
-recovered in closed form, and the dual certificate checked by
-:func:`verify_structure` is filled in closed form from the loop's
-multipliers.
+these fixed costs, not the factorization, set the solve time.  For the
+same reason a step calls its kernels directly: LAPACK ``dpbtrf`` factors
+the band (``_Program.factor``, which first checks that the band is finite
+and retries a failed factorization with a bumped diagonal), ``dpbtrs``
+solves with the factor after a finiteness check of each right-hand side,
+and scipy's CSR/CSC kernels form the sparse products.  A non-finite Newton
+matrix or right-hand side raises :class:`SolverError` as a numerical
+failure.  The loop stops on a small dual residual and a small relative
+duality gap, and proves an instance infeasible with a Farkas certificate
+built from its own multipliers.  Transmission windows, powers and
+covariances are then recovered in closed form, and the dual certificate
+checked by :func:`verify_structure` is filled in closed form from the
+loop's multipliers.
 """
 
 from __future__ import annotations
@@ -46,8 +52,8 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.sparse import csr_matrix
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse import _sparsetools, csr_matrix
 
 from .channels import CovarianceSet, EffectiveChannels, weighted_rate
 from .energy import FEAS_TOL, ArrivalSplit, EpochTimeline, FeasibilityReport, HybridStorage
@@ -347,6 +353,8 @@ _FAMILIES = {
 
 #: A column offset no epoch reaches, padding rows with fewer terms.
 _ABSENT = np.iinfo(np.int64).min
+#: The weight of the band terms that pin the placeholder burst parts.
+_ONE = np.ones(1)
 
 
 @dataclass(frozen=True)
@@ -428,6 +436,25 @@ def _csr(indices: list, data: list, counts: list, ncols: int) -> csr_matrix:
     return csr_matrix(
         (np.concatenate(data), np.concatenate(indices), indptr), shape=(indptr.size - 1, ncols)
     )
+
+
+def _mul(M: csr_matrix, v: np.ndarray) -> np.ndarray:
+    """``M @ v`` through scipy's CSR kernel, the loop behind ``M @ v``
+    (so the same bits), called without the sparse operator dispatch,
+    which costs more than the product itself at short horizons."""
+    rows, cols = M.shape
+    out = np.zeros(rows)
+    _sparsetools.csr_matvec(rows, cols, M.indptr, M.indices, M.data, v, out)
+    return out
+
+
+def _mul_t(M: csr_matrix, v: np.ndarray) -> np.ndarray:
+    """``M.T @ v`` through scipy's CSC kernel on the arrays of ``M``, as
+    ``M.T @ v`` runs it."""
+    rows, cols = M.shape
+    out = np.zeros(cols)
+    _sparsetools.csc_matvec(cols, rows, M.indptr, M.indices, M.data, v, out)
+    return out
 
 
 class _Program:
@@ -527,14 +554,27 @@ class _Program:
         for name, (rows, _) in self.rows.items():
             self.u[rows] = rhs[name] / self.escale
         self.A, self.Q = (_csr(*p, n) for p in parts.values())
-        self.AT, self.QT = self.A.T, self.Q.T
-        self.flat, self.prod, self.brow = map(np.concatenate, (flat, prod, brow))
         # Placeholder burst parts sit in no row: pin them with a unit
-        # diagonal (their gradient is zero, so they stay at zero).
-        self.idle = _NV * np.flatnonzero(~split) + _A
+        # diagonal (their gradient is zero, so they stay at zero).  The
+        # unit entries come last, as band terms of weight one.
+        idle = _NV * np.flatnonzero(~split) + _A
+        flat.append(_BAND * n + idle)
+        prod.append(np.ones(idle.size))
+        brow.append(np.full(idle.size, m))
+        self.flat, self.prod, self.brow = map(np.concatenate, (flat, prod, brow))
         self.burst = _NV * sp + _A
         self.lin = np.zeros(n)
         self.lin[self.burst] = self.escale * vm.r0[sp] / self.fscale
+        # Instance constants of the objective.
+        self.r0_burst = vm.r0[sp]
+        self.gscale = self.escale / self.fscale
+        self.kscale = self.escale**2 / self.fscale
+        self.half_curv0 = 0.5 * self.curv0
+        # Only an epoch with p_thr = 0 can run at zero power, where the
+        # water-filling lookup has no active mode; only where c1 = cmax is
+        # the value linear.
+        self.zero_thr = bool(np.any(vm.p_thr == 0.0))
+        self.linear = not bool(np.all(self.curved))
         # Bounds on a feasible x (all of whose entries are nonnegative),
         # for the infeasibility test.
         self.xmax = np.zeros((N, _NV))
@@ -542,47 +582,78 @@ class _Program:
         self.xmax[sp, _A] = vm.c1[sp] / self.escale
         self.xmax = self.xmax.ravel()
 
+    @property
+    def QT(self):
+        """``Q.T``, whose products the objective forms with :func:`_mul_t`."""
+        return self.Q.T
+
     def objective(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         """Scaled F(x) and its gradient, and per epoch the slope (nats/J)
         and the scaled curvature magnitude of the curved part, all from
         one water-filling lookup."""
-        vm = self.vm
-        q = self.escale * (self.Q @ x)
+        vm, ws = self.vm, self.vm.ws
+        q = self.escale * _mul(self.Q, x)
         p = vm.p_thr + np.maximum(q, 0.0) / vm.l
-        level, m = vm.ws.level_at_power_vec(p)
+        # ``WaterSystem.level_at_power_vec`` written for p >= 0: the raw
+        # mode count is at least one, so every division is by a positive
+        # sum, and zero powers get the empty mode set afterwards.
+        m = np.searchsorted(ws.breaks, p) + 1
+        cg = ws.cg[m]
+        level = cg / (p + ws.cil[m])
+        if self.zero_thr:
+            off = p <= 0.0
+            level = np.where(off, ws.level_max, level)
+            m = np.where(off, 0, m)
         # Below zero the curved part continues as its quadratic model at 0.
         qn = np.minimum(q, 0.0)
-        curv = np.where(q > 0.0, -vm.ws.curvature_at_level_vec(level, m) / vm.l, self.curv0)
-        value = vm.l * vm.ws.rate_at_level_vec(level, m) - self.base
-        value += qn * (self.slope0 - 0.5 * self.curv0 * qn)
-        value = np.where(self.curved, value, self.slope0 * q)
-        slope = np.where(self.curved, level - self.curv0 * qn, self.slope0)
-        kappa = np.where(self.curved, self.escale**2 / self.fscale * curv, 0.0)
-        F = math.fsum(value) + self.escale * float(vm.r0[self.split] @ x[self.burst])
-        grad = (self.escale / self.fscale) * (self.QT @ slope) + self.lin
+        curv = np.where(q > 0.0, level * level / cg / vm.l, self.curv0)
+        value = vm.l * ws.rate_at_level_vec(level, m) - self.base
+        value += qn * (self.slope0 - self.half_curv0 * qn)
+        slope = level - self.curv0 * qn
+        kappa = self.kscale * curv
+        if self.linear:
+            value = np.where(self.curved, value, self.slope0 * q)
+            slope = np.where(self.curved, slope, self.slope0)
+            kappa = np.where(self.curved, kappa, 0.0)
+        F = math.fsum(value.tolist()) + self.escale * float(self.r0_burst @ x[self.burst])
+        grad = self.gscale * _mul_t(self.Q, slope) + self.lin
         return F / self.fscale, grad, slope, kappa
 
-    def factor(self, w: np.ndarray, kappa: np.ndarray):
-        """Banded Cholesky factor of ``A' diag(w) A + Q' diag(kappa) Q``:
-        row weights ``w`` and the curved parts' scaled curvatures."""
+    def factor(self, w: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+        """Upper banded Cholesky factor of ``A' diag(w) A + Q' diag(kappa)
+        Q``, with a unit diagonal on the placeholder burst parts: row
+        weights ``w`` and the curved parts' scaled curvatures.
+
+        The band goes straight to LAPACK ``dpbtrf``; the Newton solves of
+        :func:`_interior_point` use the factor with ``dpbtrs``.  A band
+        with a non-finite entry raises :class:`SolverError` (a numerical
+        failure) before LAPACK sees it.  A matrix that is not numerically
+        positive definite is factored again with its diagonal bumped by a
+        relative 1e-12, then 1e-10, then 1e-8; when every attempt fails,
+        ``np.linalg.LinAlgError`` is raised."""
         ab = np.bincount(
             self.flat,
-            weights=self.prod * np.concatenate([w, kappa])[self.brow],
+            weights=self.prod * np.concatenate((w, kappa, _ONE))[self.brow],
             minlength=(_BAND + 1) * self.n,
         ).reshape(_BAND + 1, self.n)
-        ab[_BAND, self.idle] += 1.0
-        # Rows tight at the optimum weigh up to 1/mu^2 more than the rest;
-        # when rounding in their block breaks positive definiteness, a
-        # growing relative bump of the diagonal restores it without
-        # perturbing the lightly weighted directions.
-        diag = ab[_BAND].copy()
-        for reg in (0.0, 1e-12, 1e-10, 1e-8):
-            ab[_BAND] = diag * (1.0 + reg)
-            try:
-                return cholesky_banded(ab)
-            except np.linalg.LinAlgError:
-                pass
-        raise np.linalg.LinAlgError("Newton matrix is not positive definite")
+        if not np.isfinite(ab).all():
+            raise SolverError("numerical failure: the Newton matrix is not finite")
+        L, info = dpbtrf(ab)
+        if info:
+            # Rows tight at the optimum weigh up to 1/mu^2 more than the
+            # rest; when rounding in their block breaks positive
+            # definiteness, a growing relative bump of the diagonal
+            # restores it without perturbing the lightly weighted
+            # directions.
+            diag = ab[_BAND].copy()
+            for reg in (1e-12, 1e-10, 1e-8):
+                ab[_BAND] = diag * (1.0 + reg)
+                L, info = dpbtrf(ab)
+                if not info:
+                    break
+            else:
+                raise np.linalg.LinAlgError("Newton matrix is not positive definite")
+        return L
 
     def min_slack(self, s: np.ndarray, b: np.ndarray, e: np.ndarray) -> float:
         """Smallest slack (J) of the storage, cap and bound rows at the
@@ -613,15 +684,19 @@ class _Iterate:
 
 
 def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
-    neg = dv < 0.0
-    return float((-v[neg] / dv[neg]).min()) if neg.any() else math.inf
+    """The largest t with ``v + t dv >= 0`` for ``v > 0``: the least
+    ``-v/dv`` over the falling entries, ``inf`` when none falls."""
+    ratio = np.full(v.size, -math.inf)
+    np.divide(v, dv, out=ratio, where=dv < 0.0)
+    return -float(ratio.max())
 
 
 def _interior_point(prog: _Program) -> _Iterate:
     """Mehrotra predictor-corrector on ``max F(x)``, ``A x + s = u``,
     ``s, z >= 0``; each Newton step is one banded Cholesky factorization
-    and two banded solves."""
-    A, AT, u = prog.A, prog.AT, prog.u
+    and two banded solves.  A Newton right-hand side that is not finite
+    raises :class:`SolverError`, as a non-finite Newton matrix does."""
+    A, u = prog.A, prog.u
     m = u.size
     x = np.zeros(prog.n)
     # Slacks and multipliers share one vector, so one ratio test bounds
@@ -634,9 +709,9 @@ def _interior_point(prog: _Program) -> _Iterate:
     it = 0
     F, grad, slope, kappa = prog.objective(x)
     while True:
-        ATz = AT @ z
+        ATz = _mul_t(A, z)
         rd = ATz - grad
-        Ax = A @ x
+        Ax = _mul(A, x)
         rp = Ax + s - u
         gap = float(s @ z)
         dual = float(np.abs(rd).max())
@@ -659,17 +734,20 @@ def _interior_point(prog: _Program) -> _Iterate:
         except np.linalg.LinAlgError:
             break
 
-        def newton(rc, shift):
-            rps = rp - shift
-            dx = cho_solve_banded((L, False), AT @ ((rc - z * rps) / s) - rd)
+        def newton(rc, rps):
+            rhs = _mul_t(A, (rc - z * rps) / s) - rd
+            if not np.isfinite(rhs).all():
+                raise SolverError("numerical failure: a Newton right-hand side is not finite")
+            dx = dpbtrs(L, rhs)[0]
             dsz = np.empty(2 * m)
             ds, dz = dsz[:m], dsz[m:]
-            np.subtract(-rps, A @ dx, out=ds)
+            np.subtract(-rps, _mul(A, dx), out=ds)
             np.divide(-(rc + z * ds), s, out=dz)
             return dx, dsz
 
         mu = gap / m
-        dx, dsz = newton(s * z, 0.0)
+        sz_prod = s * z
+        dx, dsz = newton(sz_prod, rp)
         ds, dz = dsz[:m], dsz[m:]
         affine = sz + min(1.0, _step_to_boundary(sz, dsz)) * dsz
         mu_aff = float(affine[:m] @ affine[m:]) / m
@@ -679,7 +757,8 @@ def _interior_point(prog: _Program) -> _Iterate:
         # Every row is relaxed by the target mu: rows that are tight on the
         # whole feasible set (an empty deposit box, say) then keep slacks
         # of order mu, so their multipliers stay bounded.
-        dx, dsz = newton(s * z + ds * dz - sigma * mu, sigma * mu)
+        target = sigma * mu
+        dx, dsz = newton(sz_prod + ds * dz - target, rp - target)
         alpha = min(1.0, STEP_FRAC * _step_to_boundary(sz, dsz))
         x, sz = x + alpha * dx, sz + alpha * dsz
         s, z = sz[:m], sz[m:]

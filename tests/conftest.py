@@ -79,6 +79,27 @@ def overdrawn_schedules(monkeypatch):
     monkeypatch.setattr(offline, "_reconstruct", overdrawn)
 
 
+@pytest.fixture()
+def nan_curvature(monkeypatch):
+    """Make the offline objective return NaN curvature weights on its
+    third call, as a numerical breakdown inside the Newton loop would;
+    yields the list of calls made."""
+    from ehsched import offline
+
+    objective = offline._Program.objective
+    calls = []
+
+    def poisoned(self, x):
+        F, grad, slope, kappa = objective(self, x)
+        calls.append(x)
+        if len(calls) == 3:
+            kappa = np.full_like(kappa, np.nan)
+        return F, grad, slope, kappa
+
+    monkeypatch.setattr(offline._Program, "objective", poisoned)
+    yield calls
+
+
 def draw_effective(rng, max_users: int = 2, max_n: int = 2):
     """A random full-rank decomposition (redraws degenerate channels)."""
     while True:

@@ -1,0 +1,42 @@
+"""Schema of the ``scripts/bench.py`` report, at tiny sizes."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CELL_KEYS = {
+    "model", "stream", "N", "status", "runs", "median_s", "loop_median_s", "newton_steps",
+    "us_per_newton_step", "converged", "certificate_ok", "dual_residual", "objective",
+}
+PHASES = {"value_model", "program", "loop", "reconstruct", "certificate", "audit", "total"}
+
+
+def test_bench_report_schema(tmp_path):
+    # A zero budget lets each series run its first size and skips the next.
+    argv = ["--label", "smoke", "--out-dir", str(tmp_path), "--sizes", "10,20",
+            "--repeats", "2", "--budget", "0", "--trials", "1"]
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), *argv],
+                   check=True, capture_output=True, timeout=300)
+    report = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert set(report) == {"label", "environment", "scaling", "phases", "bench_s"}
+    assert report["label"] == "smoke"
+    env = report["environment"]
+    assert {"python", "numpy", "scipy", "cpu_count", "blas_threads"} <= set(env)
+    cells = {(c["model"], c["stream"], c["N"]): c for c in report["scaling"]}
+    assert set(cells) == {(m, s, n) for m in ("ideal", "circuit") for s in (100, 101)
+                          for n in (10, 20)}
+    for (_, _, n), cell in cells.items():
+        if n == 10:
+            assert set(cell) == CELL_KEYS and cell["status"] == "ok", cell
+            assert cell["runs"] == 1 and cell["converged"] and cell["certificate_ok"]
+            assert cell["newton_steps"] > 0 and cell["us_per_newton_step"] > 0.0
+            assert 0.0 < cell["loop_median_s"] <= cell["median_s"]
+        else:
+            assert cell["status"] == "skipped" and cell["predicted_s"] > 0.0, cell
+    phases = report["phases"]
+    assert phases["trials"] == 1 and phases["etas"] == [0.2, 0.4, 0.6, 0.8, 1.0]
+    assert phases["solves"] > 0 and phases["newton_steps"] > 0
+    assert set(phases["ms_per_solve"]) == PHASES

@@ -278,6 +278,16 @@ def test_cli_solve_refuses_an_infeasible_schedule(files, overdrawn_schedules, ca
     assert not out.exists()
 
 
+def test_cli_solve_numerical_failure_exits_3(files, nan_curvature, capsys):
+    tmp, chan, scen = files
+    out = tmp / "s.csv"
+    argv = ["solve", "--channels", chan, "--scenario", scen, "--p-peak", "4.0"]
+    assert main(argv + ["--out", str(out)]) == EXIT_SOLVER
+    assert "numerical failure" in capsys.readouterr().err
+    assert len(nan_curvature) == 3
+    assert not out.exists()
+
+
 def test_cli_simulate_trace_and_schedule(files, capsys):
     tmp, chan, scen = files
     trace, sched = str(tmp / "t.csv"), str(tmp / "s.csv")

@@ -519,10 +519,8 @@ def test_program_assembly_matches_dense_build(case, monkeypatch):
     assert prog.A.has_sorted_indices and prog.Q.has_sorted_indices
 
     captured = []
-    cholesky = offline.cholesky_banded
-    monkeypatch.setattr(
-        offline, "cholesky_banded", lambda ab: captured.append(ab.copy()) or cholesky(ab)
-    )
+    dpbtrf = offline.dpbtrf
+    monkeypatch.setattr(offline, "dpbtrf", lambda ab: captured.append(ab.copy()) or dpbtrf(ab))
     rng = np.random.default_rng(7)
     w, kappa = rng.uniform(0.1, 10.0, u.size), rng.uniform(0.1, 10.0, inst.timeline.N)
     prog.factor(w, kappa)
@@ -535,6 +533,71 @@ def test_program_assembly_matches_dense_build(case, monkeypatch):
         banded += np.diag(ab[band - d, d:], d)
     assert np.all(np.triu(H, band + 1) == 0.0)
     assert np.max(np.abs(np.triu(H) - banded)) <= 1e-12 * np.max(np.abs(H))
+
+
+@pytest.fixture()
+def small_instance(unit_eff):
+    """Arguments of an offline solve: two arrivals over two epochs, with
+    room to spare in both buffers (the scenario of the CLI tests)."""
+    tl = build_timeline([(0.0, 2.0), (1.0, 1.0)], T=2.0)
+    return unit_eff, None, tl, HybridStorage(sc_cap=5.0, b_cap=100.0, eta=0.5), 4.0
+
+
+@pytest.mark.parametrize("failures", [1, 3])
+def test_factor_bumps_the_diagonal_in_order(failures, monkeypatch):
+    from ehsched import offline
+
+    eff, *rest = _assembly_cases()["constant-eps"]
+    inst = _make_instance(eff, None, *rest)
+    prog = offline._Program(inst, offline._ValueModel(inst))
+    dpbtrf, inputs = offline.dpbtrf, []
+
+    def flaky(ab):
+        inputs.append(ab.copy())
+        return (ab, 1) if len(inputs) <= failures else dpbtrf(ab)
+
+    monkeypatch.setattr(offline, "dpbtrf", flaky)
+    rng = np.random.default_rng(3)
+    L = prog.factor(rng.uniform(0.1, 10.0, prog.u.size), rng.uniform(0.1, 10.0, inst.timeline.N))
+    band = offline._BAND
+    assert len(inputs) == failures + 1
+    diag = inputs[0][band]
+    for ab, reg in zip(inputs[1:], (1e-12, 1e-10, 1e-8)):
+        assert np.array_equal(ab[band], diag * (1.0 + reg))
+        assert np.array_equal(ab[:band], inputs[0][:band])
+    assert np.array_equal(L, dpbtrf(inputs[-1])[0])
+
+
+def test_failed_factor_ends_the_solve_unconverged(small_instance, monkeypatch):
+    from ehsched import offline
+
+    monkeypatch.setattr(offline, "dpbtrf", lambda ab: (ab, 1))
+    inst = _make_instance(*small_instance, None)
+    it = offline._interior_point(offline._Program(inst, offline._ValueModel(inst)))
+    assert not it.optimal and it.iterations == 1
+    sol = solve_offline_ideal(*small_instance)
+    assert not sol.converged and sol.iterations == 1
+
+
+def test_numerical_failure_raises_solver_error(small_instance, nan_curvature):
+    with pytest.raises(SolverError, match="numerical failure"):
+        solve_offline_ideal(*small_instance)
+    assert len(nan_curvature) == 3
+
+
+def test_step_to_boundary_matches_the_masked_ratio():
+    from ehsched.offline import _step_to_boundary
+
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        v = rng.uniform(1e-3, 10.0, n) * 10.0 ** rng.integers(-6, 6, n)
+        dv = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n)
+        dv[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
+        neg = dv < 0.0
+        want = float((-v[neg] / dv[neg]).min()) if neg.any() else math.inf
+        assert _step_to_boundary(v, dv) == want
+    assert _step_to_boundary(np.ones(3), np.array([0.0, -0.0, 2.0])) == math.inf
 
 
 def _three_query_objective(prog, x):
