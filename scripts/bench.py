@@ -1,19 +1,28 @@
 #!/usr/bin/env python3
-"""Offline-solver benchmark along the epoch count N, with a phase split.
+"""Offline-solver and online-policy benchmark along the epoch count N.
 
     python scripts/bench.py --label mychange
 
-writes ``BENCH_<label>.json`` with three parts:
+writes ``BENCH_<label>.json`` with four parts:
 
-* ``scaling``: ``solve_offline_ideal`` and ``solve_offline_circuit``
-  (eps = 1 W) at N in {10, 100, 1000, 10^4} on perfbench's generator
-  (``draw_timeline`` and ``rng_for`` from ``perfbench/workloads.py``,
-  streams 100 and 101, the channel drawn after the arrivals; a 5 J
-  super-capacitor over a 100 J battery at eta = 0.5, a 4 W peak, 1 J mean
-  packets).  Per cell: the median wall time of a solve and of its Newton
-  loop, the Newton steps, microseconds per Newton step (loop time over
-  steps), ``converged``, ``certificate.ok()``, the dual residual (nats/J)
-  and the objective.
+* ``scaling``: three offline models at N in {10, 100, 1000, 10^4} on
+  perfbench's generator (``draw_timeline`` and ``rng_for`` from
+  ``perfbench/workloads.py``, streams 100 and 101, the channel drawn
+  after the arrivals; a 5 J super-capacitor over a 100 J battery at
+  eta = 0.5, a 4 W peak, 1 J mean packets): ``ideal``
+  (``solve_offline_ideal``), ``circuit`` (``solve_offline_circuit``,
+  eps = 1 W) and ``general`` (``solve_offline_general`` with per-epoch
+  eps ~ U(0, 2) W, drawn from the cell's stream after the channel).  Per
+  cell: the median wall time of a solve, of its Newton loop and of its
+  reconstruction, the Newton steps, microseconds per Newton step (loop
+  time over steps), how many short transmission windows reconstruction
+  tried to snap to zero (``min_slack`` calls) and how many of those snaps
+  it kept, ``converged``, ``certificate.ok()``, the dual residual
+  (nats/J), the objective and the ``tracemalloc`` peak of one more solve.
+* ``online``: ``run_online`` with the burst rule (per-epoch eps ~
+  U(0.5, 1.5) W, as perfbench's ``online-long``) and with even spreading
+  at 2000 and 10^4 epochs on the same generator: the median wall time,
+  microseconds per epoch, the throughput and the ``tracemalloc`` peak.
 * ``phases``: mean per-solve times of the solver's phases (value model,
   program assembly, Newton loop, reconstruction, certificate, audit) over
   an efficiency sweep shaped like acceptance gate 06 (5 J mean packets,
@@ -22,11 +31,12 @@ writes ``BENCH_<label>.json`` with three parts:
 * ``environment``: interpreter and library versions, the CPU count and
   the BLAS thread count.
 
-Each scaling cell repeats its solve up to ``--repeats`` times within a
-time budget of ``--budget`` seconds.  A cell whose first solve is
-predicted (linearly in N from the cell of the next smaller N) to exceed
-the budget is not run and is recorded with ``"status": "skipped"``.  The
-default run takes about a minute on a 2-core machine.
+Each scaling or online cell repeats its run up to ``--repeats`` times
+within a time budget of ``--budget`` seconds, then runs once more under
+``tracemalloc``.  A cell whose first run is predicted (linearly in N
+from the cell of the next smaller N) to exceed the budget is not run and
+is recorded with ``"status": "skipped"``.  The default run takes about
+two minutes on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,11 +75,19 @@ from workloads import (  # noqa: E402
 
 from ehsched import offline  # noqa: E402
 from ehsched.channels import decompose_zf_dpc, generate_channels  # noqa: E402
+from ehsched.energy import FEAS_TOL  # noqa: E402
 from ehsched.experiments import ExperimentSpec, run_sweep  # noqa: E402
+from ehsched.online import run_online  # noqa: E402
 
 STREAMS = (100, 101)
+MODELS = ("ideal", "circuit", "general")
 E_AVG = 1.0
 EPS = 1.0
+#: Range of the per-epoch circuit powers of the ``general`` model.
+EPS_RANGE = (0.0, 2.0)
+#: Epoch counts and per-epoch circuit-power range of the online cells.
+ONLINE_SIZES = (2000, 10_000)
+ONLINE_EPS_RANGE = (0.5, 1.5)
 ETAS = (0.2, 0.4, 0.6, 0.8, 1.0)
 #: The phase functions of one offline solve, in call order.
 PHASES = {
@@ -81,28 +100,61 @@ PHASES = {
 }
 
 
-def instance(stream: int, n: int):
-    """The arrivals and channel of one scaling cell."""
+def instance(stream: int, n: int, eps_range):
+    """The arrivals, channel and per-epoch circuit powers of one cell."""
     rng = rng_for(REFERENCE_SEED, stream)
     timeline = draw_timeline(rng, n, E_AVG)
     eff = decompose_zf_dpc(generate_channels(M, USERS, rng=rng))
-    return eff, timeline
+    return eff, timeline, rng.uniform(*eps_range, n)
 
 
-def solve(model: str, eff, timeline):
+def solve(model: str, eff, timeline, eps):
     if model == "ideal":
         return offline.solve_offline_ideal(eff, None, timeline, default_storage(), P_PEAK)
-    return offline.solve_offline_circuit(eff, None, timeline, default_storage(), P_PEAK, EPS)
+    if model == "circuit":
+        return offline.solve_offline_circuit(eff, None, timeline, default_storage(), P_PEAK, EPS)
+    return offline.solve_offline_general(eff, None, timeline, default_storage(), P_PEAK, eps)
+
+
+def peak_mib(fn) -> float:
+    """The ``tracemalloc`` peak (MiB) of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def timed_runs(fn, repeats: int, budget: float) -> list[float]:
+    """Wall times of up to ``repeats`` calls of ``fn``, stopping before a
+    call that would likely end past ``budget`` seconds in all."""
+    times = []
+    while len(times) < repeats and (not times or sum(times) + times[-1] <= budget):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return times
 
 
 @contextlib.contextmanager
 def phase_timers():
     """Wrap the phase functions of ``ehsched.offline`` for the duration:
-    yields the seconds spent in each phase so far and the Newton step
-    count of each finished loop."""
+    yields the seconds spent in each phase so far, the Newton step count
+    of each finished loop and, per ``_Program.min_slack`` call (one per
+    short window that reconstruction tries to snap to zero), whether the
+    snap was kept."""
     spent = dict.fromkeys(PHASES, 0.0)
-    steps = []
+    steps, snaps = [], []
     saved = {name: getattr(offline, name) for name in PHASES.values()}
+    # The class itself: the phase wrapper replaces the module's name.
+    program = saved["_Program"]
+    min_slack = program.min_slack
+
+    def counted(self, *args):
+        slack = min_slack(self, *args)
+        snaps.append(bool(slack >= -FEAS_TOL))
+        return slack
 
     def timed(phase, fn):
         def call(*args, **kwargs):
@@ -120,56 +172,98 @@ def phase_timers():
     try:
         for phase, name in PHASES.items():
             setattr(offline, name, timed(phase, saved[name]))
-        yield spent, steps
+        program.min_slack = counted
+        yield spent, steps, snaps
     finally:
         for name, fn in saved.items():
             setattr(offline, name, fn)
+        program.min_slack = min_slack
+
+
+def skipped(cell: dict, predicted: float | None, budget: float) -> bool:
+    """Mark ``cell`` skipped when its predicted first run exceeds the budget."""
+    if predicted is None or predicted <= budget:
+        return False
+    cell.update(status="skipped", predicted_s=predicted,
+                reason=f"predicted {predicted:.1f} s over the {budget:g} s budget")
+    return True
 
 
 def scaling_cell(model: str, stream: int, n: int, repeats: int, budget: float,
                  predicted: float | None) -> dict:
     cell = {"model": model, "stream": stream, "N": n}
-    if predicted is not None and predicted > budget:
-        cell.update(status="skipped", predicted_s=predicted,
-                    reason=f"predicted {predicted:.1f} s over the {budget:g} s budget")
+    if skipped(cell, predicted, budget):
         return cell
-    eff, timeline = instance(stream, n)
-    times, loops = [], []
-    while len(times) < repeats and (not times or sum(times) + times[-1] <= budget):
-        with phase_timers() as (spent, _):
-            t0 = time.perf_counter()
-            try:
-                sol = solve(model, eff, timeline)
-            except offline.SolverError as exc:
-                cell.update(status="error", error=str(exc))
-                return cell
-            times.append(time.perf_counter() - t0)
-        loops.append(spent["loop"])
-    loop = statistics.median(loops)
+    eff, timeline, eps = instance(stream, n, EPS_RANGE)
+    runs = []
+
+    def run():
+        with phase_timers() as (spent, _, snaps):
+            sol = solve(model, eff, timeline, eps)
+        runs.append((sol, spent, snaps))
+
+    try:
+        times = timed_runs(run, repeats, budget)
+    except offline.SolverError as exc:
+        cell.update(status="error", error=str(exc))
+        return cell
+    sol, _, snaps = runs[-1]
+    loop = statistics.median(spent["loop"] for _, spent, _ in runs)
     cell.update(
         status="ok",
         runs=len(times),
         median_s=statistics.median(times),
         loop_median_s=loop,
+        reconstruct_median_s=statistics.median(spent["reconstruct"] for _, spent, _ in runs),
         newton_steps=sol.iterations,
         us_per_newton_step=1e6 * loop / max(sol.iterations, 1),
+        min_slack_calls=len(snaps),
+        snaps_kept=sum(snaps),
         converged=sol.converged,
         certificate_ok=bool(sol.certificate.ok()),
         dual_residual=sol.stationarity_residual,
         objective=sol.objective,
+        peak_mem_mb=peak_mib(lambda: solve(model, eff, timeline, eps)),
     )
     return cell
 
 
-def scaling(sizes, repeats: int, budget: float) -> list[dict]:
+def online_cell(policy: str, stream: int, n: int, repeats: int, budget: float,
+                predicted: float | None) -> dict:
+    cell = {"policy": policy, "stream": stream, "N": n}
+    if skipped(cell, predicted, budget):
+        return cell
+    eff, timeline, eps = instance(stream, n, ONLINE_EPS_RANGE)
+    eps = eps if policy == "burst" else None
+    runs = []
+
+    def run():
+        runs.append(run_online(eff, None, timeline, default_storage(), P_PEAK, eps=eps))
+
+    times = timed_runs(run, repeats, budget)
+    median = statistics.median(times)
+    cell.update(
+        status="ok",
+        runs=len(times),
+        median_s=median,
+        us_per_epoch=1e6 * median / n,
+        throughput=runs[-1].throughput,
+        peak_mem_mb=peak_mib(run),
+    )
+    return cell
+
+
+def series(make_cell, kinds, sizes, repeats: int, budget: float) -> list[dict]:
+    """Cells of every kind and stream along ``sizes``, each size's first
+    run predicted from the previous size's median."""
     cells = []
-    for model in ("ideal", "circuit"):
+    for kind in kinds:
         for stream in STREAMS:
-            # Seconds per solve at the previous size, measured or predicted.
+            # Seconds per run at the previous size, measured or predicted.
             est = n_prev = None
             for n in sizes:
                 predicted = None if est is None else est * n / n_prev
-                cell = scaling_cell(model, stream, n, repeats, budget, predicted)
+                cell = make_cell(kind, stream, n, repeats, budget, predicted)
                 cells.append(cell)
                 print(json.dumps(cell), file=sys.stderr)
                 est, n_prev = cell.get("median_s", predicted), n
@@ -179,7 +273,7 @@ def scaling(sizes, repeats: int, budget: float) -> list[dict]:
 def phases(trials: int) -> dict:
     """Mean per-solve phase times (ms) over a gate-06-shaped sweep."""
     spec = ExperimentSpec(num_trials=trials, e_avg=5.0)
-    with phase_timers() as (spent, steps):
+    with phase_timers() as (spent, steps, _):
         t0 = time.perf_counter()
         run_sweep(spec, axis="eta", values=list(ETAS), modes=("ideal", "circuit"))
         wall = time.perf_counter() - t0
@@ -232,7 +326,8 @@ def main(argv=None) -> int:
     report = {
         "label": args.label,
         "environment": environment(),
-        "scaling": scaling(sizes, args.repeats, args.budget),
+        "scaling": series(scaling_cell, MODELS, sizes, args.repeats, args.budget),
+        "online": series(online_cell, ("burst", "even"), ONLINE_SIZES, args.repeats, args.budget),
         "phases": phases(args.trials),
     }
     report["bench_s"] = time.perf_counter() - t0

@@ -31,6 +31,7 @@ import numpy as np
 from .channels import channelset_from_json, decompose_zf_dpc
 from .energy import HybridStorage, build_timeline, generate_compound_poisson
 from .experiments import (
+    SWEEP_AXES,
     ExperimentSpec,
     run_sweep,
     write_report_csv,
@@ -110,11 +111,7 @@ def _eps_argument(args, N: int):
         if len(seq) != N:
             raise CliError(f"--eps-seq needs {N} values (one per epoch), got {len(seq)}")
         return np.asarray(seq)
-    if args.eps is not None:
-        if args.eps < 0:
-            raise CliError("--eps must be nonnegative")
-        return float(args.eps)
-    return None
+    return args.eps
 
 
 def _weights_argument(args):
@@ -187,7 +184,7 @@ def _cmd_sweep(args) -> int:
         b_cap=args.b_cap,
         eta=args.eta,
         p_peak=args.p_peak,
-        eps=args.eps if args.eps is not None else 1.0,
+        eps=args.eps,
         eps_range=tuple(_floats(args.eps_range)) if args.eps_range else None,
         num_trials=args.trials,
         master_seed=args.seed,
@@ -267,20 +264,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule-out", default=None, help="also write the realized schedule")
     p.set_defaults(func=_cmd_simulate)
 
+    spec = ExperimentSpec()
     p = sub.add_parser("sweep", help="Monte-Carlo benchmark -> report CSV")
-    p.add_argument("--axis", default=None, help="spec field to sweep (e.g. eta)")
+    p.add_argument("--axis", default=None, help=f"field to sweep: {', '.join(SWEEP_AXES)}")
     p.add_argument("--values", default=None, help="sweep values, comma-separated")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=20260823)
-    p.add_argument("--T", type=float, default=10.0)
-    p.add_argument("--rate", type=float, default=1.0, help="mean arrivals per second")
-    p.add_argument("--e-avg", type=float, default=1.0, help="mean packet energy (J)")
-    p.add_argument("--initial", type=float, default=5.0, help="energy available at t=0")
-    p.add_argument("--sc-cap", type=float, default=5.0)
-    p.add_argument("--b-cap", type=float, default=100.0)
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--p-peak", type=float, default=4.0)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--trials", type=int, default=spec.num_trials)
+    p.add_argument("--seed", type=int, default=spec.master_seed)
+    p.add_argument("--T", type=float, default=spec.T)
+    p.add_argument("--rate", type=float, default=spec.arrival_rate, help="arrivals per second")
+    p.add_argument("--e-avg", type=float, default=spec.e_avg, help="mean packet energy (J)")
+    p.add_argument("--initial", type=float, default=spec.initial_energy, help="energy at t=0 (J)")
+    p.add_argument("--sc-cap", type=float, default=spec.sc_cap)
+    p.add_argument("--b-cap", type=float, default=spec.b_cap)
+    p.add_argument("--eta", type=float, default=spec.eta)
+    p.add_argument("--p-peak", type=float, default=spec.p_peak)
+    p.add_argument("--eps", type=float, default=spec.eps)
     p.add_argument("--eps-range", default=None, help="lo,hi for per-epoch circuit power")
     p.add_argument("--modes", default="ideal,circuit")
     p.add_argument("--deterministic-profile", action="store_true")

@@ -11,6 +11,7 @@ those units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,22 @@ import numpy as np
 # Constraint slacks may go this far negative before a schedule is
 # declared infeasible (J).
 FEAS_TOL = 1e-8
+
+
+def check_powers(p_peak=None, eps=None, epochs: int | None = None):
+    """Check a peak power (positive and finite) and a circuit power, scalar
+    or per epoch (nonnegative and finite); ``None`` skips a check.  Returns
+    ``eps`` as floats, copied out to ``epochs`` entries when that is given."""
+    if p_peak is not None and not (p_peak > 0.0 and math.isfinite(p_peak)):
+        raise ValueError("p_peak must be positive and finite")
+    if eps is None:
+        return None
+    eps = np.asarray(eps, dtype=float)
+    if epochs is not None:
+        eps = np.broadcast_to(eps, (epochs,)).copy()
+    if not np.all((eps >= 0.0) & np.isfinite(eps)):
+        raise ValueError("circuit power must be nonnegative and finite")
+    return eps
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,8 @@ def run_trial(
     return TrialOutcome(objectives=out, timeline=timeline, channels=chans, converged=converged)
 
 
+#: The spec fields a sweep can vary: every field that holds one float.
+SWEEP_AXES = tuple(n for n, f in ExperimentSpec.__dataclass_fields__.items() if f.type == "float")
 _PAIRS = {"online-ideal": "offline-ideal", "online-circuit": "offline-circuit"}
 _ORDER = ["offline-ideal", "online-ideal", "offline-circuit", "online-circuit"]
 
@@ -223,6 +225,7 @@ def run_sweep(
 ) -> SweepResult:
     """Benchmark all policy pairs, sweeping ``axis`` over ``values``.
 
+    ``axis`` names one of ``SWEEP_AXES``, the float fields of the spec.
     With ``axis=None`` a single point is run at the spec's own settings.
     Trial seeds are shared across sweep points.
     """
@@ -231,8 +234,8 @@ def run_sweep(
     else:
         if values is None or not len(values):
             raise ValueError("sweep values are required when an axis is given")
-        if axis not in ExperimentSpec.__dataclass_fields__:
-            raise ValueError(f"unknown sweep axis {axis!r}")
+        if axis not in SWEEP_AXES:
+            raise ValueError(f"unknown sweep axis {axis!r}; choose one of {', '.join(SWEEP_AXES)}")
     result = SweepResult(axis=axis or "", values=tuple(float(v) for v in values))
     for v in values:
         sp = spec if axis is None else replace(spec, **{axis: float(v)})

@@ -35,11 +35,12 @@ same reason a step calls its kernels directly: LAPACK ``dpbtrf`` factors
 the band (``_Program.factor``, which first checks that the band is finite
 and retries a failed factorization with a bumped diagonal), ``dpbtrs``
 solves with the factor after a finiteness check of each right-hand side,
-and scipy's CSR/CSC kernels form the sparse products.  A non-finite Newton
-matrix or right-hand side raises :class:`SolverError` as a numerical
-failure.  The loop stops on a small dual residual and a small relative
-duality gap, and proves an instance infeasible with a Farkas certificate
-built from its own multipliers.  Transmission windows, powers and
+and scipy's CSR/CSC kernels form the sparse products from the plain CSR
+arrays that the program keeps.  A non-finite Newton matrix or right-hand
+side raises :class:`SolverError` as a numerical failure.  The loop stops
+on a small dual residual and a small relative duality gap, and proves an
+instance infeasible with a Farkas certificate built from its own
+multipliers.  Transmission windows, powers and
 covariances are then recovered in closed form, and the dual certificate
 checked by :func:`verify_structure` is filled in closed form from the
 loop's multipliers.
@@ -53,11 +54,11 @@ from itertools import groupby
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse import _sparsetools, csr_matrix
+from scipy.sparse import _sparsetools
 
 from .channels import CovarianceSet, EffectiveChannels, weighted_rate
 from .energy import FEAS_TOL, ArrivalSplit, EpochTimeline, FeasibilityReport, HybridStorage
-from .energy import check_feasibility
+from .energy import check_feasibility, check_powers
 from .waterfill import WaterSystem
 from .waterfill import _weights as _resolve_weights
 
@@ -132,17 +133,10 @@ def _make_instance(eff, weights, timeline, storage, p_peak, eps) -> OfflineInsta
             "offline solvers assume empty buffers at t=0; model initial charge "
             "as an arrival at t=0"
         )
-    if not (p_peak > 0.0 and math.isfinite(p_peak)):
-        raise ValueError("p_peak must be positive and finite")
-    w = _resolve_weights(eff, weights)
-    N = timeline.N
-    if eps is not None:
-        eps = np.broadcast_to(np.asarray(eps, dtype=float), (N,)).copy()
-        if np.any(eps < 0.0) or not np.all(np.isfinite(eps)):
-            raise ValueError("circuit power must be nonnegative and finite")
+    eps = check_powers(p_peak, eps, timeline.N)
     return OfflineInstance(
         eff=eff,
-        weights=w,
+        weights=_resolve_weights(eff, weights),
         timeline=timeline,
         sc_cap=float(storage.sc_cap),
         b_cap=float(storage.b_cap),
@@ -429,31 +423,32 @@ def _blocks() -> tuple[_Block, ...]:
 _BLOCKS = _blocks()
 
 
-def _csr(indices: list, data: list, counts: list, ncols: int) -> csr_matrix:
-    """A CSR matrix from blocks of rows: their column indices and values,
-    row after row, and their entry counts per row."""
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    return csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), indptr), shape=(indptr.size - 1, ncols)
-    )
+def _csr(indices: list, data: list, counts: list, ncols: int) -> tuple:
+    """A CSR matrix ``(data, indices, indptr, shape)`` as scipy's
+    ``csr_matrix`` holds it (32-bit indices suffice for any band that fits
+    in memory) from blocks of rows: their column indices and values, row
+    after row, and their entry counts per row."""
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))], dtype=np.int32)
+    indices = np.concatenate(indices, dtype=np.int32)
+    return np.concatenate(data), indices, indptr, (indptr.size - 1, ncols)
 
 
-def _mul(M: csr_matrix, v: np.ndarray) -> np.ndarray:
-    """``M @ v`` through scipy's CSR kernel, the loop behind ``M @ v``
-    (so the same bits), called without the sparse operator dispatch,
-    which costs more than the product itself at short horizons."""
-    rows, cols = M.shape
+def _mul(M: tuple, v: np.ndarray) -> np.ndarray:
+    """``M @ v`` through scipy's CSR kernel, the loop behind a ``csr_matrix``
+    product (so the same bits), without the sparse operator dispatch, which
+    costs more than the product itself at short horizons."""
+    data, indices, indptr, (rows, cols) = M
     out = np.zeros(rows)
-    _sparsetools.csr_matvec(rows, cols, M.indptr, M.indices, M.data, v, out)
+    _sparsetools.csr_matvec(rows, cols, indptr, indices, data, v, out)
     return out
 
 
-def _mul_t(M: csr_matrix, v: np.ndarray) -> np.ndarray:
-    """``M.T @ v`` through scipy's CSC kernel on the arrays of ``M``, as
-    ``M.T @ v`` runs it."""
-    rows, cols = M.shape
+def _mul_t(M: tuple, v: np.ndarray) -> np.ndarray:
+    """``M.T @ v`` through scipy's CSC kernel on the arrays of ``M``, as a
+    ``csr_matrix`` transpose product runs it."""
+    data, indices, indptr, (rows, cols) = M
     out = np.zeros(cols)
-    _sparsetools.csc_matvec(cols, rows, M.indptr, M.indices, M.data, v, out)
+    _sparsetools.csc_matvec(cols, rows, indptr, indices, data, v, out)
     return out
 
 
@@ -479,7 +474,8 @@ class _Program:
     its contributions to the banded Newton matrix are that pattern
     shifted by ``_NV`` columns per epoch, less the terms of epoch -1.
     ``A`` (the constraints) and ``Q`` (the curved parts' arguments) are
-    built as CSR matrices directly, and the band tables
+    kept as plain CSR arrays (:func:`_csr`), which :func:`_mul` and
+    :func:`_mul_t` hand to scipy's kernels, and the band tables
     ``flat``/``prod``/``brow`` list every term pair's product, family by
     family, pair by pair and row by row.
     """
@@ -582,11 +578,6 @@ class _Program:
         self.xmax[sp, _A] = vm.c1[sp] / self.escale
         self.xmax = self.xmax.ravel()
 
-    @property
-    def QT(self):
-        """``Q.T``, whose products the objective forms with :func:`_mul_t`."""
-        return self.Q.T
-
     def objective(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         """Scaled F(x) and its gradient, and per epoch the slope (nats/J)
         and the scaled curvature magnitude of the curved part, all from
@@ -661,7 +652,7 @@ class _Program:
         X = np.zeros((self.N, _NV))
         X[:, _S], X[:, _B], X[:, _D] = np.cumsum(s), np.cumsum(b), np.cumsum(e)
         stop = self.rows["e_hi"][0].stop
-        slack = self.u[:stop] - self.A[:stop] @ (X.ravel() / self.escale)
+        slack = self.u[:stop] - _mul(self.A, X.ravel() / self.escale)[:stop]
         return self.escale * float(np.min(slack))
 
 
@@ -878,35 +869,31 @@ def _reconstruct(
 # ---------------------------------------------------------------------------
 
 
-def _paper_slacks(inst: OfflineInstance, sched: Schedule) -> dict[str, np.ndarray]:
-    """Constraint slacks of a schedule, grouped by multiplier family."""
-    E = inst.timeline.E
-    eta = inst.eta
-    dsc = sched.drained_sc()
-    db = sched.drained_b()
+#: The storage families of the paper's multipliers, as the feasibility
+#: audit names them.
+_STORAGE = dict(
+    sc_caus="sc_causality", sc_over="sc_overflow", b_caus="b_causality", b_over="b_overflow"
+)
+
+
+def _paper_slacks(inst: OfflineInstance, sched: Schedule, audit: FeasibilityReport) -> dict:
+    """Constraint slacks of a schedule, grouped by multiplier family: the
+    storage families from ``audit``, the schedule's feasibility audit, and
+    the families it lacks from the schedule itself."""
+    slacks = {name: audit.slacks[family] for name, family in _STORAGE.items()}
     e = sched.split.sc
-    Dsc = np.cumsum(e)
-    Db = np.cumsum(eta * (E - e))
-    cs = np.cumsum(dsc)
-    cb = np.cumsum(db)
-    prev_s = np.concatenate([[0.0], cs[:-1]])
-    prev_b = np.concatenate([[0.0], cb[:-1]])
-    P = sched.power
-    return {
-        "sc_caus": Dsc - cs,
-        "sc_over": inst.sc_cap - (Dsc - prev_s),
-        "b_caus": Db - cb,
-        "b_over": inst.b_cap - (Db - prev_b),
-        "peak": sched.tau * (inst.p_peak - P),
-        "tau_lo": sched.tau.copy(),
-        "tau_hi": inst.timeline.l - sched.tau,
-        "alpha_sc": sched.p_sc * sched.tau,
-        "alpha_b": sched.p_b * sched.tau,
-        "sigma_sc": sched.eps_sc * sched.tau,
-        "sigma_b": sched.eps_b * sched.tau,
-        "dep_sc": e.copy(),
-        "dep_b": E - e,
-    }
+    slacks.update(
+        peak=sched.tau * (inst.p_peak - sched.power),
+        tau_lo=sched.tau.copy(),
+        tau_hi=inst.timeline.l - sched.tau,
+        alpha_sc=sched.p_sc * sched.tau,
+        alpha_b=sched.p_b * sched.tau,
+        sigma_sc=sched.eps_sc * sched.tau,
+        sigma_b=sched.eps_b * sched.tau,
+        dep_sc=e.copy(),
+        dep_b=inst.timeline.E - e,
+    )
+    return slacks
 
 
 @dataclass(frozen=True)
@@ -958,13 +945,15 @@ def _suffix(v: np.ndarray) -> np.ndarray:
 
 
 def _certificate(
-    inst: OfflineInstance, sched: Schedule, vm: _ValueModel, it: _Iterate
+    inst: OfflineInstance, sched: Schedule, vm: _ValueModel, it: _Iterate,
+    audit: FeasibilityReport,
 ) -> DualCertificate:
     """The paper's KKT multipliers in closed form from the solve's own
-    multipliers, with the residuals of the paper's KKT rows."""
+    multipliers, with the residuals of the paper's KKT rows; ``audit`` is
+    the schedule's feasibility audit."""
     circuit = not inst.is_ideal
     eta = inst.eta
-    slacks = _paper_slacks(inst, sched)
+    slacks = _paper_slacks(inst, sched, audit)
     escale = max(1.0, float(np.max(np.cumsum(inst.timeline.E))))
     atol = 1e-7 * escale
     ttol = 1e-9 * max(1.0, float(np.max(inst.timeline.l)))
@@ -1079,12 +1068,12 @@ def _solve(inst: OfflineInstance) -> OfflineSolution:
     prog = _Program(inst, vm)
     it = _interior_point(prog)
     sched = _reconstruct(inst, vm, prog, it.s, it.b, it.e)
-    cert = _certificate(inst, sched, vm, it)
     audit = check_feasibility(inst.timeline, sched.split, sched, inst.storage(), inst.p_peak)
     feas = FeasibilityReport(
         slacks=audit.slacks,
         equalities={"arrival_split": sched.split.sc + sched.split.b - inst.timeline.E},
     )
+    cert = _certificate(inst, sched, vm, it, feas)
     return OfflineSolution(
         schedule=sched,
         certificate=cert,
@@ -1103,10 +1092,7 @@ def solve_offline_ideal(eff, weights, timeline, storage, p_peak) -> OfflineSolut
 
 def solve_offline_circuit(eff, weights, timeline, storage, p_peak, eps) -> OfflineSolution:
     """Optimal schedule with a constant circuit power ``eps`` while on."""
-    eps = float(eps)
-    if eps < 0.0:
-        raise ValueError("circuit power must be nonnegative")
-    return _solve(_make_instance(eff, weights, timeline, storage, p_peak, eps))
+    return _solve(_make_instance(eff, weights, timeline, storage, p_peak, float(eps)))
 
 
 def solve_offline_general(eff, weights, timeline, storage, p_peak, eps_seq) -> OfflineSolution:
@@ -1173,7 +1159,8 @@ def verify_structure(
     """
     rep = LemmaReport()
     N = sched.N
-    slacks = _paper_slacks(inst, sched)
+    audit = check_feasibility(inst.timeline, sched.split, sched, inst.storage(), inst.p_peak)
+    slacks = _paper_slacks(inst, sched, audit)
     escale = max(1.0, float(np.max(np.cumsum(inst.timeline.E))))
     hyp_tol = 1e-6 * escale
     act_tol = 1e-7 * escale

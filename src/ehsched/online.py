@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import EffectiveChannels
-from .energy import ArrivalSplit, EpochTimeline, HybridStorage
+from .energy import ArrivalSplit, EpochTimeline, HybridStorage, check_powers
 from .offline import Schedule
 from .single_epoch import EpochDecision, _burst_window, _split_drains
 from .waterfill import WaterSystem
@@ -142,15 +142,8 @@ def run_online(
     array selects the burst rule with that circuit power.  The caller's
     storage object is not modified.
     """
-    if not (p_peak > 0.0 and math.isfinite(p_peak)):
-        raise ValueError("p_peak must be positive and finite")
     N = timeline.N
-    if eps is None:
-        eps_arr = None
-    else:
-        eps_arr = np.broadcast_to(np.asarray(eps, dtype=float), (N,)).copy()
-        if np.any(eps_arr < 0.0) or not np.all(np.isfinite(eps_arr)):
-            raise ValueError("circuit power must be nonnegative and finite")
+    eps_arr = check_powers(p_peak, eps, N)
     store = storage.copy()
     ws = WaterSystem(eff, weights)
     p_o = None if eps_arr is None else ws.efficient_power(eps_arr)

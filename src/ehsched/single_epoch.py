@@ -31,11 +31,13 @@ whichever buffer funds that slice of time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import EffectiveChannels
+from .energy import check_powers
 from .waterfill import WaterSystem
 
 
@@ -47,9 +49,7 @@ def solve_p_o(eff: EffectiveChannels, weights, eps):
     the channels, weights and circuit power alone.  eps = 0 returns 0
     (the ratio W(p)/p is then decreasing).
     """
-    eps = np.asarray(eps, dtype=float)
-    if not np.all((eps >= 0.0) & np.isfinite(eps)):
-        raise ValueError("circuit power must be non-negative and finite")
+    eps = check_powers(eps=np.asarray(eps, dtype=float))
     return WaterSystem(eff, weights).efficient_power(eps)
 
 
@@ -147,8 +147,9 @@ def solve_single_epoch(
         raise ValueError("window length must be positive")
     if not (0.0 < eta <= 1.0):
         raise ValueError("drain efficiency must be in (0, 1]")
-    if min(e_sc, e_b) < 0.0 or eps < 0.0 or p_peak <= 0.0:
-        raise ValueError("energies and circuit power must be non-negative, peak positive")
+    if not (0.0 <= e_sc < math.inf and 0.0 <= e_b < math.inf):
+        raise ValueError("energies must be nonnegative and finite")
+    check_powers(p_peak, eps)
     sys = WaterSystem(eff, weights)
     p_o = float(sys.efficient_power(eps))
     tau, power = _burst_window(e_sc + eta * e_b, p_o, eps, p_peak, t)

@@ -8,8 +8,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CELL_KEYS = {
-    "model", "stream", "N", "status", "runs", "median_s", "loop_median_s", "newton_steps",
-    "us_per_newton_step", "converged", "certificate_ok", "dual_residual", "objective",
+    "model", "stream", "N", "status", "runs", "median_s", "loop_median_s",
+    "reconstruct_median_s", "newton_steps", "us_per_newton_step", "min_slack_calls",
+    "snaps_kept", "converged", "certificate_ok", "dual_residual", "objective", "peak_mem_mb",
+}
+ONLINE_KEYS = {
+    "policy", "stream", "N", "status", "runs", "median_s", "us_per_epoch", "throughput",
+    "peak_mem_mb",
 }
 PHASES = {"value_model", "program", "loop", "reconstruct", "certificate", "audit", "total"}
 
@@ -21,12 +26,12 @@ def test_bench_report_schema(tmp_path):
     subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), *argv],
                    check=True, capture_output=True, timeout=300)
     report = json.loads((tmp_path / "BENCH_smoke.json").read_text())
-    assert set(report) == {"label", "environment", "scaling", "phases", "bench_s"}
+    assert set(report) == {"label", "environment", "scaling", "online", "phases", "bench_s"}
     assert report["label"] == "smoke"
     env = report["environment"]
     assert {"python", "numpy", "scipy", "cpu_count", "blas_threads"} <= set(env)
     cells = {(c["model"], c["stream"], c["N"]): c for c in report["scaling"]}
-    assert set(cells) == {(m, s, n) for m in ("ideal", "circuit") for s in (100, 101)
+    assert set(cells) == {(m, s, n) for m in ("ideal", "circuit", "general") for s in (100, 101)
                           for n in (10, 20)}
     for (_, _, n), cell in cells.items():
         if n == 10:
@@ -34,6 +39,20 @@ def test_bench_report_schema(tmp_path):
             assert cell["runs"] == 1 and cell["converged"] and cell["certificate_ok"]
             assert cell["newton_steps"] > 0 and cell["us_per_newton_step"] > 0.0
             assert 0.0 < cell["loop_median_s"] <= cell["median_s"]
+            assert 0.0 < cell["reconstruct_median_s"] <= cell["median_s"]
+            assert 0 <= cell["snaps_kept"] <= cell["min_slack_calls"]
+            assert cell["peak_mem_mb"] > 0.0
+        else:
+            assert cell["status"] == "skipped" and cell["predicted_s"] > 0.0, cell
+    online = {(c["policy"], c["stream"], c["N"]): c for c in report["online"]}
+    assert set(online) == {(p, s, n) for p in ("burst", "even") for s in (100, 101)
+                           for n in (2000, 10_000)}
+    for (_, _, n), cell in online.items():
+        if n == 2000:
+            assert set(cell) == ONLINE_KEYS and cell["status"] == "ok", cell
+            assert cell["runs"] == 1 and cell["throughput"] > 0.0
+            assert cell["us_per_epoch"] == 1e6 * cell["median_s"] / n
+            assert cell["peak_mem_mb"] > 0.0
         else:
             assert cell["status"] == "skipped" and cell["predicted_s"] > 0.0, cell
     phases = report["phases"]

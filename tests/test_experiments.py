@@ -138,8 +138,10 @@ def test_run_sweep_pairs_trials_across_axis_values():
 
 def test_run_sweep_validation():
     spec = ExperimentSpec(**_FAST)
-    with pytest.raises(ValueError, match="unknown sweep axis"):
-        run_sweep(spec, axis="bogus", values=[1.0])
+    # Only the float fields of the spec can be swept.
+    for axis in ("bogus", "master_seed", "M", "eps_range", "num_trials", "pin_channels"):
+        with pytest.raises(ValueError, match="unknown sweep axis"):
+            run_sweep(spec, axis=axis, values=[1.0, 2.0])
     with pytest.raises(ValueError, match="values are required"):
         run_sweep(spec, axis="eta")
 
@@ -374,8 +376,15 @@ def test_cli_invalid_inputs_exit_2(files, tmp_path, capsys):
          "--eps-seq", "1,nan"],
         ["solve", "--channels", chan, "--scenario", str(bad), "--p-peak", "4.0"],
         ["solve", "--channels", chan, "--scenario", scen, "--p-peak", "-1.0"],
+        ["solve", "--channels", chan, "--scenario", scen, "--p-peak", "inf"],
+        ["solve", "--channels", chan, "--scenario", scen, "--p-peak", "4.0", "--eps", "nan"],
+        ["solve", "--channels", chan, "--scenario", scen, "--p-peak", "4.0", "--eps", "inf"],
+        ["simulate", "--channels", chan, "--scenario", scen, "--p-peak", "inf"],
+        ["p-o", "--channels", chan, "--eps", "nan"],
         ["sweep", "--modes", "bogus", "--trials", "1"],
         ["sweep", "--axis", "bogus", "--values", "1.0", "--trials", "1"],
+        *(["sweep", "--axis", axis, "--values", "1,2", "--trials", "2"]
+          for axis in ("master_seed", "M", "eps_range", "num_trials", "pin_channels")),
     ]
     for argv in cases:
         assert main(argv) == EXIT_INVALID, argv

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from ehsched import (
     ArrivalSplit,
@@ -149,14 +150,18 @@ def test_rejects_precharged_storage(unit_eff):
 
 def test_rejects_bad_parameters(unit_eff):
     tl = build_timeline([(0.0, 1.0)], T=1.0)
-    with pytest.raises(ValueError, match="p_peak"):
-        solve_offline_ideal(unit_eff, None, tl, _big_storage(), p_peak=0.0)
-    with pytest.raises(ValueError, match="circuit power"):
-        solve_offline_circuit(unit_eff, None, tl, _big_storage(), p_peak=4.0, eps=-1.0)
-    with pytest.raises(ValueError, match="circuit power"):
-        solve_offline_general(
-            unit_eff, None, tl, _big_storage(), p_peak=4.0, eps_seq=[-0.5]
-        )
+    for p_peak in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="p_peak must be positive and finite"):
+            solve_offline_ideal(unit_eff, None, tl, _big_storage(), p_peak=p_peak)
+        with pytest.raises(ValueError, match="p_peak must be positive and finite"):
+            solve_offline_circuit(unit_eff, None, tl, _big_storage(), p_peak=p_peak, eps=1.0)
+    for eps in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="circuit power must be nonnegative and finite"):
+            solve_offline_circuit(unit_eff, None, tl, _big_storage(), p_peak=4.0, eps=eps)
+        with pytest.raises(ValueError, match="circuit power must be nonnegative and finite"):
+            solve_offline_general(
+                unit_eff, None, tl, _big_storage(), p_peak=4.0, eps_seq=[eps]
+            )
     with pytest.raises(TypeError):
         solve_offline_ideal(unit_eff, None, tl, "not a storage", p_peak=4.0)
 
@@ -430,6 +435,54 @@ def test_make_instance_eps_broadcast(unit_eff):
     assert fresh.level_sc == 0.0 and fresh.sc_cap == 50.0
 
 
+def _per_epoch_eps_instance(seed, n):
+    """Unit-rate arrivals over ``n`` epochs (5 J at t = 0, then U(0, 2) J),
+    two single-antenna users on two antennas and per-epoch circuit powers
+    U(0, 2) W, all from one seeded generator."""
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(0.0, n, n - 1))
+    E = rng.uniform(0.0, 2.0, n - 1)
+    tl = build_timeline(list(zip(np.append(0.0, t), np.append(5.0, E))), T=float(n))
+    users = (UserConfig(n=1, gamma=1.0), UserConfig(n=1, gamma=1.0))
+    eff = decompose_zf_dpc(generate_channels(2, users, rng=rng))
+    return eff, tl, rng.uniform(0.0, 2.0, n)
+
+
+@pytest.mark.parametrize("seed, n, refused", [(2, 4, 0), (247, 24, 1)], ids=["kept", "refused"])
+def test_tiny_window_snap(seed, n, refused, monkeypatch):
+    """A window shorter than ``TAU_SNAP`` is snapped to zero when the
+    storage rows still hold without its drain, and kept otherwise; either
+    way the schedule passes the audit."""
+    from ehsched import offline
+
+    def recorded(fn, sink):
+        def call(*args):
+            sink.append(fn(*args))
+            return sink[-1]
+
+        return call
+
+    iterates, verdicts = [], []
+    monkeypatch.setattr(offline, "_interior_point", recorded(offline._interior_point, iterates))
+    min_slack = recorded(offline._Program.min_slack, verdicts)
+    monkeypatch.setattr(offline._Program, "min_slack", min_slack)
+    eff, tl, eps = _per_epoch_eps_instance(seed, n)
+    storage = HybridStorage(sc_cap=5.0, b_cap=100.0, eta=0.5)
+    sol = solve_offline_general(eff, None, tl, storage, 4.0, eps)
+    it = iterates[0]
+    use = np.maximum(it.s, 0.0) + np.maximum(it.b, 0.0)
+    raw, _ = offline._ValueModel(sol.instance).windows(use)
+    tried = np.flatnonzero((raw > 0.0) & (raw < offline.TAU_SNAP))
+    assert tried.size == len(verdicts) > 0
+    kept = np.array(verdicts) >= -offline.FEAS_TOL
+    assert np.count_nonzero(~kept) == refused
+    tau = sol.schedule.tau
+    assert np.all(tau[tried[kept]] == 0.0)
+    assert np.all((tau[tried[~kept]] > 0.0) & (tau[tried[~kept]] < offline.TAU_SNAP))
+    assert sol.converged and sol.feasibility.feasible, sol.feasibility.worst()
+    assert check_feasibility(tl, sol.schedule.split, sol.schedule, storage, 4.0).feasible
+
+
 # ---------------------------------------------------------------------------
 # Program assembly and objective
 # ---------------------------------------------------------------------------
@@ -482,6 +535,12 @@ def _dense_program(inst, vm):
     return np.array(rows), np.array(u), np.array(Q), split
 
 
+def _scipy(M):
+    """A ``csr_matrix`` on the CSR arrays ``(data, indices, indptr, shape)``
+    that a ``_Program`` keeps."""
+    return csr_matrix(M[:3], shape=M[3])
+
+
 def _assembly_cases():
     unit = decompose_zf_dpc(unit_scalar_channelset())
     pair = decompose_zf_dpc(orthogonal_pair_channelset(1.0, 0.5))
@@ -512,11 +571,11 @@ def test_program_assembly_matches_dense_build(case, monkeypatch):
         assert (True, True) in kinds
         if np.ndim(case[-1]):
             assert kinds == {(True, True), (False, True), (False, False)}
-    assert np.array_equal(prog.A.toarray(), A)
+    assert np.array_equal(_scipy(prog.A).toarray(), A)
     assert np.array_equal(prog.u, u)
-    assert np.array_equal(prog.Q.toarray(), Q)
+    assert np.array_equal(_scipy(prog.Q).toarray(), Q)
     # Canonical row order: every matvec sums a row in column order.
-    assert prog.A.has_sorted_indices and prog.Q.has_sorted_indices
+    assert _scipy(prog.A).has_sorted_indices and _scipy(prog.Q).has_sorted_indices
 
     captured = []
     dpbtrf = offline.dpbtrf
@@ -604,7 +663,7 @@ def _three_query_objective(prog, x):
     """``_Program.objective`` written with one water-filling query per
     quantity (rate, level and curvature)."""
     vm, ws = prog.vm, prog.vm.ws
-    q = prog.escale * (prog.Q @ x)
+    q = prog.escale * (_scipy(prog.Q) @ x)
     p = vm.p_thr + np.maximum(q, 0.0) / vm.l
     qn = np.minimum(q, 0.0)
     curv = np.where(q > 0.0, -ws.curvature_vec(p) / vm.l, prog.curv0)
@@ -614,7 +673,7 @@ def _three_query_objective(prog, x):
     slope = np.where(prog.curved, ws.level_at_power_vec(p)[0] - prog.curv0 * qn, prog.slope0)
     kappa = np.where(prog.curved, prog.escale**2 / prog.fscale * curv, 0.0)
     F = math.fsum(value) + prog.escale * float(vm.r0[prog.split] @ x[4 * prog.split + _A])
-    grad = (prog.escale / prog.fscale) * (prog.QT @ slope) + prog.lin
+    grad = (prog.escale / prog.fscale) * (_scipy(prog.Q).T @ slope) + prog.lin
     return F / prog.fscale, grad, slope, kappa
 
 
@@ -649,7 +708,7 @@ def test_objective_matches_three_query_path(eps):
     xs["random"] = rng.uniform(-0.5, 0.5, prog.n)
     seen = set()
     for name, x in xs.items():
-        q = prog.escale * (prog.Q @ x)
+        q = prog.escale * (_scipy(prog.Q) @ x)
         seen |= {"q<0"} if np.any(q < 0.0) else set()
         seen |= {"q=0"} if np.any(q == 0.0) else set()
         if name == "across-breakpoints":

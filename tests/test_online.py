@@ -155,8 +155,9 @@ def test_run_online_discards_when_storage_is_tiny(unit_eff):
 def test_run_online_validation(unit_eff):
     tl = _profile()
     storage = HybridStorage(sc_cap=5.0, b_cap=100.0, eta=0.5)
-    with pytest.raises(ValueError, match="p_peak"):
-        run_online(unit_eff, None, tl, storage, p_peak=0.0)
+    for p_peak in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="p_peak must be positive and finite"):
+            run_online(unit_eff, None, tl, storage, p_peak=p_peak)
     with pytest.raises(ValueError, match="circuit power"):
         run_online(unit_eff, None, tl, storage, p_peak=4.0, eps=-1.0)
     for bad in (math.nan, math.inf, [0.5, 1.0, math.nan, 1.0, 1.0, 1.0]):

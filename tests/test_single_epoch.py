@@ -29,8 +29,9 @@ def test_p_o_unit_mode_closed_form(unit_eff):
 
 def test_p_o_zero_circuit_power(unit_eff):
     assert solve_p_o(unit_eff, None, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        solve_p_o(unit_eff, None, -0.1)
+    for eps in (-0.1, math.nan, math.inf, [1.0, math.nan]):
+        with pytest.raises(ValueError, match="circuit power must be nonnegative and finite"):
+            solve_p_o(unit_eff, None, eps)
 
 
 def test_p_o_unit_mode_against_stationarity(unit_eff):
@@ -155,6 +156,15 @@ def test_single_epoch_validation(unit_eff):
         solve_single_epoch(unit_eff, None, -1.0, 0.0, 0.5, 1.0, 4.0, t=1.0)
     with pytest.raises(ValueError):
         solve_single_epoch(unit_eff, None, 1.0, 0.0, 0.5, 1.0, 0.0, t=1.0)
+    for e_sc, e_b in ((math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0)):
+        with pytest.raises(ValueError, match="energies must be nonnegative and finite"):
+            solve_single_epoch(unit_eff, None, e_sc, e_b, 0.5, 1.0, 4.0, t=1.0)
+    for eps in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="circuit power must be nonnegative and finite"):
+            solve_single_epoch(unit_eff, None, 1.0, 0.5, 0.5, eps, 4.0, t=1.0)
+    for p_peak in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="p_peak must be positive and finite"):
+            solve_single_epoch(unit_eff, None, 1.0, 0.5, 0.5, 1.0, p_peak, t=1.0)
 
 
 @given(
