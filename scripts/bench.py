@@ -22,7 +22,9 @@ writes ``BENCH_<label>.json`` with four parts:
 * ``online``: ``run_online`` with the burst rule (per-epoch eps ~
   U(0.5, 1.5) W, as perfbench's ``online-long``) and with even spreading
   at 2000 and 10^4 epochs on the same generator: the median wall time,
-  microseconds per epoch, the throughput and the ``tracemalloc`` peak.
+  microseconds per epoch, the throughput, the share of the harvested
+  energy the policy discarded (``discarded_frac``) and the
+  ``tracemalloc`` peak.
 * ``phases``: mean per-solve times of the solver's phases (value model,
   program assembly, Newton loop, reconstruction, certificate, audit) over
   an efficiency sweep shaped like acceptance gate 06 (5 J mean packets,
@@ -248,6 +250,7 @@ def online_cell(policy: str, stream: int, n: int, repeats: int, budget: float,
         median_s=median,
         us_per_epoch=1e6 * median / n,
         throughput=runs[-1].throughput,
+        discarded_frac=float(runs[-1].discarded.sum()) / timeline.total_energy(),
         peak_mem_mb=peak_mib(run),
     )
     return cell

@@ -219,6 +219,18 @@ def _check_psd(Phi: np.ndarray, n: int) -> np.ndarray:
     return Phi
 
 
+def resolve_weights(eff: EffectiveChannels, weights) -> np.ndarray:
+    """The per-user throughput weights: ``weights`` as floats, or the
+    users' gammas when it is ``None``; one positive finite weight per user
+    is required."""
+    w = eff.gammas if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (eff.num_users,):
+        raise ValueError("one positive weight per user is required")
+    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
+        raise ValueError("weights must be positive and finite")
+    return w
+
+
 def weighted_rate(eff: EffectiveChannels, covs: CovarianceSet, weights=None):
     """Weighted sum rate sum_k w_k * ln det(I + L_k Phi_k L_k^H), nats, one
     value per epoch of ``covs``.
@@ -227,9 +239,8 @@ def weighted_rate(eff: EffectiveChannels, covs: CovarianceSet, weights=None):
     """
     if len(covs.Phi) != eff.num_users:
         raise ValueError("one covariance per user is required")
-    w = eff.gammas if weights is None else weights
     total = 0.0
-    for gamma, L, Phi in zip(w, eff.L, covs.Phi):
+    for gamma, L, Phi in zip(resolve_weights(eff, weights), eff.L, covs.Phi):
         n = L.shape[0]
         Phi = _check_psd(np.asarray(Phi, dtype=complex), n)
         A = np.eye(n) + L @ Phi @ L.conj().T

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -46,7 +45,7 @@ from .offline import (
 )
 from .online import run_online
 from .single_epoch import solve_p_o
-from .waterfill import WaterSystem
+from .waterfill import solve_budget
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -225,13 +224,9 @@ def _cmd_p_o(args) -> int:
 
 def _cmd_level(args) -> int:
     eff = _channels(args.channels)
-    weights = _weights_argument(args)
-    if not (args.budget >= 0 and math.isfinite(args.budget)):
-        raise CliError("--budget must be nonnegative and finite")
-    ws = WaterSystem(eff, weights)
-    level, m = ws.level_at_power_vec(args.budget)
-    print("level %.12g" % level)
-    print("rate %.12g" % ws.rate_at_level_vec(level, m))
+    sol = solve_budget(eff, _weights_argument(args), args.budget)
+    print("level %.12g" % sol.level)
+    print("rate %.12g" % sol.rate)
     return EXIT_OK
 
 

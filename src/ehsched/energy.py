@@ -142,10 +142,12 @@ class HybridStorage:
             raise ValueError("storage capacities must be positive")
         if not self.sc_cap < self.b_cap:
             raise ValueError("the SC must be the small buffer (sc_cap < b_cap)")
+        if not (0.0 <= self.level_sc < math.inf and 0.0 <= self.level_b < math.inf):
+            raise ValueError("storage levels must be nonnegative and finite")
 
     def deposit(self, e_sc: float, e_b: float) -> None:
         """Deposit raw energy into each buffer; battery records eta*e_b."""
-        if e_sc < 0.0 or e_b < 0.0:
+        if not (e_sc >= 0.0 and e_b >= 0.0):
             raise ValueError("deposits must be non-negative")
         if self.level_sc + e_sc > self.sc_cap + FEAS_TOL:
             raise ValueError("SC deposit exceeds capacity headroom")
@@ -155,7 +157,7 @@ class HybridStorage:
         self.level_b += self.eta * e_b
 
     def drain(self, d_sc: float, d_b: float) -> None:
-        if d_sc < -FEAS_TOL or d_b < -FEAS_TOL:
+        if not (d_sc >= -FEAS_TOL and d_b >= -FEAS_TOL):
             raise ValueError("drains must be non-negative")
         if d_sc > self.level_sc + FEAS_TOL or d_b > self.level_b + FEAS_TOL:
             raise ValueError("drain exceeds stored energy")

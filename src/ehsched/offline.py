@@ -56,11 +56,10 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import _sparsetools
 
-from .channels import CovarianceSet, EffectiveChannels, weighted_rate
+from .channels import CovarianceSet, EffectiveChannels, resolve_weights, weighted_rate
 from .energy import FEAS_TOL, ArrivalSplit, EpochTimeline, FeasibilityReport, HybridStorage
 from .energy import check_feasibility, check_powers
 from .waterfill import WaterSystem
-from .waterfill import _weights as _resolve_weights
 
 __all__ = [
     "SolverError",
@@ -136,7 +135,7 @@ def _make_instance(eff, weights, timeline, storage, p_peak, eps) -> OfflineInsta
     eps = check_powers(p_peak, eps, timeline.N)
     return OfflineInstance(
         eff=eff,
-        weights=_resolve_weights(eff, weights),
+        weights=resolve_weights(eff, weights),
         timeline=timeline,
         sc_cap=float(storage.sc_cap),
         b_cap=float(storage.b_cap),
@@ -160,6 +159,10 @@ class Schedule:
     ``split`` records how each arrival was divided between the buffers and
     ``covs`` holds the per-user transmit covariance stacks:
     ``covs.Phi[k][i]`` is user ``k``'s covariance in epoch ``i``.
+
+    The offline solvers and the causal simulator both build it with
+    :meth:`assemble`, so ``rate``, ``covs`` and ``objective`` always derive
+    from ``power`` and ``tau`` the same way.
     """
 
     tau: np.ndarray
@@ -172,6 +175,19 @@ class Schedule:
     power: np.ndarray
     rate: np.ndarray
     objective: float
+
+    @classmethod
+    def assemble(
+        cls, tau, power, p_sc, p_b, eps_sc, eps_b, split: ArrivalSplit, ws: WaterSystem
+    ) -> "Schedule":
+        """The schedule of these windows, sum and per-buffer powers and
+        arrival split: the rates and covariances at each epoch's sum power
+        come from ``ws``, and ``objective`` is the correctly rounded sum of
+        ``tau * rate``."""
+        rate = ws.rate_at_power_vec(power)
+        objective = math.fsum((tau * rate).tolist())
+        covs = ws.covariances(power)
+        return cls(tau, p_sc, p_b, eps_sc, eps_b, split, covs, power, rate, objective)
 
     @property
     def N(self) -> int:
@@ -220,7 +236,7 @@ def _throughput(eff: EffectiveChannels, weights, taus, covs: CovarianceSet) -> f
     """Sum of tau * (weighted log-det rate) over the epochs with tau > 0."""
     on = taus > 0.0
     active = CovarianceSet(tuple(P[on] for P in covs.Phi))
-    return math.fsum(taus[on] * weighted_rate(eff, active, _resolve_weights(eff, weights)))
+    return math.fsum(taus[on] * weighted_rate(eff, active, weights))
 
 
 def objective_from_covariances(eff: EffectiveChannels, weights, sched: Schedule) -> float:
@@ -848,20 +864,8 @@ def _reconstruct(
     eps_sc = eps_eff * frac
     eps_b = eps_eff - eps_sc
 
-    rate = vm.ws.rate_at_power_vec(power)
-    objective = math.fsum(float(t) * float(r) for t, r in zip(tau, rate))
-    return Schedule(
-        tau=tau,
-        p_sc=p_sc,
-        p_b=p_b,
-        eps_sc=eps_sc,
-        eps_b=eps_b,
-        split=ArrivalSplit(sc=e.copy(), b=(inst.timeline.E - e)),
-        covs=vm.ws.covariances(power),
-        power=power,
-        rate=rate,
-        objective=objective,
-    )
+    split = ArrivalSplit(sc=e.copy(), b=(inst.timeline.E - e))
+    return Schedule.assemble(tau, power, p_sc, p_b, eps_sc, eps_b, split, vm.ws)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,20 @@ neither buffer is lost.  Two transmission rules are provided:
   undrained energy stays buffered for later epochs.
 
 :func:`run_online` drives either rule across a timeline and returns the
-realized schedule plus a cumulative-throughput trace.
+realized schedule plus a cumulative-throughput trace.  Each epoch yields
+two plain named tuples, a :class:`SplitDecision` and an
+:class:`EpochDecision`, written together as one row of a per-run table.
+The table's columns become a :class:`~ehsched.offline.Schedule` through
+``Schedule.assemble``, the assembly the offline solvers use, and the trace
+is the exact running sum of that schedule's ``tau * rate``, so its last
+value is the throughput bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SplitDecision:
+class SplitDecision(NamedTuple):
     """How one arrival was routed: to the super-capacitor, to the battery
     (raw joules, before conversion loss), and the discarded excess."""
 
@@ -57,14 +63,14 @@ def split_arrival(storage: HybridStorage, amount: float) -> SplitDecision:
     Energy beyond both headrooms is discarded (the harvester is simply
     not used).  The storage element is updated in place.
     """
-    if amount < 0.0:
-        raise ValueError("arrival amount must be nonnegative")
+    if not (0.0 <= amount < math.inf):
+        raise ValueError("arrival amount must be nonnegative and finite")
     head_sc, head_b = storage.headroom_raw()
     sc = min(amount, head_sc)
     b = min(amount - sc, head_b)
     discarded = max(amount - sc - b, 0.0)
     storage.deposit(sc, b)
-    return SplitDecision(sc=sc, b=b, discarded=discarded)
+    return SplitDecision(sc, b, discarded)
 
 
 def policy_ideal(
@@ -146,50 +152,32 @@ def run_online(
     eps_arr = check_powers(p_peak, eps, N)
     store = storage.copy()
     ws = WaterSystem(eff, weights)
-    p_o = None if eps_arr is None else ws.efficient_power(eps_arr)
+    # Memoryviews index to Python floats without copying the arrays.
+    E, l = memoryview(timeline.E), memoryview(timeline.l)
+    remaining = memoryview(timeline.T - timeline.t)
+    if eps_arr is not None:
+        p_o, eps_list = memoryview(ws.efficient_power(eps_arr)), memoryview(eps_arr)
 
-    tau = np.zeros(N)
-    p_sc = np.zeros(N)
-    p_b = np.zeros(N)
-    eps_sc = np.zeros(N)
-    eps_b = np.zeros(N)
-    dep_sc = np.zeros(N)
-    dep_b = np.zeros(N)
-    discarded = np.zeros(N)
-    power = np.zeros(N)
-
+    # One row per epoch: the SplitDecision fields, then the EpochDecision's;
+    # the schedule's arrays are this table's columns.
+    rows = np.empty((N, 11))
     for i in range(N):
-        split = split_arrival(store, float(timeline.E[i]))
-        dep_sc[i], dep_b[i], discarded[i] = split.sc, split.b, split.discarded
-        remaining = float(timeline.T - timeline.t[i])
+        split = split_arrival(store, E[i])
         if eps_arr is None:
-            dec = policy_ideal(store, p_peak, float(timeline.l[i]), remaining)
+            dec = policy_ideal(store, p_peak, l[i], remaining[i])
         else:
-            dec = policy_circuit(
-                store, float(p_o[i]), p_peak, float(eps_arr[i]), float(timeline.l[i])
-            )
+            dec = policy_circuit(store, p_o[i], p_peak, eps_list[i], l[i])
         store.drain(dec.d_sc, dec.d_b)
-        tau[i], power[i] = dec.tau, dec.power
-        p_sc[i], p_b[i] = dec.p_sc, dec.p_b
-        eps_sc[i], eps_b[i] = dec.eps_sc, dec.eps_b
+        rows[i] = split + dec
+    dep_sc, dep_b, discarded, tau, power, p_sc, p_b, eps_sc, eps_b, _, _ = rows.T
 
-    rate = ws.rate_at_power_vec(power)
-    trace = [(0.0, 0.0)]
-    partials: list[float] = []
-    for end, gain in zip((timeline.t + timeline.l).tolist(), (tau * rate).tolist()):
-        _add_exact(partials, gain)
-        trace.append((end, math.fsum(partials)))
-
-    sched = Schedule(
-        tau=tau,
-        p_sc=p_sc,
-        p_b=p_b,
-        eps_sc=eps_sc,
-        eps_b=eps_b,
-        split=ArrivalSplit(sc=dep_sc, b=dep_b),
-        covs=ws.covariances(power),
-        power=power,
-        rate=rate,
-        objective=trace[-1][1],
+    sched = Schedule.assemble(
+        tau, power, p_sc, p_b, eps_sc, eps_b, ArrivalSplit(sc=dep_sc, b=dep_b), ws
     )
-    return OnlineResult(schedule=sched, trace=np.asarray(trace), discarded=discarded)
+    trace = np.zeros((N + 1, 2))
+    trace[1:, 0] = timeline.t + timeline.l
+    partials: list[float] = []
+    for i, gain in enumerate((tau * sched.rate).tolist(), start=1):
+        _add_exact(partials, gain)
+        trace[i, 1] = math.fsum(partials)
+    return OnlineResult(schedule=sched, trace=trace, discarded=discarded)

@@ -32,7 +32,7 @@ whichever buffer funds that slice of time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,24 +53,22 @@ def solve_p_o(eff: EffectiveChannels, weights, eps):
     return WaterSystem(eff, weights).efficient_power(eps)
 
 
-@dataclass(frozen=True)
-class SingleEpochSolution:
-    """Optimal one-epoch action and its buffer accounting."""
+class EpochDecision(NamedTuple):
+    """One epoch's transmission decision and the resulting buffer drains."""
 
-    power: float          # sum transmit power while on (J/s)
     tau: float            # transmission length (s)
+    power: float          # sum transmit power while on (J/s)
     p_sc: float           # transmit power funded by the SC
     p_b: float            # transmit power funded by the battery
     eps_sc: float         # circuit power funded by the SC
     eps_b: float          # circuit power funded by the battery
-    drained_sc: float     # SC energy consumed (J)
-    drained_b: float      # battery energy consumed (drainable J)
-    throughput: float     # tau * W(power), nats
+    d_sc: float           # SC energy consumed (J)
+    d_b: float            # battery energy consumed (drainable J)
 
 
-@dataclass(frozen=True)
-class EpochDecision:
-    """One epoch's transmission decision and the resulting buffer drains."""
+class SingleEpochSolution(NamedTuple):
+    """Optimal one-epoch action: the fields of its :class:`EpochDecision`
+    (the drains named ``drained_*``) followed by its throughput."""
 
     tau: float
     power: float
@@ -78,8 +76,9 @@ class EpochDecision:
     p_b: float
     eps_sc: float
     eps_b: float
-    d_sc: float
-    d_b: float
+    drained_sc: float
+    drained_b: float
+    throughput: float     # tau * W(power), nats
 
 
 def _burst_window(
@@ -115,14 +114,7 @@ def _split_drains(
     d_b = min(level_b, consumed - d_sc)
     frac = d_sc / consumed
     return EpochDecision(
-        tau=tau,
-        power=power,
-        p_sc=power * frac,
-        p_b=power * (1.0 - frac),
-        eps_sc=eps * frac,
-        eps_b=eps * (1.0 - frac),
-        d_sc=d_sc,
-        d_b=d_b,
+        tau, power, power * frac, power * (1.0 - frac), eps * frac, eps * (1.0 - frac), d_sc, d_b
     )
 
 
@@ -154,14 +146,4 @@ def solve_single_epoch(
     p_o = float(sys.efficient_power(eps))
     tau, power = _burst_window(e_sc + eta * e_b, p_o, eps, p_peak, t)
     dec = _split_drains(e_sc, eta * e_b, tau, power, eps)
-    return SingleEpochSolution(
-        power=power,
-        tau=tau,
-        p_sc=dec.p_sc,
-        p_b=dec.p_b,
-        eps_sc=dec.eps_sc,
-        eps_b=dec.eps_b,
-        drained_sc=dec.d_sc,
-        drained_b=dec.d_b,
-        throughput=tau * float(sys.rate_at_power_vec(power)),
-    )
+    return SingleEpochSolution(*dec, tau * float(sys.rate_at_power_vec(power)))

@@ -26,16 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lambertw
 
-from .channels import CovarianceSet, EffectiveChannels
-
-
-def _weights(eff: EffectiveChannels, weights) -> np.ndarray:
-    w = eff.gammas if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (eff.num_users,):
-        raise ValueError("one positive weight per user is required")
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be positive and finite")
-    return w
+from .channels import CovarianceSet, EffectiveChannels, resolve_weights
 
 
 class WaterSystem:
@@ -44,7 +35,7 @@ class WaterSystem:
     modes in ``cg[m]``, ``cil[m]``, ``cgl[m]``, and the ``breaks``."""
 
     def __init__(self, eff: EffectiveChannels, weights=None):
-        w = _weights(eff, weights)
+        w = resolve_weights(eff, weights)
         self.eff = eff
         self.weights = w
         gamma = np.repeat(w, [lam.size for lam in eff.lam])
@@ -139,7 +130,7 @@ def covariances_for_level(eff: EffectiveChannels, weights, levels) -> Covariance
     levels = np.asarray(levels, dtype=float)
     if not np.all(levels > 0.0):
         raise ValueError("water levels must be positive")
-    w = _weights(eff, weights)
+    w = resolve_weights(eff, weights)
     on = np.isfinite(levels)[..., None, None]
     Phi = []
     for gamma, X, lam in zip(w, eff.X, eff.lam):
@@ -161,8 +152,10 @@ class WaterLevelSolution:
 
 def solve_budget(eff: EffectiveChannels, weights, budget: float) -> WaterLevelSolution:
     """Full water-filling solution (level, covariances, rate) for a budget."""
+    if not (0.0 <= budget < math.inf):
+        raise ValueError("budget must be nonnegative and finite")
     sys = WaterSystem(eff, weights)
-    power = max(budget, 0.0)
+    power = float(budget)
     level, m = sys.level_at_power_vec(power)
     rate = sys.rate_at_level_vec(level, m)
     return WaterLevelSolution(float(level), power, float(rate), sys.covariances(power))

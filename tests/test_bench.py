@@ -14,7 +14,7 @@ CELL_KEYS = {
 }
 ONLINE_KEYS = {
     "policy", "stream", "N", "status", "runs", "median_s", "us_per_epoch", "throughput",
-    "peak_mem_mb",
+    "discarded_frac", "peak_mem_mb",
 }
 PHASES = {"value_model", "program", "loop", "reconstruct", "certificate", "audit", "total"}
 
@@ -52,6 +52,7 @@ def test_bench_report_schema(tmp_path):
             assert set(cell) == ONLINE_KEYS and cell["status"] == "ok", cell
             assert cell["runs"] == 1 and cell["throughput"] > 0.0
             assert cell["us_per_epoch"] == 1e6 * cell["median_s"] / n
+            assert 0.0 <= cell["discarded_frac"] < 1.0
             assert cell["peak_mem_mb"] > 0.0
         else:
             assert cell["status"] == "skipped" and cell["predicted_s"] > 0.0, cell

@@ -1,5 +1,7 @@
 """Timelines, the hybrid store, and the schedule feasibility checker."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,17 @@ def test_storage_guards():
         st_.drain(0.5, 0.0)
     with pytest.raises(ValueError, match="non-negative"):
         st_.deposit(-0.1, 0.0)
+    # NaN fails every sign test instead of poisoning or emptying a level.
+    for e_sc, e_b in ((math.nan, 0.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="deposits must be non-negative"):
+            st_.deposit(e_sc, e_b)
+        with pytest.raises(ValueError, match="drains must be non-negative"):
+            st_.drain(e_sc, e_b)
+    assert (st_.level_sc, st_.level_b) == (0.0, 0.0)
+    for level in (math.nan, math.inf, -math.inf, -0.5):
+        for field in ("level_sc", "level_b"):
+            with pytest.raises(ValueError, match="levels must be nonnegative and finite"):
+                HybridStorage(sc_cap=1.0, b_cap=2.0, eta=0.5, **{field: level})
 
 
 @given(

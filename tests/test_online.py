@@ -20,6 +20,7 @@ from ehsched import (
     solve_p_o,
     split_arrival,
 )
+from ehsched.experiments import reference_profile
 from ehsched.online import _add_exact
 
 from conftest import draw_problem
@@ -47,8 +48,30 @@ def test_split_arrival_fits_in_sc():
     storage = HybridStorage(sc_cap=5.0, b_cap=50.0, eta=0.5)
     dec = split_arrival(storage, 3.0)
     assert (dec.sc, dec.b, dec.discarded) == (3.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        split_arrival(storage, -1.0)
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="arrival amount must be nonnegative and finite"):
+            split_arrival(storage, bad)
+    assert (storage.level_sc, storage.level_b) == (3.0, 0.0)
+
+
+def test_decisions_are_immutable_named_tuples():
+    """Both per-epoch decisions unpack in field order and refuse
+    assignment."""
+    storage = HybridStorage(sc_cap=5.0, b_cap=50.0, eta=0.5, level_b=1.0)
+    split = split_arrival(storage, 7.0)
+    sc, b, discarded = split
+    assert (sc, b, discarded) == (split.sc, split.b, split.discarded) == (5.0, 2.0, 0.0)
+    assert split._fields == ("sc", "b", "discarded")
+    dec = policy_ideal(storage, p_peak=4.0, l=1.0, remaining=2.0)
+    assert dec._fields == ("tau", "power", "p_sc", "p_b", "eps_sc", "eps_b", "d_sc", "d_b")
+    assert tuple(dec) == tuple(getattr(dec, name) for name in dec._fields)
+    tau, power, p_sc, p_b, eps_sc, eps_b, d_sc, d_b = dec
+    # 7 J drainable spread over 2 s, all of this epoch's 3.5 J from the SC.
+    assert (tau, power, eps_sc + eps_b) == (1.0, 3.5, 0.0)
+    assert (d_sc, d_b) == (3.5, 0.0) and p_sc + p_b == power
+    for decision, name in ((split, "sc"), (dec, "tau")):
+        with pytest.raises(AttributeError):
+            setattr(decision, name, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +203,71 @@ def test_run_online_per_epoch_eps_array(unit_eff, monkeypatch):
     on = res.schedule.tau > 1e-12
     total_eps = res.schedule.eps_sc + res.schedule.eps_b
     np.testing.assert_allclose(total_eps[on], np.asarray(eps)[on])
+
+
+def _reference_run(eff, tl, storage, p_peak, eps):
+    """``run_online`` written out epoch by epoch: route each arrival,
+    apply the policy, drain, then rate the schedule and take ``math.fsum``
+    of every prefix of ``tau * rate`` for the trace."""
+    store = storage.copy()
+    ws = WaterSystem(eff)
+    p_o = None if eps is None else solve_p_o(eff, None, eps)
+    splits, decs = [], []
+    for i in range(tl.N):
+        splits.append(split_arrival(store, float(tl.E[i])))
+        l = float(tl.l[i])
+        if eps is None:
+            dec = policy_ideal(store, p_peak, l, float(tl.T - tl.t[i]))
+        else:
+            dec = policy_circuit(store, float(p_o[i]), p_peak, float(eps[i]), l)
+        store.drain(dec.d_sc, dec.d_b)
+        decs.append(dec)
+    cols = {name: np.array([getattr(d, name) for d in decs]) for name in decs[0]._fields}
+    split = {name: np.array([getattr(s, name) for s in splits]) for name in splits[0]._fields}
+    rate = ws.rate_at_power_vec(cols["power"])
+    gains = [float(t) * float(r) for t, r in zip(cols["tau"], rate)]
+    trace = [math.fsum(gains[:n]) for n in range(tl.N + 1)]
+    return cols, split, rate, trace, ws.covariances(cols["power"])
+
+
+def _per_epoch_eps_problem():
+    rng = np.random.Generator(np.random.Philox(key=0x0B17))
+    n = 60
+    times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, n, n - 1))))
+    amounts = rng.uniform(0.0, 3.0, n)
+    tl = build_timeline(np.column_stack([times, amounts]), T=float(n))
+    return tl, HybridStorage(sc_cap=2.0, b_cap=6.0, eta=0.6), rng.uniform(0.2, 2.0, n)
+
+
+@pytest.mark.parametrize("timeline", ["reference", "per-epoch-eps"])
+@pytest.mark.parametrize("policy", ["even", "burst"])
+def test_run_online_equals_the_epoch_by_epoch_loop_bitwise(pair_eff, policy, timeline):
+    if timeline == "reference":
+        tl, storage, eps = reference_profile(), HybridStorage(5.0, 100.0, 0.5), np.ones(6)
+    else:
+        tl, storage, eps = _per_epoch_eps_problem()
+    eps = None if policy == "even" else eps
+    res = run_online(pair_eff, None, tl, storage, 4.0, eps=eps)
+    cols, split, rate, trace, covs = _reference_run(pair_eff, tl, storage, 4.0, eps)
+    sched = res.schedule
+    for name in ("tau", "power", "p_sc", "p_b", "eps_sc", "eps_b"):
+        assert np.array_equal(getattr(sched, name), cols[name]), name
+    assert np.array_equal(sched.split.sc, split["sc"])
+    assert np.array_equal(sched.split.b, split["b"])
+    assert np.array_equal(res.discarded, split["discarded"])
+    assert np.array_equal(sched.rate, rate)
+    for got, want in zip(sched.covs.Phi, covs.Phi):
+        assert np.array_equal(got, want)
+    assert res.trace[:, 1].tolist() == trace
+    assert res.trace[:, 0].tolist() == [0.0, *(tl.t + tl.l).tolist()]
+    assert res.throughput == sched.objective == trace[-1] == res.trace[-1, 1]
+    if timeline == "per-epoch-eps":
+        # The instance exercises discards (even spreading overflows the
+        # small store) and bursts shorter than their epoch.
+        if policy == "even":
+            assert res.discarded.sum() > 0.0
+        else:
+            assert np.any(sched.tau < tl.l)
 
 
 @given(

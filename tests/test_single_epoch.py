@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from ehsched import WaterSystem, solve_p_o, solve_single_epoch
+from ehsched.single_epoch import _burst_window, _split_drains
 
 from conftest import draw_effective
 
@@ -107,6 +108,20 @@ def test_single_epoch_scarce_regime(unit_eff):
     assert sol.p_sc + sol.p_b == pytest.approx(sol.power)
     assert sol.eps_sc + sol.eps_b == pytest.approx(1.0)
     assert sol.p_sc / sol.power == pytest.approx(2.0 / 3.0)
+
+
+def test_single_epoch_solution_is_its_decision_plus_throughput(unit_eff):
+    sol = solve_single_epoch(
+        unit_eff, None, e_sc=5.0, e_b=5.0, eta=0.5, eps=1.0, p_peak=4.0, t=5.0
+    )
+    p_o = float(solve_p_o(unit_eff, None, 1.0))
+    dec = _split_drains(5.0, 2.5, *_burst_window(7.5, p_o, 1.0, 4.0, 5.0), 1.0)
+    assert sol[:8] == dec and sol[8] == sol.throughput
+    assert sol._fields == (
+        "tau", "power", "p_sc", "p_b", "eps_sc", "eps_b", "drained_sc", "drained_b", "throughput"
+    )
+    with pytest.raises(AttributeError):
+        sol.throughput = 0.0
 
 
 def test_single_epoch_middle_regime(unit_eff):

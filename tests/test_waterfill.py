@@ -1,6 +1,7 @@
 """Exact water-filling queries, closed forms, and consistency checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from hypothesis import strategies as st
 
 from ehsched import (
     CovarianceSet,
+    HybridStorage,
     UserConfig,
     WaterSystem,
+    build_timeline,
     covariances_for_level,
     decompose_zf_dpc,
     generate_channels,
     solve_budget,
+    solve_offline_ideal,
     weighted_rate,
 )
 
@@ -72,12 +76,39 @@ def test_weights_reorder_modes(pair_eff):
 
 
 def test_weight_validation(pair_eff):
-    with pytest.raises(ValueError, match="one positive weight"):
-        WaterSystem(pair_eff, weights=[1.0])
-    with pytest.raises(ValueError, match="positive"):
-        WaterSystem(pair_eff, weights=[1.0, 0.0])
-    with pytest.raises(ValueError, match="finite"):
-        WaterSystem(pair_eff, weights=[1.0, math.inf])
+    covs = solve_budget(pair_eff, None, 2.0).covs
+    storage = HybridStorage(sc_cap=1.0, b_cap=10.0, eta=0.5)
+    timeline = build_timeline([(0.0, 1.0)], T=1.0)
+    takers = (
+        lambda w: WaterSystem(pair_eff, weights=w),
+        lambda w: weighted_rate(pair_eff, covs, w),
+        lambda w: covariances_for_level(pair_eff, w, 0.5),
+        lambda w: solve_offline_ideal(pair_eff, w, timeline, storage, 4.0),
+    )
+    for bad, match in (
+        ([1.0], "one positive weight"),
+        ([1.0, 1.0, 1.0], "one positive weight"),
+        ([1.0, 0.0], "positive"),
+        ([-1.0, 1.0], "positive"),
+        ([1.0, math.inf], "finite"),
+        ([math.nan, 1.0], "finite"),
+    ):
+        for take in takers:
+            with pytest.raises(ValueError, match=match):
+                take(bad)
+
+
+def test_weighted_rate_resolves_weights_like_water_filling():
+    """A short weight list is refused rather than rating only the users it
+    covers, and explicit gammas give the default rate bit for bit."""
+    users = (UserConfig(n=1), UserConfig(n=1))
+    eff = decompose_zf_dpc(generate_channels(2, users, seed=3))
+    covs = solve_budget(eff, None, 2.0).covs
+    for bad in ([1.0], [-1.0, 1.0]):
+        with pytest.raises(ValueError, match="weight"):
+            weighted_rate(eff, covs, bad)
+    assert weighted_rate(eff, covs, [1.0, 1.0]) == weighted_rate(eff, covs)
+    assert weighted_rate(eff, covs) == pytest.approx(solve_budget(eff, None, 2.0).rate, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +166,14 @@ def test_solve_budget_zero_and_positive(unit_eff):
     assert sol.level == pytest.approx(0.5)
     assert sol.covs.Phi[0][0, 0] == pytest.approx(1.0)
     assert sol.rate == pytest.approx(math.log(2.0))
+
+
+def test_solve_budget_rejects_negative_and_non_finite(unit_eff):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (-1.0, -1e-300, math.nan, math.inf):
+            with pytest.raises(ValueError, match="budget must be nonnegative and finite"):
+                solve_budget(unit_eff, None, bad)
 
 
 # ---------------------------------------------------------------------------
