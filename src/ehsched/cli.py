@@ -22,6 +22,7 @@ converge or its schedule fails the feasibility audit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -242,7 +243,10 @@ def _add_common_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every :func:`main` call shares it."""
     ap = argparse.ArgumentParser(
         prog="ehsched",
         description="Throughput-optimal scheduling for an energy-harvesting "

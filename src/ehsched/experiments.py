@@ -229,6 +229,10 @@ def run_sweep(
     With ``axis=None`` a single point is run at the spec's own settings.
     Trial seeds are shared across sweep points.
     """
+    if spec.num_trials <= 0:
+        raise ValueError("num_trials must be positive")
+    if spec.eps_range is not None and not spec.eps_range[0] <= spec.eps_range[1]:
+        raise ValueError("eps_range needs lo <= hi")
     if axis is None:
         values = (0.0,)
     else:

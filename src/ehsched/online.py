@@ -14,25 +14,30 @@ neither buffer is lost.  Two transmission rules are provided:
   undrained energy stays buffered for later epochs.
 
 :func:`run_online` drives either rule across a timeline and returns the
-realized schedule plus a cumulative-throughput trace.  Each epoch yields
-two plain named tuples, a :class:`SplitDecision` and an
-:class:`EpochDecision`, written together as one row of a per-run table.
-The table's columns become a :class:`~ehsched.offline.Schedule` through
-``Schedule.assemble``, the assembly the offline solvers use, and the trace
-is the exact running sum of that schedule's ``tau * rate``, so its last
-value is the throughput bit for bit.
+realized schedule plus a cumulative-throughput trace.  Its loop keeps the
+two storage levels as plain floats and applies the rules of
+:func:`split_arrival`, the two policies and :class:`HybridStorage` to them
+with the same float operations in the same order, so a run equals the
+epoch-by-epoch loop over those functions bit for bit.  Each epoch writes
+one row of a per-run table whose columns become a
+:class:`~ehsched.offline.Schedule` through ``Schedule.assemble``, the
+assembly the offline solvers use.  The trace holds the exact prefix sums
+of that schedule's ``tau * rate``, each correctly rounded once, so its
+last value is the throughput bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .channels import EffectiveChannels
-from .energy import ArrivalSplit, EpochTimeline, HybridStorage, check_powers
+from .energy import FEAS_TOL, ArrivalSplit, EpochTimeline, HybridStorage, check_powers
 from .offline import Schedule
 from .single_epoch import EpochDecision, _burst_window, _split_drains
 from .waterfill import WaterSystem
@@ -103,23 +108,6 @@ def policy_circuit(
     return _split_drains(storage.level_sc, storage.level_b, tau, power, eps)
 
 
-def _add_exact(partials: list[float], x: float) -> None:
-    """Add ``x`` to a running sum held as non-overlapping partials
-    (Shewchuk, DCG 1997; the algorithm of ``math.fsum``), so that
-    ``math.fsum(partials)`` equals ``math.fsum`` of every term added so far."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-
-
 @dataclass(frozen=True)
 class OnlineResult:
     """Realized causal schedule, its cumulative-throughput trace (one row
@@ -132,6 +120,29 @@ class OnlineResult:
     @property
     def throughput(self) -> float:
         return self.schedule.objective
+
+
+def _exact_prefix_sums(g: np.ndarray) -> np.ndarray:
+    """Every prefix sum of ``g``, each correctly rounded: entry ``k`` equals
+    ``math.fsum(g[:k + 1])`` bit for bit.
+
+    The terms are summed exactly in one long integer accumulator (Kulisch):
+    each finite double is a 53-bit integer mantissa times a power of two, so
+    shifting every mantissa to the smallest exponent present (or to 2**0,
+    whichever is smaller) makes every prefix an integer multiple of one
+    power of two.  Python's int true division rounds the quotient
+    correctly, as ``math.fsum`` does.
+    """
+    frac, exp = np.frexp(g)
+    mant = np.ldexp(frac, 53).astype(np.int64)
+    exp -= 53
+    nonzero = mant != 0
+    base = min(int(exp[nonzero].min()), 0) if nonzero.any() else 0
+    shift = np.where(nonzero, exp - base, 0)
+    unit = 1 << -base
+    # Memoryviews index to Python ints without materializing lists.
+    terms = map(operator.lshift, memoryview(mant), memoryview(shift))
+    return np.fromiter(map(operator.truediv, accumulate(terms), repeat(unit)), float, g.size)
 
 
 def run_online(
@@ -150,34 +161,80 @@ def run_online(
     """
     N = timeline.N
     eps_arr = check_powers(p_peak, eps, N)
-    store = storage.copy()
     ws = WaterSystem(eff, weights)
+    sc_cap, b_cap, eta = storage.sc_cap, storage.b_cap, storage.eta
+    level_sc, level_b = storage.level_sc, storage.level_b
+    sc_limit, b_limit = sc_cap + FEAS_TOL, b_cap + FEAS_TOL
+    burst = eps_arr is not None
     # Memoryviews index to Python floats without copying the arrays.
-    E, l = memoryview(timeline.E), memoryview(timeline.l)
-    remaining = memoryview(timeline.T - timeline.t)
-    if eps_arr is not None:
-        p_o, eps_list = memoryview(ws.efficient_power(eps_arr)), memoryview(eps_arr)
+    if burst:
+        p_o, circuit = memoryview(ws.efficient_power(eps_arr)), memoryview(eps_arr)
+    else:  # even spreading drains with no circuit power
+        p_o, circuit = repeat(0.0), repeat(0.0)
+    epochs = zip(
+        memoryview(timeline.E), memoryview(timeline.l),
+        memoryview(timeline.T - timeline.t), p_o, circuit,
+    )
 
-    # One row per epoch: the SplitDecision fields, then the EpochDecision's;
-    # the schedule's arrays are this table's columns.
-    rows = np.empty((N, 11))
-    for i in range(N):
-        split = split_arrival(store, E[i])
-        if eps_arr is None:
-            dec = policy_ideal(store, p_peak, l[i], remaining[i])
+    # split_arrival, HybridStorage.deposit, the policy, _split_drains and
+    # HybridStorage.drain, inlined with their guards: each
+    # ``y if y < x else x`` is ``min(x, y)`` and each ``y if y > x else x``
+    # is ``max(x, y)``, operand for operand, without the builtin's call.
+    # One row per epoch: the SplitDecision fields, then the EpochDecision's
+    # up to the drains; the schedule's arrays are this table's columns.
+    rows = np.empty((N, 9))
+    for i, (amount, length, remaining, p_o_i, eps_i) in enumerate(epochs):
+        if not (0.0 <= amount < math.inf):
+            raise ValueError("arrival amount must be nonnegative and finite")
+        head = sc_cap - level_sc
+        head = head if head > 0.0 else 0.0
+        sc = head if head < amount else amount
+        rest = amount - sc
+        head = (b_cap - level_b) / eta
+        head = head if head > 0.0 else 0.0
+        b = head if head < rest else rest
+        discarded = amount - sc - b
+        discarded = 0.0 if 0.0 > discarded else discarded
+        if not (sc >= 0.0 and b >= 0.0):
+            raise ValueError("deposits must be non-negative")
+        if level_sc + sc > sc_limit:
+            raise ValueError("SC deposit exceeds capacity headroom")
+        if level_b + eta * b > b_limit:
+            raise ValueError("battery deposit exceeds capacity headroom")
+        level_sc += sc
+        level_b += eta * b
+
+        if burst:
+            tau, power = _burst_window(level_sc + level_b, p_o_i, eps_i, p_peak, length)
         else:
-            dec = policy_circuit(store, p_o[i], p_peak, eps_list[i], l[i])
-        store.drain(dec.d_sc, dec.d_b)
-        rows[i] = split + dec
-    dep_sc, dep_b, discarded, tau, power, p_sc, p_b, eps_sc, eps_b, _, _ = rows.T
+            tau, power = length, (level_sc + level_b) / remaining
+            power = power if power < p_peak else p_peak
+
+        consumed = tau * (power + eps_i)
+        if consumed <= 0.0:
+            p_sc = p_b = eps_sc = eps_b = d_sc = d_b = 0.0
+        else:
+            d_sc = consumed if consumed < level_sc else level_sc
+            d_b = consumed - d_sc
+            d_b = d_b if d_b < level_b else level_b
+            frac = d_sc / consumed
+            p_sc, p_b = power * frac, power * (1.0 - frac)
+            eps_sc, eps_b = eps_i * frac, eps_i * (1.0 - frac)
+        if not (d_sc >= -FEAS_TOL and d_b >= -FEAS_TOL):
+            raise ValueError("drains must be non-negative")
+        if d_sc > level_sc + FEAS_TOL or d_b > level_b + FEAS_TOL:
+            raise ValueError("drain exceeds stored energy")
+        level_sc -= d_sc
+        level_sc = level_sc if level_sc > 0.0 else 0.0
+        level_b -= d_b
+        level_b = level_b if level_b > 0.0 else 0.0
+        rows[i] = sc, b, discarded, tau, power, p_sc, p_b, eps_sc, eps_b
+    dep_sc, dep_b, discarded, tau, power, p_sc, p_b, eps_sc, eps_b = rows.T
 
     sched = Schedule.assemble(
         tau, power, p_sc, p_b, eps_sc, eps_b, ArrivalSplit(sc=dep_sc, b=dep_b), ws
     )
     trace = np.zeros((N + 1, 2))
     trace[1:, 0] = timeline.t + timeline.l
-    partials: list[float] = []
-    for i, gain in enumerate((tau * sched.rate).tolist(), start=1):
-        _add_exact(partials, gain)
-        trace[i, 1] = math.fsum(partials)
+    trace[1:, 1] = _exact_prefix_sums(tau * sched.rate)
     return OnlineResult(schedule=sched, trace=trace, discarded=discarded)

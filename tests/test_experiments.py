@@ -3,11 +3,12 @@
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ehsched.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, main
+from ehsched.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, build_parser, main
 from ehsched.experiments import (
     ExperimentSpec,
     default_parameters,
@@ -144,6 +145,12 @@ def test_run_sweep_validation():
             run_sweep(spec, axis=axis, values=[1.0, 2.0])
     with pytest.raises(ValueError, match="values are required"):
         run_sweep(spec, axis="eta")
+    # A sweep without trials would report nothing as if it had passed.
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="num_trials must be positive"):
+            run_sweep(replace(spec, num_trials=trials), axis="eta", values=[0.5])
+    with pytest.raises(ValueError, match=r"eps_range needs lo <= hi"):
+        run_sweep(replace(spec, eps_range=(1.5, 0.5)))
 
 
 def test_run_sweep_drops_unconverged_trials(overdrawn_schedules):
@@ -355,6 +362,24 @@ def test_cli_sweep_reports_dropped_trials(files, overdrawn_schedules, capsys):
     assert open(out).read() == "axis_value,policy,mean,stderr,ratio_to_offline\n"
 
 
+def test_cli_reuses_one_parser_like_a_fresh_one(files, capsys):
+    """``main`` builds its parser once per process; each call, also one
+    after a failed call, prints what a call on a fresh parser prints."""
+    tmp, chan, scen = files
+    calls = [
+        ["solve", "--channels", chan, "--scenario", scen, "--p-peak", "4.0"],
+        ["sweep", "--axis", "eta", "--values", "0.5", "--trials", "0"],
+        ["p-o", "--channels", chan, "--eps", "1.0"],
+    ]
+    build_parser.cache_clear()
+    shared = [(main(argv), *capsys.readouterr()) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [EXIT_OK, EXIT_INVALID, EXIT_OK]
+    for argv, got in zip(calls, shared):
+        build_parser.cache_clear()
+        assert (main(argv), *capsys.readouterr()) == got, argv
+
+
 def test_cli_invalid_inputs_exit_2(files, tmp_path, capsys):
     tmp, chan, scen = files
     bad = tmp_path / "bad.json"
@@ -389,3 +414,12 @@ def test_cli_invalid_inputs_exit_2(files, tmp_path, capsys):
     for argv in cases:
         assert main(argv) == EXIT_INVALID, argv
         capsys.readouterr()
+    out = tmp / "report.csv"
+    for argv, message in (
+        (["--axis", "eta", "--values", "0.5", "--trials", "0"], "num_trials must be positive"),
+        (["--axis", "eta", "--values", "0.5", "--trials", "-1"], "num_trials must be positive"),
+        (["--eps-range", "1.5,0.5", "--trials", "1"], "eps_range needs lo <= hi"),
+    ):
+        assert main(["sweep", *argv, "--out", str(out)]) == EXIT_INVALID, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()

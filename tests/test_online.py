@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehsched import (
@@ -21,7 +21,7 @@ from ehsched import (
     split_arrival,
 )
 from ehsched.experiments import reference_profile
-from ehsched.online import _add_exact
+from ehsched.online import _exact_prefix_sums
 
 from conftest import draw_problem
 
@@ -211,7 +211,9 @@ def _reference_run(eff, tl, storage, p_peak, eps):
     of every prefix of ``tau * rate`` for the trace."""
     store = storage.copy()
     ws = WaterSystem(eff)
-    p_o = None if eps is None else solve_p_o(eff, None, eps)
+    if eps is not None:
+        eps = np.broadcast_to(np.asarray(eps, dtype=float), (tl.N,))
+        p_o = solve_p_o(eff, None, eps)
     splits, decs = [], []
     for i in range(tl.N):
         splits.append(split_arrival(store, float(tl.E[i])))
@@ -230,25 +232,51 @@ def _reference_run(eff, tl, storage, p_peak, eps):
     return cols, split, rate, trace, ws.covariances(cols["power"])
 
 
-def _per_epoch_eps_problem():
-    rng = np.random.Generator(np.random.Philox(key=0x0B17))
-    n = 60
+def _random_timeline(key, n, e_max, scale=1.0):
+    rng = np.random.Generator(np.random.Philox(key=key))
     times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, n, n - 1))))
-    amounts = rng.uniform(0.0, 3.0, n)
-    tl = build_timeline(np.column_stack([times, amounts]), T=float(n))
-    return tl, HybridStorage(sc_cap=2.0, b_cap=6.0, eta=0.6), rng.uniform(0.2, 2.0, n)
+    amounts = scale * rng.uniform(0.0, e_max, n)
+    return build_timeline(np.column_stack([times, amounts]), T=float(n)), rng
 
 
-@pytest.mark.parametrize("timeline", ["reference", "per-epoch-eps"])
-@pytest.mark.parametrize("policy", ["even", "burst"])
-def test_run_online_equals_the_epoch_by_epoch_loop_bitwise(pair_eff, policy, timeline):
-    if timeline == "reference":
-        tl, storage, eps = reference_profile(), HybridStorage(5.0, 100.0, 0.5), np.ones(6)
-    else:
-        tl, storage, eps = _per_epoch_eps_problem()
-    eps = None if policy == "even" else eps
-    res = run_online(pair_eff, None, tl, storage, 4.0, eps=eps)
-    cols, split, rate, trace, covs = _reference_run(pair_eff, tl, storage, 4.0, eps)
+def _bitwise_case(name):
+    """``(timeline, storage, p_peak, per-epoch eps)`` of one degenerate or
+    boundary instance."""
+    if name == "reference":
+        return reference_profile(), HybridStorage(5.0, 100.0, 0.5), 4.0, np.ones(6)
+    if name == "single-epoch":
+        tl = build_timeline([(0.0, 3.0)], T=2.0)
+        return tl, HybridStorage(1.0, 10.0, 0.5, level_b=0.5), 4.0, np.array([0.7])
+    if name == "overflow":
+        # Mean arrivals of 30 J into a 20 J battery: most epochs discard.
+        tl, rng = _random_timeline(0x0F10, 40, 60.0)
+        return tl, HybridStorage(2.0, 20.0, 0.5), 4.0, rng.uniform(0.2, 2.0, tl.N)
+    scale = {"scale-1e-6": 1e-6, "scale-1e5": 1e5}.get(name, 1.0)
+    tl, rng = _random_timeline(0x0B17, 60, 3.0, scale)
+    eps = scale * rng.uniform(0.2, 2.0, tl.N)
+    levels = (1.5, 4.0) if name == "initial-levels" else (0.0, 0.0)
+    storage = HybridStorage(
+        2.0 * scale, 6.0 * scale, 1.0 if name == "eta-1" else 0.6,
+        *(scale * x for x in levels),
+    )
+    return tl, storage, 1e-3 if name == "tiny-peak" else 4.0 * scale, eps
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["reference", "per-epoch-eps", "initial-levels", "overflow", "eta-1",
+     "scale-1e-6", "scale-1e5", "tiny-peak", "single-epoch"],
+)
+@pytest.mark.parametrize("policy", ["even", "burst", "burst-scalar-eps"])
+def test_run_online_equals_the_epoch_by_epoch_loop_bitwise(pair_eff, policy, case):
+    """Even spreading, the burst rule with per-epoch eps, and the burst
+    rule with one scalar eps, on degenerate and boundary instances."""
+    tl, storage, p_peak, eps = _bitwise_case(case)
+    eps = {"even": None, "burst-scalar-eps": float(eps[0])}.get(policy, eps)
+    levels = (storage.level_sc, storage.level_b)
+    res = run_online(pair_eff, None, tl, storage, p_peak, eps=eps)
+    assert (storage.level_sc, storage.level_b) == levels
+    cols, split, rate, trace, covs = _reference_run(pair_eff, tl, storage, p_peak, eps)
     sched = res.schedule
     for name in ("tau", "power", "p_sc", "p_b", "eps_sc", "eps_b"):
         assert np.array_equal(getattr(sched, name), cols[name]), name
@@ -258,36 +286,72 @@ def test_run_online_equals_the_epoch_by_epoch_loop_bitwise(pair_eff, policy, tim
     assert np.array_equal(sched.rate, rate)
     for got, want in zip(sched.covs.Phi, covs.Phi):
         assert np.array_equal(got, want)
-    assert res.trace[:, 1].tolist() == trace
+    assert [x.hex() for x in res.trace[:, 1].tolist()] == [x.hex() for x in trace]
     assert res.trace[:, 0].tolist() == [0.0, *(tl.t + tl.l).tolist()]
     assert res.throughput == sched.objective == trace[-1] == res.trace[-1, 1]
-    if timeline == "per-epoch-eps":
-        # The instance exercises discards (even spreading overflows the
-        # small store) and bursts shorter than their epoch.
+    # Each instance reaches the branch it is there for.
+    if case == "overflow" and policy == "even":
+        assert np.count_nonzero(res.discarded) > tl.N // 2
+    if case == "per-epoch-eps":
         if policy == "even":
             assert res.discarded.sum() > 0.0
         else:
             assert np.any(sched.tau < tl.l)
+    if case == "tiny-peak":
+        assert np.any(sched.power == p_peak)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["negative-arrival", "nan-arrival", "inf-arrival", "sc-over-capacity", "battery-over-capacity"],
+)
+@pytest.mark.parametrize("policy", ["even", "burst"])
+def test_run_online_guards_raise_like_the_epoch_rules(pair_eff, policy, bad):
+    """The loop's guards raise where split_arrival and the storage rules
+    raise, with their messages: a timeline array changed after
+    validation, and levels built above their buffer's capacity."""
+    tl = reference_profile()
+    storage = HybridStorage(5.0, 100.0, 0.5)
+    if bad.endswith("arrival"):
+        tl.E[2] = {"negative": -1.0, "nan": math.nan, "inf": math.inf}[bad.split("-")[0]]
+    elif bad == "sc-over-capacity":
+        storage = HybridStorage(5.0, 100.0, 0.5, level_sc=6.0)
+    else:
+        storage = HybridStorage(5.0, 100.0, 0.5, level_b=101.0)
+    eps = None if policy == "even" else np.ones(tl.N)
+    with pytest.raises(ValueError) as want:
+        _reference_run(pair_eff, tl, storage, 4.0, eps)
+    with pytest.raises(ValueError) as got:
+        run_online(pair_eff, None, tl, storage, 4.0, eps=eps)
+    assert str(got.value) == str(want.value)
+    assert "arrival" in str(got.value) or "deposit exceeds" in str(got.value)
+
+
+_finite = st.one_of(
+    st.just(0.0),
+    st.just(5e-324),
+    st.floats(0.0, 1e-300),
+    st.floats(1e-300, 1e300),
+    st.integers(-300, 300).map(lambda k: 10.0**k),
+)
 
 
 @given(
-    terms=st.lists(
-        st.one_of(
-            st.just(0.0),
-            st.floats(1e-300, 1e300),
-            st.integers(-300, 300).map(lambda k: 10.0**k),
-        ),
-        max_size=60,
+    terms=st.one_of(
+        st.lists(st.tuples(st.sampled_from((1.0, -1.0)), _finite).map(math.prod), max_size=60),
+        st.lists(st.just(0.0), min_size=1, max_size=5),
     )
 )
+@example(terms=[5e-324])
+@example(terms=[-1e300])
 @settings(max_examples=300, deadline=None)
 def test_running_sum_equals_fsum_of_every_prefix(terms):
-    """The running partials give every prefix sum bit for bit as
-    math.fsum of that prefix, for terms spanning 1e-300..1e300."""
-    partials: list[float] = []
-    for n, x in enumerate(terms, start=1):
-        _add_exact(partials, x)
-        assert math.fsum(partials).hex() == math.fsum(terms[:n]).hex()
+    """The exact prefix sums equal math.fsum of every prefix bit for bit,
+    for terms of either sign from subnormals to 1e300, all-zero lists and
+    a single term."""
+    got = _exact_prefix_sums(np.array(terms, dtype=float))
+    want = [math.fsum(terms[:n]) for n in range(1, len(terms) + 1)]
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
 
 
 def test_online_never_beats_offline(unit_eff):
