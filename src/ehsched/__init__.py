@@ -37,21 +37,24 @@ from .experiments import (
 )
 from .offline import (
     DualCertificate,
-    LemmaReport,
     OfflineInstance,
     OfflineSolution,
     Schedule,
     SolverError,
-    TransformedVariables,
-    objective_from_covariances,
-    objective_from_transformed,
     solve_offline_circuit,
     solve_offline_general,
     solve_offline_ideal,
-    verify_structure,
 )
 from .online import OnlineResult, policy_circuit, policy_ideal, run_online, split_arrival
-from .oracle import brute_force_oracle
+from .oracle import (
+    LemmaCheck,
+    LemmaReport,
+    TransformedVariables,
+    brute_force_oracle,
+    objective_from_covariances,
+    objective_from_transformed,
+    verify_structure,
+)
 from .single_epoch import solve_p_o, solve_single_epoch
 from .waterfill import (
     WaterLevelSolution,
@@ -85,6 +88,7 @@ __all__ = [
     "run_sweep",
     "run_trial",
     "DualCertificate",
+    "LemmaCheck",
     "LemmaReport",
     "OfflineInstance",
     "OfflineSolution",

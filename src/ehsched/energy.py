@@ -144,6 +144,9 @@ class HybridStorage:
             raise ValueError("the SC must be the small buffer (sc_cap < b_cap)")
         if not (0.0 <= self.level_sc < math.inf and 0.0 <= self.level_b < math.inf):
             raise ValueError("storage levels must be nonnegative and finite")
+        # The bound of ``deposit``: every state a deposit reaches constructs.
+        if self.level_sc > self.sc_cap + FEAS_TOL or self.level_b > self.b_cap + FEAS_TOL:
+            raise ValueError("storage levels must not exceed their capacities")
 
     def deposit(self, e_sc: float, e_b: float) -> None:
         """Deposit raw energy into each buffer; battery records eta*e_b."""

@@ -42,21 +42,21 @@ on a small dual residual and a small relative duality gap, and proves an
 instance infeasible with a Farkas certificate built from its own
 multipliers.  Transmission windows, powers and
 covariances are then recovered in closed form, and the dual certificate
-checked by :func:`verify_structure` is filled in closed form from the
-loop's multipliers.
+is filled in closed form from the loop's multipliers.  The test oracles
+that check these results live in :mod:`ehsched.oracle`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import _sparsetools
 
-from .channels import CovarianceSet, EffectiveChannels, resolve_weights, weighted_rate
+from .channels import CovarianceSet, EffectiveChannels, resolve_weights
 from .energy import FEAS_TOL, ArrivalSplit, EpochTimeline, FeasibilityReport, HybridStorage
 from .energy import check_feasibility, check_powers
 from .waterfill import WaterSystem
@@ -65,17 +65,11 @@ __all__ = [
     "SolverError",
     "OfflineInstance",
     "Schedule",
-    "TransformedVariables",
     "DualCertificate",
     "OfflineSolution",
-    "LemmaCheck",
-    "LemmaReport",
     "solve_offline_ideal",
     "solve_offline_circuit",
     "solve_offline_general",
-    "objective_from_covariances",
-    "objective_from_transformed",
-    "verify_structure",
 ]
 
 #: Transmission windows shorter than this are snapped to zero (an epoch
@@ -193,69 +187,6 @@ class Schedule:
     def N(self) -> int:
         return self.tau.size
 
-    def drained_sc(self) -> np.ndarray:
-        """Per-epoch energy drained from the super-capacitor (joules)."""
-        return (self.p_sc + self.eps_sc) * self.tau
-
-    def drained_b(self) -> np.ndarray:
-        """Per-epoch drainable energy taken from the battery (joules)."""
-        return (self.p_b + self.eps_b) * self.tau
-
-
-@dataclass(frozen=True)
-class TransformedVariables:
-    """Energy-domain image of a schedule.
-
-    ``alpha`` and ``sigma`` are transmit/circuit energies per epoch and
-    ``Theta`` holds the time-scaled covariance stacks,
-    ``Theta.Phi[k][i] = tau_i * Phi_k(i)``.  The throughput of an epoch is
-    ``tau * rate(Theta/tau)``, which equals the power-domain value whenever
-    ``tau > 0`` and is zero when ``tau == 0``.
-    """
-
-    alpha_sc: np.ndarray
-    alpha_b: np.ndarray
-    sigma_sc: np.ndarray
-    sigma_b: np.ndarray
-    tau: np.ndarray
-    Theta: CovarianceSet
-
-    @classmethod
-    def from_schedule(cls, sched: Schedule) -> "TransformedVariables":
-        return cls(
-            alpha_sc=sched.p_sc * sched.tau,
-            alpha_b=sched.p_b * sched.tau,
-            sigma_sc=sched.eps_sc * sched.tau,
-            sigma_b=sched.eps_b * sched.tau,
-            tau=sched.tau.copy(),
-            Theta=sched.covs.scaled(sched.tau),
-        )
-
-
-def _throughput(eff: EffectiveChannels, weights, taus, covs: CovarianceSet) -> float:
-    """Sum of tau * (weighted log-det rate) over the epochs with tau > 0."""
-    on = taus > 0.0
-    active = CovarianceSet(tuple(P[on] for P in covs.Phi))
-    return math.fsum(taus[on] * weighted_rate(eff, active, weights))
-
-
-def objective_from_covariances(eff: EffectiveChannels, weights, sched: Schedule) -> float:
-    """Weighted throughput evaluated from per-epoch covariances and windows."""
-    return _throughput(eff, weights, sched.tau, sched.covs)
-
-
-def objective_from_transformed(
-    eff: EffectiveChannels, weights, tv: TransformedVariables
-) -> float:
-    """Weighted throughput evaluated from the energy-domain variables.
-
-    Epochs with ``tau == 0`` contribute exactly zero regardless of their
-    (necessarily zero) ``Theta``.
-    """
-    tau = np.where(tv.tau > 0.0, tv.tau, 1.0)[:, None, None]
-    covs = CovarianceSet(tuple(theta / tau for theta in tv.Theta.Phi))
-    return _throughput(eff, weights, tv.tau, covs)
-
 
 # ---------------------------------------------------------------------------
 # Per-epoch value model
@@ -273,7 +204,6 @@ class _ValueModel:
         self.l = inst.timeline.l.copy()
         self.eps = inst.eps_array
         self.ideal = inst.is_ideal
-        self.p_peak = inst.p_peak
         self.p_thr = np.minimum(self.ws.efficient_power(self.eps), inst.p_peak)
         self.c1 = self.l * (self.p_thr + self.eps)
         self.level_thr, m = self.ws.level_at_power_vec(self.p_thr)
@@ -906,29 +836,18 @@ class DualCertificate:
 
     The multipliers come in closed form from the solve's own.
     ``stationarity`` maps each stationarity-equation family to its worst
-    absolute residual and ``fit_residual`` is the Euclidean norm of all of
-    them; ``complementarity`` maps each multiplier family to its worst
-    ``multiplier * slack`` product.  ``levels`` holds the water level of
+    absolute residual and ``complementarity`` each multiplier family to its
+    worst ``multiplier * slack`` product.  ``levels`` holds the water level of
     each epoch (the marginal value of transmit energy there) and
     ``rate_scale`` the largest epoch rate (the rate at the peak power when
     no epoch transmits).
     """
 
     multipliers: dict[str, np.ndarray]
-    active: dict[str, np.ndarray]
     levels: np.ndarray
     rate_scale: float
     stationarity: dict[str, float]
     complementarity: dict[str, float]
-    fit_residual: float
-
-    @property
-    def max_stationarity(self) -> float:
-        return max(self.stationarity.values(), default=0.0)
-
-    @property
-    def max_complementarity(self) -> float:
-        return max(self.complementarity.values(), default=0.0)
 
     def ok(self, stat_tol: float = 1e-6, comp_tol: float = 1e-8) -> bool:
         """Stationarity within ``stat_tol`` of its unit (the largest water
@@ -940,7 +859,7 @@ class DualCertificate:
             r <= stat_tol * (self.rate_scale if name == "stat_tau" else level)
             for name, r in self.stationarity.items()
         )
-        return stat and self.max_complementarity <= comp_tol
+        return stat and max(self.complementarity.values(), default=0.0) <= comp_tol
 
 
 def _suffix(v: np.ndarray) -> np.ndarray:
@@ -958,22 +877,10 @@ def _certificate(
     circuit = not inst.is_ideal
     eta = inst.eta
     slacks = _paper_slacks(inst, sched, audit)
-    escale = max(1.0, float(np.max(np.cumsum(inst.timeline.E))))
-    atol = 1e-7 * escale
-    ttol = 1e-9 * max(1.0, float(np.max(inst.timeline.l)))
 
     P = sched.power
     levels, _ = vm.ws.level_at_power_vec(P)
     on = sched.tau > 0.0
-
-    active = {
-        name: slacks[name] <= atol
-        for name in ("sc_caus", "sc_over", "b_caus", "b_over", "alpha_sc", "alpha_b",
-                     "sigma_sc", "sigma_b", "dep_sc", "dep_b")
-    }
-    active["peak"] = (inst.p_peak - P <= 1e-7 * max(1.0, inst.p_peak)) | ~on
-    active["tau_lo"] = sched.tau <= ttol
-    active["tau_hi"] = slacks["tau_hi"] <= ttol
 
     # The marginal value of drained energy, net of the drain cap's price.
     # An idle split epoch sits on both a >= 0 and f >= 0; the price of the
@@ -1014,8 +921,11 @@ def _certificate(
         mult["rho3_sc"] = mult["rho2_sc"]
         mult["rho3_b"] = mult["rho2_b"]
         t = P * levels - sched.rate - inst.p_peak * mult["varpi"] + vm.eps * mult["omega"]
-        mult["kappa"] = np.where(active["tau_lo"], np.maximum(t, 0.0), 0.0)
-        mult["zeta"] = np.where(active["tau_hi"], np.maximum(-t, 0.0), 0.0)
+        ttol = 1e-9 * max(1.0, float(np.max(inst.timeline.l)))
+        tau_lo = sched.tau <= ttol
+        tau_hi = slacks["tau_hi"] <= ttol
+        mult["kappa"] = np.where(tau_lo, np.maximum(t, 0.0), 0.0)
+        mult["zeta"] = np.where(tau_hi, np.maximum(-t, 0.0), 0.0)
         rows["stat_sigma_sc"] = drain_sc + mult["omega"] + mult["rho3_sc"]
         rows["stat_sigma_b"] = drain_b + mult["omega"] + mult["rho3_b"]
         rows["level"] = (mu + mult["varpi"] - levels)[on]
@@ -1033,12 +943,10 @@ def _certificate(
     comp = {name: float(np.max(np.abs(mult[name] * slacks[sl]))) for name, sl in pairs.items()}
     return DualCertificate(
         multipliers=mult,
-        active=active,
         levels=np.asarray(levels, dtype=float),
         rate_scale=float(np.max(sched.rate)) or float(vm.ws.rate_at_power_vec(inst.p_peak)),
         stationarity=stat,
         complementarity=comp,
-        fit_residual=float(np.linalg.norm(np.concatenate(list(rows.values())))),
     )
 
 
@@ -1102,228 +1010,3 @@ def solve_offline_circuit(eff, weights, timeline, storage, p_peak, eps) -> Offli
 def solve_offline_general(eff, weights, timeline, storage, p_peak, eps_seq) -> OfflineSolution:
     """Optimal schedule with an epoch-varying circuit power sequence."""
     return _solve(_make_instance(eff, weights, timeline, storage, p_peak, eps_seq))
-
-
-# ---------------------------------------------------------------------------
-# Structure verification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LemmaCheck:
-    name: str
-    index: int
-    applicable: bool
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class LemmaReport:
-    checks: list[LemmaCheck] = field(default_factory=list)
-
-    def add(self, name, index, applicable, ok, detail=""):
-        self.checks.append(LemmaCheck(name, index, bool(applicable), bool(ok), detail))
-
-    @property
-    def violations(self) -> list[LemmaCheck]:
-        return [c for c in self.checks if c.applicable and not c.ok]
-
-    @property
-    def num_applicable(self) -> int:
-        return sum(1 for c in self.checks if c.applicable)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        lines = [f"{len(self.checks)} checks, {self.num_applicable} applicable, "
-                 f"{len(self.violations)} violations"]
-        for c in self.violations:
-            lines.append(f"  VIOLATION {c.name}[{c.index}]: {c.detail}")
-        return "\n".join(lines)
-
-
-#: Tolerance for power comparisons in the monotonicity/constancy checks.
-POWER_TOL = 1e-5
-
-
-def verify_structure(
-    sched: Schedule, cert: DualCertificate, inst: OfflineInstance
-) -> LemmaReport:
-    """Check the known structural properties of an optimal schedule.
-
-    For the zero-circuit-power problem: terminal buffer drainage, lockstep
-    multiplier exclusivity and the piecewise-constant / monotone power
-    pattern between binding storage constraints.  For circuit-power
-    problems: the burst-power floor and the order in which the buffers
-    supply circuit energy.  Conditional checks whose hypotheses fail are
-    reported as non-applicable rather than passes.
-    """
-    rep = LemmaReport()
-    N = sched.N
-    audit = check_feasibility(inst.timeline, sched.split, sched, inst.storage(), inst.p_peak)
-    slacks = _paper_slacks(inst, sched, audit)
-    escale = max(1.0, float(np.max(np.cumsum(inst.timeline.E))))
-    hyp_tol = 1e-6 * escale
-    act_tol = 1e-7 * escale
-    ptol = 1e-8
-    P = sched.power
-    peak_slack = inst.p_peak - P
-
-    if inst.is_ideal:
-        # Terminal drainage: whatever remains at the deadline was wasted, so
-        # both buffers end empty — unless the peak limit pinned the final
-        # epoch's power.
-        applicable = peak_slack[N - 1] > POWER_TOL
-        okv = (
-            slacks["sc_caus"][N - 1] <= hyp_tol and slacks["b_caus"][N - 1] <= hyp_tol
-        )
-        rep.add(
-            "terminal_drain",
-            N - 1,
-            applicable,
-            okv if applicable else True,
-            f"sc={slacks['sc_caus'][N-1]:.3e} b={slacks['b_caus'][N-1]:.3e}",
-        )
-
-        # The causality slack at epoch i and the overflow slack at epoch i+1
-        # measure the same buffer level at the same boundary instant, before
-        # and after the arrival there.  Both can only be tight together when
-        # the accepted inflow fills the buffer from empty to exactly its cap,
-        # in which case both prices are genuinely positive and none of the
-        # boundary lemmas below applies.
-        lam_scale = 1.0
-        for fam in ("lam1_sc", "lam2_sc", "lam1_b", "lam2_b"):
-            lam_scale = max(lam_scale, float(np.max(np.abs(cert.multipliers[fam]), initial=0.0)))
-        for i in range(N - 1):
-            for caus, over, lam1, lam2 in (
-                ("sc_caus", "sc_over", "lam1_sc", "lam2_sc"),
-                ("b_caus", "b_over", "lam1_b", "lam2_b"),
-            ):
-                cap_fill = (
-                    slacks[caus][i] <= act_tol and slacks[over][i + 1] <= act_tol
-                )
-                prod = abs(
-                    cert.multipliers[lam1][i] * cert.multipliers[lam2][i + 1]
-                )
-                rep.add(
-                    "exclusive_multipliers",
-                    i,
-                    not cap_fill,
-                    prod <= 1e-8 * lam_scale * lam_scale,
-                    f"{lam1}[{i}]*{lam2}[{i+1}]={prod:.3e}",
-                )
-
-        for i in range(N - 1):
-            peak_ok = peak_slack[i] > POWER_TOL and peak_slack[i + 1] > POWER_TOL
-            both_on = P[i] > POWER_TOL and P[i + 1] > POWER_TOL
-
-            inactive_between = (
-                slacks["sc_caus"][i] > hyp_tol
-                and slacks["b_caus"][i] > hyp_tol
-                and slacks["sc_over"][i + 1] > hyp_tol
-                and slacks["b_over"][i + 1] > hyp_tol
-            )
-            applicable = both_on and inactive_between and peak_ok
-            rep.add(
-                "constant_power",
-                i,
-                applicable,
-                abs(P[i] - P[i + 1]) <= POWER_TOL if applicable else True,
-                f"P[{i}]={P[i]:.6f} P[{i+1}]={P[i+1]:.6f}",
-            )
-
-            # Drained a buffer empty at the boundary without refilling it to
-            # cap: the price of that buffer can only rise, so power must not
-            # drop across the boundary.
-            caus_active = (
-                sched.p_sc[i] > POWER_TOL
-                and slacks["sc_caus"][i] <= act_tol
-                and slacks["sc_over"][i + 1] > hyp_tol
-            ) or (
-                sched.p_b[i] > POWER_TOL
-                and slacks["b_caus"][i] <= act_tol
-                and slacks["b_over"][i + 1] > hyp_tol
-            )
-            applicable = both_on and caus_active and peak_ok
-            rep.add(
-                "increase_at_depletion",
-                i,
-                applicable,
-                P[i + 1] >= P[i] - POWER_TOL if applicable else True,
-                f"P[{i}]={P[i]:.6f} P[{i+1}]={P[i+1]:.6f}",
-            )
-
-            # A buffer used after the boundary sits at its cap there without
-            # having been drained empty: its price can only fall, so power
-            # must not rise across the boundary.
-            over_active = (
-                sched.p_sc[i + 1] > POWER_TOL
-                and slacks["sc_over"][i + 1] <= act_tol
-                and slacks["sc_caus"][i] > hyp_tol
-            ) or (
-                sched.p_b[i + 1] > POWER_TOL
-                and slacks["b_over"][i + 1] <= act_tol
-                and slacks["b_caus"][i] > hyp_tol
-            )
-            applicable = both_on and over_active and peak_ok
-            rep.add(
-                "decrease_at_saturation",
-                i,
-                applicable,
-                P[i] >= P[i + 1] - POWER_TOL if applicable else True,
-                f"P[{i}]={P[i]:.6f} P[{i+1}]={P[i+1]:.6f}",
-            )
-        return rep
-
-    # Circuit-power structure.
-    vm = _ValueModel(inst)
-    floor = vm.p_thr
-    l = inst.timeline.l
-    eps = vm.eps
-    for i in range(N):
-        interior = TAU_SNAP < sched.tau[i] < l[i] - TAU_SNAP
-        rep.add(
-            "burst_power_floor",
-            i,
-            interior,
-            abs(P[i] - floor[i]) <= POWER_TOL if interior else True,
-            f"P={P[i]:.6f} floor={floor[i]:.6f} tau={sched.tau[i]:.6f}",
-        )
-        full = sched.tau[i] >= l[i] - 1e-9
-        rep.add(
-            "full_epoch_power_above_floor",
-            i,
-            full,
-            P[i] >= floor[i] - POWER_TOL if full else True,
-            f"P={P[i]:.6f} floor={floor[i]:.6f}",
-        )
-        on = sched.tau[i] > TAU_SNAP and eps[i] > 0.0
-        both = on and sched.p_sc[i] > ptol and sched.p_b[i] > ptol
-        ident = abs(sched.eps_sc[i] * P[i] - eps[i] * sched.p_sc[i])
-        ident_ok = ident <= 1e-9 * max(1.0, eps[i] * max(P[i], 1.0))
-        rep.add(
-            "circuit_split_both",
-            i,
-            both,
-            (sched.eps_sc[i] > 0.0 and sched.eps_b[i] > 0.0 and ident_ok) if both else True,
-            f"eps_sc={sched.eps_sc[i]:.3e} eps_b={sched.eps_b[i]:.3e}",
-        )
-        solo_sc = on and sched.p_sc[i] > ptol and sched.p_b[i] <= ptol
-        if solo_sc:
-            bound = eps[i] * ptol / max(P[i], ptol) + 1e-12
-            okv = sched.eps_sc[i] > 0.0 and sched.eps_b[i] <= bound
-        solo_b = on and sched.p_b[i] > ptol and sched.p_sc[i] <= ptol
-        if solo_b:
-            bound = eps[i] * ptol / max(P[i], ptol) + 1e-12
-            okv = sched.eps_b[i] > 0.0 and sched.eps_sc[i] <= bound
-        rep.add(
-            "circuit_split_single",
-            i,
-            solo_sc or solo_b,
-            okv if (solo_sc or solo_b) else True,
-            f"eps_sc={sched.eps_sc[i]:.3e} eps_b={sched.eps_b[i]:.3e}",
-        )
-    return rep

@@ -1,19 +1,32 @@
-"""Brute-force reference optimum for tiny offline instances.
+"""Test oracles for the offline solver: brute-force optimum, structure
+verifier, energy-domain objective.
 
-A test oracle, kept apart from the production solver in
-:mod:`ehsched.offline`: it shares no code path with it beyond the
-instance description and the channel decomposition.
+Kept apart from the production solver in :mod:`ehsched.offline`, whose
+solve path never calls them.  :func:`brute_force_oracle` shares no code
+path with it beyond the instance description and the channel
+decomposition.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .offline import OfflineInstance, SolverError
+from .channels import CovarianceSet, EffectiveChannels, weighted_rate
+from .offline import TAU_SNAP, OfflineInstance, OfflineSolution, Schedule, SolverError
+from .offline import _paper_slacks, _ValueModel
 
-__all__ = ["brute_force_oracle"]
+__all__ = [
+    "brute_force_oracle",
+    "TransformedVariables",
+    "objective_from_covariances",
+    "objective_from_transformed",
+    "LemmaCheck",
+    "LemmaReport",
+    "verify_structure",
+]
 
 
 def _rate_table(modes: list[tuple[float, float]], pgrid: np.ndarray) -> np.ndarray:
@@ -301,3 +314,282 @@ def brute_force_oracle(inst: OfflineInstance, *, rounds: int = 45, pts: int = 7)
     if not math.isfinite(best_val):
         raise SolverError("brute-force reference found no feasible point")
     return best_val
+
+
+@dataclass(frozen=True)
+class TransformedVariables:
+    """Energy-domain image of a schedule.
+
+    ``alpha`` and ``sigma`` are transmit/circuit energies per epoch and
+    ``Theta`` holds the time-scaled covariance stacks,
+    ``Theta.Phi[k][i] = tau_i * Phi_k(i)``.  The throughput of an epoch is
+    ``tau * rate(Theta/tau)``, which equals the power-domain value whenever
+    ``tau > 0`` and is zero when ``tau == 0``.
+    """
+
+    alpha_sc: np.ndarray
+    alpha_b: np.ndarray
+    sigma_sc: np.ndarray
+    sigma_b: np.ndarray
+    tau: np.ndarray
+    Theta: CovarianceSet
+
+    @classmethod
+    def from_schedule(cls, sched: Schedule) -> "TransformedVariables":
+        return cls(
+            alpha_sc=sched.p_sc * sched.tau,
+            alpha_b=sched.p_b * sched.tau,
+            sigma_sc=sched.eps_sc * sched.tau,
+            sigma_b=sched.eps_b * sched.tau,
+            tau=sched.tau.copy(),
+            Theta=sched.covs.scaled(sched.tau),
+        )
+
+
+def _throughput(eff: EffectiveChannels, weights, taus, covs: CovarianceSet) -> float:
+    """Sum of tau * (weighted log-det rate) over the epochs with tau > 0."""
+    on = taus > 0.0
+    active = CovarianceSet(tuple(P[on] for P in covs.Phi))
+    return math.fsum(taus[on] * weighted_rate(eff, active, weights))
+
+
+def objective_from_covariances(eff: EffectiveChannels, weights, sched: Schedule) -> float:
+    """Weighted throughput evaluated from per-epoch covariances and windows."""
+    return _throughput(eff, weights, sched.tau, sched.covs)
+
+
+def objective_from_transformed(
+    eff: EffectiveChannels, weights, tv: TransformedVariables
+) -> float:
+    """Weighted throughput evaluated from the energy-domain variables.
+
+    Epochs with ``tau == 0`` contribute exactly zero regardless of their
+    (necessarily zero) ``Theta``.
+    """
+    tau = np.where(tv.tau > 0.0, tv.tau, 1.0)[:, None, None]
+    covs = CovarianceSet(tuple(theta / tau for theta in tv.Theta.Phi))
+    return _throughput(eff, weights, tv.tau, covs)
+
+
+# ---------------------------------------------------------------------------
+# Structure verification
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LemmaCheck:
+    name: str
+    index: int
+    applicable: bool
+    ok: bool
+    detail: str = ""
+
+
+@dataclass
+class LemmaReport:
+    checks: list[LemmaCheck] = field(default_factory=list)
+
+    def add(self, name, index, applicable, ok, detail=""):
+        self.checks.append(LemmaCheck(name, index, bool(applicable), bool(ok), detail))
+
+    @property
+    def violations(self) -> list[LemmaCheck]:
+        return [c for c in self.checks if c.applicable and not c.ok]
+
+    @property
+    def num_applicable(self) -> int:
+        return sum(1 for c in self.checks if c.applicable)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def summary(self) -> str:
+        lines = [f"{len(self.checks)} checks, {self.num_applicable} applicable, "
+                 f"{len(self.violations)} violations"]
+        for c in self.violations:
+            lines.append(f"  VIOLATION {c.name}[{c.index}]: {c.detail}")
+        return "\n".join(lines)
+
+
+#: Tolerance for power comparisons in the monotonicity/constancy checks.
+POWER_TOL = 1e-5
+
+
+def verify_structure(sol: OfflineSolution) -> LemmaReport:
+    """Check the known structural properties of an optimal schedule.
+
+    For the zero-circuit-power problem: terminal buffer drainage, lockstep
+    multiplier exclusivity and the piecewise-constant / monotone power
+    pattern between binding storage constraints.  For circuit-power
+    problems: the burst-power floor and the order in which the buffers
+    supply circuit energy.  Conditional checks whose hypotheses fail are
+    reported as non-applicable rather than passes.  The storage slacks
+    come from ``sol.feasibility``, the solver's audit of the schedule.
+    """
+    sched, cert, inst = sol.schedule, sol.certificate, sol.instance
+    rep = LemmaReport()
+    N = sched.N
+    slacks = _paper_slacks(inst, sched, sol.feasibility)
+    escale = max(1.0, float(np.max(np.cumsum(inst.timeline.E))))
+    hyp_tol = 1e-6 * escale
+    act_tol = 1e-7 * escale
+    ptol = 1e-8
+    P = sched.power
+    peak_slack = inst.p_peak - P
+
+    if inst.is_ideal:
+        # Terminal drainage: whatever remains at the deadline was wasted, so
+        # both buffers end empty — unless the peak limit pinned the final
+        # epoch's power.
+        applicable = peak_slack[N - 1] > POWER_TOL
+        okv = (
+            slacks["sc_caus"][N - 1] <= hyp_tol and slacks["b_caus"][N - 1] <= hyp_tol
+        )
+        rep.add(
+            "terminal_drain",
+            N - 1,
+            applicable,
+            okv if applicable else True,
+            f"sc={slacks['sc_caus'][N-1]:.3e} b={slacks['b_caus'][N-1]:.3e}",
+        )
+
+        # The causality slack at epoch i and the overflow slack at epoch i+1
+        # measure the same buffer level at the same boundary instant, before
+        # and after the arrival there.  Both can only be tight together when
+        # the accepted inflow fills the buffer from empty to exactly its cap,
+        # in which case both prices are genuinely positive and none of the
+        # boundary lemmas below applies.
+        lam_scale = 1.0
+        for fam in ("lam1_sc", "lam2_sc", "lam1_b", "lam2_b"):
+            lam_scale = max(lam_scale, float(np.max(np.abs(cert.multipliers[fam]), initial=0.0)))
+        for i in range(N - 1):
+            for caus, over, lam1, lam2 in (
+                ("sc_caus", "sc_over", "lam1_sc", "lam2_sc"),
+                ("b_caus", "b_over", "lam1_b", "lam2_b"),
+            ):
+                cap_fill = (
+                    slacks[caus][i] <= act_tol and slacks[over][i + 1] <= act_tol
+                )
+                prod = abs(
+                    cert.multipliers[lam1][i] * cert.multipliers[lam2][i + 1]
+                )
+                rep.add(
+                    "exclusive_multipliers",
+                    i,
+                    not cap_fill,
+                    prod <= 1e-8 * lam_scale * lam_scale,
+                    f"{lam1}[{i}]*{lam2}[{i+1}]={prod:.3e}",
+                )
+
+        for i in range(N - 1):
+            peak_ok = peak_slack[i] > POWER_TOL and peak_slack[i + 1] > POWER_TOL
+            both_on = P[i] > POWER_TOL and P[i + 1] > POWER_TOL
+
+            inactive_between = (
+                slacks["sc_caus"][i] > hyp_tol
+                and slacks["b_caus"][i] > hyp_tol
+                and slacks["sc_over"][i + 1] > hyp_tol
+                and slacks["b_over"][i + 1] > hyp_tol
+            )
+            applicable = both_on and inactive_between and peak_ok
+            rep.add(
+                "constant_power",
+                i,
+                applicable,
+                abs(P[i] - P[i + 1]) <= POWER_TOL if applicable else True,
+                f"P[{i}]={P[i]:.6f} P[{i+1}]={P[i+1]:.6f}",
+            )
+
+            # Drained a buffer empty at the boundary without refilling it to
+            # cap: the price of that buffer can only rise, so power must not
+            # drop across the boundary.
+            caus_active = (
+                sched.p_sc[i] > POWER_TOL
+                and slacks["sc_caus"][i] <= act_tol
+                and slacks["sc_over"][i + 1] > hyp_tol
+            ) or (
+                sched.p_b[i] > POWER_TOL
+                and slacks["b_caus"][i] <= act_tol
+                and slacks["b_over"][i + 1] > hyp_tol
+            )
+            applicable = both_on and caus_active and peak_ok
+            rep.add(
+                "increase_at_depletion",
+                i,
+                applicable,
+                P[i + 1] >= P[i] - POWER_TOL if applicable else True,
+                f"P[{i}]={P[i]:.6f} P[{i+1}]={P[i+1]:.6f}",
+            )
+
+            # A buffer used after the boundary sits at its cap there without
+            # having been drained empty: its price can only fall, so power
+            # must not rise across the boundary.
+            over_active = (
+                sched.p_sc[i + 1] > POWER_TOL
+                and slacks["sc_over"][i + 1] <= act_tol
+                and slacks["sc_caus"][i] > hyp_tol
+            ) or (
+                sched.p_b[i + 1] > POWER_TOL
+                and slacks["b_over"][i + 1] <= act_tol
+                and slacks["b_caus"][i] > hyp_tol
+            )
+            applicable = both_on and over_active and peak_ok
+            rep.add(
+                "decrease_at_saturation",
+                i,
+                applicable,
+                P[i] >= P[i + 1] - POWER_TOL if applicable else True,
+                f"P[{i}]={P[i]:.6f} P[{i+1}]={P[i+1]:.6f}",
+            )
+        return rep
+
+    # Circuit-power structure.
+    vm = _ValueModel(inst)
+    floor = vm.p_thr
+    l = inst.timeline.l
+    eps = vm.eps
+    for i in range(N):
+        interior = TAU_SNAP < sched.tau[i] < l[i] - TAU_SNAP
+        rep.add(
+            "burst_power_floor",
+            i,
+            interior,
+            abs(P[i] - floor[i]) <= POWER_TOL if interior else True,
+            f"P={P[i]:.6f} floor={floor[i]:.6f} tau={sched.tau[i]:.6f}",
+        )
+        full = sched.tau[i] >= l[i] - 1e-9
+        rep.add(
+            "full_epoch_power_above_floor",
+            i,
+            full,
+            P[i] >= floor[i] - POWER_TOL if full else True,
+            f"P={P[i]:.6f} floor={floor[i]:.6f}",
+        )
+        on = sched.tau[i] > TAU_SNAP and eps[i] > 0.0
+        both = on and sched.p_sc[i] > ptol and sched.p_b[i] > ptol
+        ident = abs(sched.eps_sc[i] * P[i] - eps[i] * sched.p_sc[i])
+        ident_ok = ident <= 1e-9 * max(1.0, eps[i] * max(P[i], 1.0))
+        rep.add(
+            "circuit_split_both",
+            i,
+            both,
+            (sched.eps_sc[i] > 0.0 and sched.eps_b[i] > 0.0 and ident_ok) if both else True,
+            f"eps_sc={sched.eps_sc[i]:.3e} eps_b={sched.eps_b[i]:.3e}",
+        )
+        solo_sc = on and sched.p_sc[i] > ptol and sched.p_b[i] <= ptol
+        if solo_sc:
+            bound = eps[i] * ptol / max(P[i], ptol) + 1e-12
+            okv = sched.eps_sc[i] > 0.0 and sched.eps_b[i] <= bound
+        solo_b = on and sched.p_b[i] > ptol and sched.p_sc[i] <= ptol
+        if solo_b:
+            bound = eps[i] * ptol / max(P[i], ptol) + 1e-12
+            okv = sched.eps_b[i] > 0.0 and sched.eps_sc[i] <= bound
+        rep.add(
+            "circuit_split_single",
+            i,
+            solo_sc or solo_b,
+            okv if (solo_sc or solo_b) else True,
+            f"eps_sc={sched.eps_sc[i]:.3e} eps_b={sched.eps_b[i]:.3e}",
+        )
+    return rep

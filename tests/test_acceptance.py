@@ -107,7 +107,7 @@ def test_criterion_03_structural_invariants(circuit):
     failures = []
     for i in range(100):
         _prob, sol = solve_random(rng, SOLVERS, circuit=circuit, max_epochs=8)
-        report = verify_structure(sol.schedule, sol.certificate, sol.instance)
+        report = verify_structure(sol)
         if not report.ok:
             failures.append((i, report.summary()))
     assert not failures, failures[:3]

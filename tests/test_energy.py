@@ -125,6 +125,11 @@ def test_storage_guards():
         for field in ("level_sc", "level_b"):
             with pytest.raises(ValueError, match="levels must be nonnegative and finite"):
                 HybridStorage(sc_cap=1.0, b_cap=2.0, eta=0.5, **{field: level})
+    for field, cap in (("level_sc", 1.0), ("level_b", 2.0)):
+        with pytest.raises(ValueError, match="levels must not exceed their capacities"):
+            HybridStorage(sc_cap=1.0, b_cap=2.0, eta=0.5, **{field: cap + 2 * FEAS_TOL})
+    full = HybridStorage(sc_cap=1.0, b_cap=2.0, eta=0.5, level_sc=1.0, level_b=2.0)
+    assert (full.copy().level_sc, full.copy().level_b) == (1.0, 2.0)
 
 
 @given(

@@ -59,9 +59,9 @@ def test_ideal_even_spread(unit_eff):
     np.testing.assert_allclose(sol.schedule.tau, tl.l)
     assert sol.objective == pytest.approx(2.0 * math.log(2.0), abs=1e-8)
     # Everything drains by the deadline.
-    assert sol.schedule.drained_sc().sum() + sol.schedule.drained_b().sum() == (
-        pytest.approx(2.0, abs=1e-6)
-    )
+    sched = sol.schedule
+    drained = (sched.p_sc + sched.eps_sc) * sched.tau + (sched.p_b + sched.eps_b) * sched.tau
+    assert drained.sum() == pytest.approx(2.0, abs=1e-6)
 
 
 def test_ideal_peak_clipped(unit_eff):
@@ -315,7 +315,7 @@ def test_random_instances_satisfy_structure(circuit):
         (eff, tl, storage, p_peak, _eps), sol = solve_random(
             rng, SOLVERS, circuit=circuit
         )
-        report = verify_structure(sol.schedule, sol.certificate, sol.instance)
+        report = verify_structure(sol)
         assert report.ok, report.summary()
 
 
@@ -407,12 +407,51 @@ def test_transformed_roundtrip_handles_idle_epochs(unit_eff):
 def test_structure_report_shape(unit_eff):
     tl = build_timeline([(0.0, 2.0), (1.0, 1.0)], T=2.0)
     sol = solve_offline_ideal(unit_eff, None, tl, _big_storage(), p_peak=10.0)
-    report = verify_structure(sol.schedule, sol.certificate, sol.instance)
+    report = verify_structure(sol)
     assert report.ok
     assert report.num_applicable <= len(report.checks)
     assert "violations" in report.summary()
     names = {c.name for c in report.checks}
     assert "terminal_drain" in names and "constant_power" in names
+
+
+@pytest.mark.parametrize(
+    "circuit, check", [(False, "constant_power"), (True, "burst_power_floor")],
+    ids=["ideal", "circuit"],
+)
+def test_structure_report_flags_a_perturbed_power(circuit, check):
+    """Draw 0 of each acceptance-gate-03 stream, with the power of the first
+    epoch where ``check`` applies raised by 1%: the report names exactly
+    that check at that epoch."""
+    rng = np.random.Generator(np.random.Philox(key=0x57A7 + circuit))
+    _prob, sol = solve_random(rng, SOLVERS, circuit=circuit, max_epochs=8)
+    report = verify_structure(sol)
+    assert report.ok, report.summary()
+    i = next(c.index for c in report.checks if c.name == check and c.applicable)
+    power = sol.schedule.power.copy()
+    power[i] *= 1.01
+    report = verify_structure(replace(sol, schedule=replace(sol.schedule, power=power)))
+    assert [(c.name, c.index) for c in report.violations] == [(check, i)], report.summary()
+
+
+def test_offline_holds_only_the_solve_path():
+    """The test oracles live in ``ehsched.oracle``; ``ehsched`` re-exports
+    them and ``ehsched.offline`` defines none of them."""
+    import ehsched
+    from ehsched import offline, oracle
+
+    assert offline.__all__ == [
+        "SolverError", "OfflineInstance", "Schedule", "DualCertificate", "OfflineSolution",
+        "solve_offline_ideal", "solve_offline_circuit", "solve_offline_general",
+    ]
+    moved = ("TransformedVariables", "objective_from_covariances", "objective_from_transformed",
+             "LemmaCheck", "LemmaReport", "verify_structure")
+    for name in moved:
+        obj = getattr(oracle, name)
+        assert obj.__module__ == "ehsched.oracle", name
+        assert getattr(ehsched, name) is obj, name
+    for name in (*moved, "_throughput", "POWER_TOL"):
+        assert hasattr(oracle, name) and not hasattr(offline, name), name
 
 
 def test_schedule_split_accounting(unit_eff):

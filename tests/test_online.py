@@ -309,18 +309,22 @@ def test_run_online_equals_the_epoch_by_epoch_loop_bitwise(pair_eff, policy, cas
 def test_run_online_guards_raise_like_the_epoch_rules(pair_eff, policy, bad):
     """The loop's guards raise where split_arrival and the storage rules
     raise, with their messages: a timeline array changed after
-    validation, and levels built above their buffer's capacity."""
+    validation, and levels set above their buffer's capacity after
+    construction (the constructor rejects them)."""
     tl = reference_profile()
     storage = HybridStorage(5.0, 100.0, 0.5)
+    eps = None if policy == "even" else np.ones(tl.N)
     if bad.endswith("arrival"):
         tl.E[2] = {"negative": -1.0, "nan": math.nan, "inf": math.inf}[bad.split("-")[0]]
-    elif bad == "sc-over-capacity":
-        storage = HybridStorage(5.0, 100.0, 0.5, level_sc=6.0)
+        with pytest.raises(ValueError) as want:
+            _reference_run(pair_eff, tl, storage, 4.0, eps)
     else:
-        storage = HybridStorage(5.0, 100.0, 0.5, level_b=101.0)
-    eps = None if policy == "even" else np.ones(tl.N)
-    with pytest.raises(ValueError) as want:
-        _reference_run(pair_eff, tl, storage, 4.0, eps)
+        if bad == "sc-over-capacity":
+            storage.level_sc = 6.0
+        else:
+            storage.level_b = 101.0
+        with pytest.raises(ValueError) as want:
+            split_arrival(storage, float(tl.E[0]))
     with pytest.raises(ValueError) as got:
         run_online(pair_eff, None, tl, storage, 4.0, eps=eps)
     assert str(got.value) == str(want.value)
