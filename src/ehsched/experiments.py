@@ -278,36 +278,25 @@ def _fmt(x) -> str:
     return "%.12g" % float(x)
 
 
+_SCHEDULE_ROW = "%d" + ",%.12g" * 10 + "\n"
+
+
 def write_schedule_csv(f, timeline: EpochTimeline, sched) -> None:
     f.write("i,t_i,l_i,tau,p_sc,p_b,eps_sc,eps_b,E_sc_dep,E_b_dep,rate\n")
-    for i in range(timeline.N):
-        f.write(
-            ",".join(
-                [str(i)]
-                + [
-                    _fmt(v)
-                    for v in (
-                        timeline.t[i],
-                        timeline.l[i],
-                        sched.tau[i],
-                        sched.p_sc[i],
-                        sched.p_b[i],
-                        sched.eps_sc[i],
-                        sched.eps_b[i],
-                        sched.split.sc[i],
-                        sched.split.b[i],
-                        sched.rate[i],
-                    )
-                ]
-            )
-            + "\n"
-        )
+    columns = (
+        timeline.t, timeline.l, sched.tau, sched.p_sc, sched.p_b, sched.eps_sc,
+        sched.eps_b, sched.split.sc, sched.split.b, sched.rate,
+    )
+    # One tolist() per column, so each row is Python floats, formatted as
+    # _fmt formats them in one %-operation.
+    for i, row in enumerate(zip(*(column.tolist() for column in columns))):
+        f.write(_SCHEDULE_ROW % (i, *row))
 
 
 def write_trace_csv(f, trace: np.ndarray) -> None:
     f.write("time,cumulative_throughput\n")
-    for t, thr in np.asarray(trace):
-        f.write(f"{_fmt(t)},{_fmt(thr)}\n")
+    for t, thr in np.asarray(trace).tolist():
+        f.write("%.12g,%.12g\n" % (t, thr))
 
 
 def write_report_csv(f, result: SweepResult) -> None:

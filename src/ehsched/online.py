@@ -16,10 +16,12 @@ neither buffer is lost.  Two transmission rules are provided:
 :func:`run_online` drives either rule across a timeline and returns the
 realized schedule plus a cumulative-throughput trace.  Its loop keeps the
 two storage levels as plain floats and applies the rules of
-:func:`split_arrival`, the two policies and :class:`HybridStorage` to them
-with the same float operations in the same order, so a run equals the
-epoch-by-epoch loop over those functions bit for bit.  Each epoch writes
-one row of a per-run table whose columns become a
+:func:`split_arrival`, the two policies (the burst rule's window inlined
+from :func:`~ehsched.single_epoch._burst_window`) and
+:class:`HybridStorage` to them with the same float operations in the same
+order, so a run equals the epoch-by-epoch loop over those functions bit
+for bit.  Each epoch stores its nine values into a per-run table of nine
+contiguous columns, one ``memoryview`` per column; the columns become a
 :class:`~ehsched.offline.Schedule` through ``Schedule.assemble``, the
 assembly the offline solvers use.  The trace holds the exact prefix sums
 of that schedule's ``tau * rate``, each correctly rounded once, so its
@@ -130,19 +132,32 @@ def _exact_prefix_sums(g: np.ndarray) -> np.ndarray:
     each finite double is a 53-bit integer mantissa times a power of two, so
     shifting every mantissa to the smallest exponent present (or to 2**0,
     whichever is smaller) makes every prefix an integer multiple of one
-    power of two.  Python's int true division rounds the quotient
-    correctly, as ``math.fsum`` does.
+    power of two, ``2**base``.  Python's int-to-float conversion rounds
+    each prefix correctly, as ``math.fsum`` does, and scaling by
+    ``2**base`` is then exact: a result in the normal range keeps all 53
+    bits, and one below it is a prefix under 2**52 (exact as a float)
+    times ``2**base >= 2**-1074``, a subnormal.  When the terms span so
+    many binades that a prefix could reach 2**1023 before scaling, each
+    prefix is instead divided by ``2**-base`` with Python's correctly
+    rounded int true division.
     """
     frac, exp = np.frexp(g)
     mant = np.ldexp(frac, 53).astype(np.int64)
     exp -= 53
     nonzero = mant != 0
-    base = min(int(exp[nonzero].min()), 0) if nonzero.any() else 0
+    if not nonzero.any():
+        return np.zeros(g.size)
+    low, high = int(exp[nonzero].min()), int(exp[nonzero].max())
+    base = min(low, 0)
     shift = np.where(nonzero, exp - base, 0)
-    unit = 1 << -base
     # Memoryviews index to Python ints without materializing lists.
-    terms = map(operator.lshift, memoryview(mant), memoryview(shift))
-    return np.fromiter(map(operator.truediv, accumulate(terms), repeat(unit)), float, g.size)
+    prefixes = accumulate(map(operator.lshift, memoryview(mant), memoryview(shift)))
+    # Each |term| < 2**(53 + high - base), so every |prefix| of the g.size
+    # terms is below 2**(g.size.bit_length() + 53 + high - base).
+    if g.size.bit_length() + 53 + high - base <= 1023:
+        out = np.fromiter(map(float, prefixes), float, g.size)
+        return np.ldexp(out, base, out=out)
+    return np.fromiter(map(operator.truediv, prefixes, repeat(1 << -base)), float, g.size)
 
 
 def run_online(
@@ -176,13 +191,17 @@ def run_online(
         memoryview(timeline.T - timeline.t), p_o, circuit,
     )
 
-    # split_arrival, HybridStorage.deposit, the policy, _split_drains and
-    # HybridStorage.drain, inlined with their guards: each
-    # ``y if y < x else x`` is ``min(x, y)`` and each ``y if y > x else x``
-    # is ``max(x, y)``, operand for operand, without the builtin's call.
-    # One row per epoch: the SplitDecision fields, then the EpochDecision's
-    # up to the drains; the schedule's arrays are this table's columns.
-    rows = np.empty((N, 9))
+    # split_arrival, HybridStorage.deposit, the policy (with the burst
+    # rule's _burst_window), _split_drains and HybridStorage.drain, inlined
+    # with their guards: each ``y if y < x else x`` is ``min(x, y)`` and
+    # each ``y if y > x else x`` is ``max(x, y)``, operand for operand,
+    # without the builtin's call.  The table holds one contiguous column
+    # per value, the SplitDecision fields, then the EpochDecision's up to
+    # the drains; each epoch stores into the columns through memoryviews.
+    table = np.empty((9, N))
+    c_sc, c_b, c_discarded, c_tau, c_power, c_p_sc, c_p_b, c_eps_sc, c_eps_b = map(
+        memoryview, table
+    )
     for i, (amount, length, remaining, p_o_i, eps_i) in enumerate(epochs):
         if not (0.0 <= amount < math.inf):
             raise ValueError("arrival amount must be nonnegative and finite")
@@ -204,11 +223,24 @@ def run_online(
         level_sc += sc
         level_b += eta * b
 
-        if burst:
-            tau, power = _burst_window(level_sc + level_b, p_o_i, eps_i, p_peak, length)
-        else:
-            tau, power = length, (level_sc + level_b) / remaining
+        e_tol = level_sc + level_b
+        if not burst:
+            tau, power = length, e_tol / remaining
             power = power if power < p_peak else p_peak
+        elif e_tol <= 1e-15:
+            tau = power = 0.0
+        else:
+            if p_o_i < p_peak:
+                if e_tol < length * (p_o_i + eps_i):
+                    power = p_o_i
+                elif e_tol > length * (p_peak + eps_i):
+                    power = p_peak
+                else:
+                    power = e_tol / length - eps_i
+            else:
+                power = p_peak
+            tau = e_tol / (power + eps_i)
+            tau = tau if tau < length else length
 
         consumed = tau * (power + eps_i)
         if consumed <= 0.0:
@@ -228,8 +260,16 @@ def run_online(
         level_sc = level_sc if level_sc > 0.0 else 0.0
         level_b -= d_b
         level_b = level_b if level_b > 0.0 else 0.0
-        rows[i] = sc, b, discarded, tau, power, p_sc, p_b, eps_sc, eps_b
-    dep_sc, dep_b, discarded, tau, power, p_sc, p_b, eps_sc, eps_b = rows.T
+        c_sc[i] = sc
+        c_b[i] = b
+        c_discarded[i] = discarded
+        c_tau[i] = tau
+        c_power[i] = power
+        c_p_sc[i] = p_sc
+        c_p_b[i] = p_b
+        c_eps_sc[i] = eps_sc
+        c_eps_b[i] = eps_b
+    dep_sc, dep_b, discarded, tau, power, p_sc, p_b, eps_sc, eps_b = table
 
     sched = Schedule.assemble(
         tau, power, p_sc, p_b, eps_sc, eps_b, ArrivalSplit(sc=dep_sc, b=dep_b), ws

@@ -4,6 +4,7 @@ import io
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -185,6 +186,31 @@ def test_schedule_csv_layout():
     assert len(lines) == tl.N + 2 and lines[-1] == ""
     first = lines[1].split(",")
     assert first[0] == "0" and len(first) == 11
+
+
+def test_csv_writers_print_each_value_as_12_significant_digits():
+    """Both writers print every value as ``"%.12g"`` of the float: the sign
+    of zero, a subnormal, a huge value and a repeating fraction."""
+    values = np.array([-0.0, 5e-324, 1e300, 1 / 3])
+    text = ["-0", "4.94065645841e-324", "1e+300", "0.333333333333"]
+    assert text == ["%.12g" % x for x in values.tolist()]
+    # Column k holds the values rotated by k, so every value meets every column.
+    cols = [np.roll(values, k) for k in range(10)]
+    timeline = SimpleNamespace(t=cols[0], l=cols[1], N=values.size)
+    sched = SimpleNamespace(
+        tau=cols[2], p_sc=cols[3], p_b=cols[4], eps_sc=cols[5], eps_b=cols[6],
+        split=SimpleNamespace(sc=cols[7], b=cols[8]), rate=cols[9],
+    )
+    buf = io.StringIO()
+    write_schedule_csv(buf, timeline, sched)
+    rows = [",".join([str(i), *(text[(i - k) % 4] for k in range(10))]) for i in range(4)]
+    assert buf.getvalue().split("\n")[1:] == [*rows, ""]
+    buf = io.StringIO()
+    write_trace_csv(buf, np.column_stack([values, values[::-1]]))
+    assert buf.getvalue() == (
+        "time,cumulative_throughput\n-0,0.333333333333\n4.94065645841e-324,1e+300\n"
+        "1e+300,4.94065645841e-324\n0.333333333333,-0\n"
+    )
 
 
 def test_trace_and_report_csv_layout():

@@ -247,6 +247,11 @@ def _bitwise_case(name):
     if name == "single-epoch":
         tl = build_timeline([(0.0, 3.0)], T=2.0)
         return tl, HybridStorage(1.0, 10.0, 0.5, level_b=0.5), 4.0, np.array([0.7])
+    if name == "zero-energy":
+        # Idle epochs of 0 J, a few arrivals, then 0 J after the buffers drain.
+        amounts = [0.0] * 4 + [1.5, 0.2, 3.0] + [0.0] * 9
+        tl = build_timeline([(float(i), e) for i, e in enumerate(amounts)], T=16.0)
+        return tl, HybridStorage(2.0, 6.0, 0.6), 4.0, np.full(tl.N, 0.8)
     if name == "overflow":
         # Mean arrivals of 30 J into a 20 J battery: most epochs discard.
         tl, rng = _random_timeline(0x0F10, 40, 60.0)
@@ -262,11 +267,39 @@ def _bitwise_case(name):
     return tl, storage, 1e-3 if name == "tiny-peak" else 4.0 * scale, eps
 
 
-@pytest.mark.parametrize(
-    "case",
-    ["reference", "per-epoch-eps", "initial-levels", "overflow", "eta-1",
-     "scale-1e-6", "scale-1e5", "tiny-peak", "single-epoch"],
-)
+def _burst_regimes(sched, p_o, p_peak):
+    """The regimes of the burst window that a run's epochs took: ``idle``
+    (no drainable energy), ``high`` (p_o at or above the peak), and, below
+    the peak, ``scarce`` (burst at p_o), ``peak`` and ``middle`` (the whole
+    epoch at the power that drains the buffers)."""
+    idle = (sched.tau == 0.0) & (sched.power == 0.0)
+    low = ~idle & (p_o < p_peak)
+    scarce = low & (sched.power == p_o)
+    peak = low & (sched.power == p_peak)
+    masks = {
+        "idle": idle, "high": ~idle & ~low, "scarce": scarce, "peak": peak,
+        "middle": low & ~scarce & ~peak,
+    }
+    return {name for name, mask in masks.items() if mask.any()}
+
+
+#: The burst-window regimes each instance reaches, with per-epoch and with
+#: scalar eps; together they cover every regime.
+_CASE_REGIMES = {
+    "reference": {"scarce", "peak"},
+    "per-epoch-eps": {"scarce", "peak", "middle"},
+    "initial-levels": {"scarce", "peak", "middle"},
+    "overflow": {"peak", "middle"},
+    "eta-1": {"scarce", "peak", "middle"},
+    "scale-1e-6": {"high"},
+    "scale-1e5": {"scarce", "peak", "middle"},
+    "tiny-peak": {"high"},
+    "single-epoch": {"scarce"},
+    "zero-energy": {"idle", "scarce"},
+}
+
+
+@pytest.mark.parametrize("case", list(_CASE_REGIMES))
 @pytest.mark.parametrize("policy", ["even", "burst", "burst-scalar-eps"])
 def test_run_online_equals_the_epoch_by_epoch_loop_bitwise(pair_eff, policy, case):
     """Even spreading, the burst rule with per-epoch eps, and the burst
@@ -299,6 +332,12 @@ def test_run_online_equals_the_epoch_by_epoch_loop_bitwise(pair_eff, policy, cas
             assert np.any(sched.tau < tl.l)
     if case == "tiny-peak":
         assert np.any(sched.power == p_peak)
+    if case == "zero-energy":
+        # The drain's zero-consumption branch, under either policy.
+        assert np.any(sched.tau * (sched.power + (sched.eps_sc + sched.eps_b)) == 0.0)
+    if eps is not None:
+        p_o = solve_p_o(pair_eff, None, np.broadcast_to(np.asarray(eps, dtype=float), (tl.N,)))
+        assert _burst_regimes(sched, p_o, p_peak) >= _CASE_REGIMES[case]
 
 
 @pytest.mark.parametrize(
@@ -348,6 +387,13 @@ _finite = st.one_of(
 )
 @example(terms=[5e-324])
 @example(terms=[-1e300])
+# Float conversion scaled by 2**base, to normal and to subnormal results;
+# then the int division fallback, where a prefix in units of 2**base would
+# overflow a float (1.0 in units of 5e-324 is 2**1074).
+@example(terms=[0.3, 1.7, 2.2])
+@example(terms=[1e-310, 5e-324, -3e-320])
+@example(terms=[5e-324, 1.0])
+@example(terms=[1e300, 1e-10])
 @settings(max_examples=300, deadline=None)
 def test_running_sum_equals_fsum_of_every_prefix(terms):
     """The exact prefix sums equal math.fsum of every prefix bit for bit,
