@@ -17,7 +17,8 @@ writes ``BENCH_<label>.json`` with four parts:
   reconstruction, the Newton steps, microseconds per Newton step (loop
   time over steps), how many short transmission windows reconstruction
   tried to snap to zero (``min_slack`` calls) and how many of those snaps
-  it kept, ``converged``, ``certificate.ok()``, the dual residual
+  it kept, ``converged`` (the audit passes and ``certificate.ok()``
+  holds), ``certificate.ok()`` on its own, the loop's dual residual
   (nats/J), the objective and the ``tracemalloc`` peak of one more solve.
 * ``online``: ``run_online`` with the burst rule (per-epoch eps ~
   U(0.5, 1.5) W, as perfbench's ``online-long``) and with even spreading

@@ -15,8 +15,8 @@ and a scenario file (``{"arrivals": [[t, E], ...]`` or ``{"poisson":
 {...}}``, plus ``"T"``, ``"sc_cap"``, ``"b_cap"``, ``"eta"``).  CSV outputs
 are deterministic: equal inputs produce byte-identical files.
 
-Exit codes: 0 on success, 2 on invalid input, 3 when the solver fails to
-converge or its schedule fails the feasibility audit.
+Exit codes: 0 on success, 2 on invalid input, 3 when the solver fails or
+its schedule fails the feasibility audit or its dual certificate.
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ def _cmd_solve(args) -> int:
         return EXIT_SOLVER
     if not sol.converged:
         print(
-            f"solver did not converge (stationarity residual "
-            f"{sol.stationarity_residual:.3e})",
+            f"uncertified schedule: the dual certificate fails after "
+            f"{sol.iterations} Newton steps",
             file=sys.stderr,
         )
         return EXIT_SOLVER
@@ -235,10 +235,9 @@ def _add_common_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--channels", required=True, help="channel JSON file")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--p-peak", type=float, required=True, help="peak sum power (W)")
-    p.add_argument("--eps", type=float, default=None, help="constant circuit power (W)")
-    p.add_argument(
-        "--eps-seq", default=None, help="per-epoch circuit powers, comma-separated"
-    )
+    eps = p.add_mutually_exclusive_group()
+    eps.add_argument("--eps", type=float, default=None, help="constant circuit power (W)")
+    eps.add_argument("--eps-seq", default=None, help="per-epoch circuit powers, comma-separated")
     p.add_argument("--weights", default=None, help="per-user weights, comma-separated")
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 

@@ -138,8 +138,8 @@ class HybridStorage:
     def __post_init__(self):
         if not (0.0 < self.eta <= 1.0):
             raise ValueError(f"drain efficiency must be in (0, 1], got {self.eta}")
-        if self.sc_cap <= 0.0 or self.b_cap <= 0.0:
-            raise ValueError("storage capacities must be positive")
+        if not (0.0 < self.sc_cap < math.inf and 0.0 < self.b_cap < math.inf):
+            raise ValueError("storage capacities must be positive and finite")
         if not self.sc_cap < self.b_cap:
             raise ValueError("the SC must be the small buffer (sc_cap < b_cap)")
         if not (0.0 <= self.level_sc < math.inf and 0.0 <= self.level_b < math.inf):

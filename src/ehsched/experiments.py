@@ -102,8 +102,8 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class TrialOutcome:
     """Objectives of one paired trial, keyed by policy name.  ``converged``
-    is False when an offline solve did not converge or its schedule failed
-    the feasibility audit."""
+    is False when an offline solve did not converge: its schedule failed
+    the feasibility audit or its dual certificate failed."""
 
     objectives: dict[str, float]
     timeline: EpochTimeline
@@ -191,8 +191,8 @@ class SweepResult:
     maps ``(axis_value, policy)`` to the per-trial objectives, in trial
     order, for finer-grained analysis.  ``failed`` maps each axis value to
     the number of trials dropped from it, for every policy alike, because
-    an offline solve did not converge; an axis value whose every trial
-    failed has no rows.
+    an offline solve did not converge (its audit or its certificate
+    failed); an axis value whose every trial failed has no rows.
     """
 
     axis: str

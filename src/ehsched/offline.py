@@ -38,12 +38,13 @@ solves with the factor after a finiteness check of each right-hand side,
 and scipy's CSR/CSC kernels form the sparse products from the plain CSR
 arrays that the program keeps.  A non-finite Newton matrix or right-hand
 side raises :class:`SolverError` as a numerical failure.  The loop stops
-on a small dual residual and a small relative duality gap, and proves an
-instance infeasible with a Farkas certificate built from its own
-multipliers.  Transmission windows, powers and
+on a small dual residual and a small relative duality gap (or after
+``MAX_NEWTON`` steps), and proves an instance infeasible with a Farkas
+certificate built from its own multipliers.  Windows, powers and
 covariances are then recovered in closed form, and the dual certificate
-is filled in closed form from the loop's multipliers.  The test oracles
-that check these results live in :mod:`ehsched.oracle`.
+from the loop's multipliers: a solve has converged when its schedule
+passes the feasibility audit and that certificate.  The test oracles
+live in :mod:`ehsched.oracle`.
 """
 
 from __future__ import annotations
@@ -607,8 +608,7 @@ class _Iterate:
     """Where the interior-point loop stopped: per-epoch drains and
     deposits, the slope of each epoch's curved part and the multipliers
     of each row family (nats/J, zero where a family has no row), the
-    Newton step count, the dual residual (nats/J) and whether the stopping
-    test passed."""
+    Newton step count and the dual residual (nats/J)."""
 
     s: np.ndarray
     b: np.ndarray
@@ -617,7 +617,6 @@ class _Iterate:
     multipliers: dict[str, np.ndarray]
     iterations: int
     dual_residual: float
-    optimal: bool
 
 
 def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
@@ -717,7 +716,6 @@ def _interior_point(prog: _Program) -> _Iterate:
         multipliers=multipliers,
         iterations=it,
         dual_residual=unit * dual,
-        optimal=optimal,
     )
 
 
@@ -803,6 +801,8 @@ def _reconstruct(
 # ---------------------------------------------------------------------------
 
 
+#: The tolerances of :meth:`DualCertificate.ok`.
+STAT_TOL, COMP_TOL = 1e-6, 1e-8
 #: The storage families of the paper's multipliers, as the feasibility
 #: audit names them.
 _STORAGE = dict(
@@ -849,17 +849,17 @@ class DualCertificate:
     stationarity: dict[str, float]
     complementarity: dict[str, float]
 
-    def ok(self, stat_tol: float = 1e-6, comp_tol: float = 1e-8) -> bool:
-        """Stationarity within ``stat_tol`` of its unit (the largest water
+    def ok(self) -> bool:
+        """Stationarity within ``STAT_TOL`` of its unit (the largest water
         level for the nats/J families, ``rate_scale`` for ``stat_tau`` in
-        nats/s) and complementarity (nats) within ``comp_tol``: both tests
+        nats/s) and complementarity (nats) within ``COMP_TOL``: both tests
         are free of the energy scale."""
         level = float(np.max(self.levels))
         stat = all(
-            r <= stat_tol * (self.rate_scale if name == "stat_tau" else level)
+            r <= STAT_TOL * (self.rate_scale if name == "stat_tau" else level)
             for name, r in self.stationarity.items()
         )
-        return stat and max(self.complementarity.values(), default=0.0) <= comp_tol
+        return stat and max(self.complementarity.values(), default=0.0) <= COMP_TOL
 
 
 def _suffix(v: np.ndarray) -> np.ndarray:
@@ -959,8 +959,8 @@ def _certificate(
 class OfflineSolution:
     """A solved instance.  ``feasibility`` is the independent audit of the
     schedule, with the offline arrival split ``sc + b = E`` as an equality;
-    ``converged`` holds only when the KKT residual is small and that audit
-    passes."""
+    ``converged`` holds exactly when that audit passes and so does
+    ``certificate.ok()``."""
 
     schedule: Schedule
     certificate: DualCertificate
@@ -992,7 +992,7 @@ def _solve(inst: OfflineInstance) -> OfflineSolution:
         instance=inst,
         iterations=it.iterations,
         stationarity_residual=it.dual_residual,
-        converged=bool(it.optimal and feas.feasible),
+        converged=bool(feas.feasible and cert.ok()),
         feasibility=feas,
     )
 

@@ -105,6 +105,12 @@ def test_storage_guards():
         HybridStorage(sc_cap=2.0, b_cap=2.0, eta=0.5)
     with pytest.raises(ValueError, match="positive"):
         HybridStorage(sc_cap=0.0, b_cap=2.0, eta=0.5)
+    # An infinite capacity made the offline solve stop at once with objective
+    # 0, and a NaN one failed later with a misleading message.
+    for bad in (math.inf, math.nan):
+        for sc_cap, b_cap in ((bad, 2.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="storage capacities must be positive and finite"):
+                HybridStorage(sc_cap=sc_cap, b_cap=b_cap, eta=0.5)
     st_ = HybridStorage(sc_cap=1.0, b_cap=2.0, eta=0.5)
     with pytest.raises(ValueError, match="headroom"):
         st_.deposit(1.5, 0.0)

@@ -406,10 +406,42 @@ def test_cli_reuses_one_parser_like_a_fresh_one(files, capsys):
         assert (main(argv), *capsys.readouterr()) == got, argv
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_cli_eps_and_eps_seq_exclude_each_other(files, command, capsys):
+    """Given both, the per-epoch sequence used to win silently."""
+    _, chan, scen = files
+    argv = [command, "--channels", chan, "--scenario", scen, "--p-peak", "4.0",
+            "--eps", "1.0", "--eps-seq", "0.5,0.5"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INVALID
+    assert "argument --eps-seq: not allowed with argument --eps" in capsys.readouterr().err
+
+
+def test_cli_solve_refuses_an_uncertified_schedule(files, monkeypatch, capsys):
+    """A feasible schedule whose dual certificate fails has not converged:
+    ``solve`` exits 3, says so and writes no schedule."""
+    from ehsched import offline
+
+    tmp, chan, scen = files
+    out = tmp / "schedule.csv"
+    monkeypatch.setattr(offline.DualCertificate, "ok", lambda self: False)
+    argv = ["solve", "--channels", chan, "--scenario", scen, "--p-peak", "4.0", "--out", str(out)]
+    assert main(argv) == EXIT_SOLVER
+    assert capsys.readouterr().err.startswith("uncertified schedule: the dual certificate fails")
+    assert not out.exists()
+
+
 def test_cli_invalid_inputs_exit_2(files, tmp_path, capsys):
     tmp, chan, scen = files
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    # JSON's 1e999 reads as an infinite capacity.
+    endless = tmp_path / "endless.json"
+    endless.write_text(
+        '{"T": 2.0, "arrivals": [[0.0, 2.0], [1.0, 1.0]], "sc_cap": 5.0, "b_cap": 1e999, '
+        '"eta": 0.5}'
+    )
     half_entry = tmp_path / "half_entry.json"
     half_entry.write_text(json.dumps({"M": 1, "users": [{"n": 1}], "H": [[[[1.0]]]]}))
     cases = [
@@ -426,6 +458,7 @@ def test_cli_invalid_inputs_exit_2(files, tmp_path, capsys):
         ["simulate", "--channels", chan, "--scenario", scen, "--p-peak", "4.0",
          "--eps-seq", "1,nan"],
         ["solve", "--channels", chan, "--scenario", str(bad), "--p-peak", "4.0"],
+        ["solve", "--channels", chan, "--scenario", str(endless), "--p-peak", "4.0"],
         ["solve", "--channels", chan, "--scenario", scen, "--p-peak", "-1.0"],
         ["solve", "--channels", chan, "--scenario", scen, "--p-peak", "inf"],
         ["solve", "--channels", chan, "--scenario", scen, "--p-peak", "4.0", "--eps", "nan"],
