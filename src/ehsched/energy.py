@@ -51,6 +51,8 @@ class EpochTimeline:
         E = np.asarray(self.E, dtype=float)
         if t.ndim != 1 or t.shape != E.shape or t.size == 0:
             raise ValueError("need matching non-empty arrival time/amount arrays")
+        if not (np.all(np.isfinite(t)) and math.isfinite(self.T)):
+            raise ValueError("arrival times and the deadline must be finite")
         if t[0] != 0.0:
             raise ValueError("first arrival must be at t=0")
         if np.any(np.diff(t) <= 0.0):

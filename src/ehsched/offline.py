@@ -50,7 +50,8 @@ live in :mod:`ehsched.oracle`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -151,13 +152,12 @@ class Schedule:
 
     Powers are split by source buffer: ``p_sc + p_b`` is the radiated sum
     power and ``eps_sc + eps_b`` the circuit power while transmitting.
-    ``split`` records how each arrival was divided between the buffers and
-    ``covs`` holds the per-user transmit covariance stacks:
-    ``covs.Phi[k][i]`` is user ``k``'s covariance in epoch ``i``.
+    ``split`` records how each arrival was divided between the buffers.
 
     The offline solvers and the causal simulator both build it with
-    :meth:`assemble`, so ``rate``, ``covs`` and ``objective`` always derive
-    from ``power`` and ``tau`` the same way.
+    :meth:`assemble`, so ``rate`` and ``objective`` always derive from
+    ``power`` and ``tau`` the same way, and ``covs`` from ``power`` and
+    the water-filling system the schedule was assembled with.
     """
 
     tau: np.ndarray
@@ -166,23 +166,29 @@ class Schedule:
     eps_sc: np.ndarray
     eps_b: np.ndarray
     split: ArrivalSplit
-    covs: CovarianceSet
     power: np.ndarray
     rate: np.ndarray
     objective: float
+    _ws: WaterSystem = field(repr=False, compare=False)
 
     @classmethod
     def assemble(
         cls, tau, power, p_sc, p_b, eps_sc, eps_b, split: ArrivalSplit, ws: WaterSystem
     ) -> "Schedule":
         """The schedule of these windows, sum and per-buffer powers and
-        arrival split: the rates and covariances at each epoch's sum power
-        come from ``ws``, and ``objective`` is the correctly rounded sum of
-        ``tau * rate``."""
+        arrival split: the rates at each epoch's sum power come from
+        ``ws``, and ``objective`` is the correctly rounded sum of ``tau *
+        rate``."""
         rate = ws.rate_at_power_vec(power)
         objective = math.fsum((tau * rate).tolist())
-        covs = ws.covariances(power)
-        return cls(tau, p_sc, p_b, eps_sc, eps_b, split, covs, power, rate, objective)
+        return cls(tau, p_sc, p_b, eps_sc, eps_b, split, power, rate, objective, ws)
+
+    @cached_property
+    def covs(self) -> CovarianceSet:
+        """The per-user transmit covariance stacks at each epoch's sum
+        power, built on first read: ``covs.Phi[k][i]`` is user ``k``'s
+        covariance in epoch ``i``."""
+        return self._ws.covariances(self.power)
 
     @property
     def N(self) -> int:

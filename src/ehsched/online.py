@@ -20,12 +20,16 @@ two storage levels as plain floats and applies the rules of
 from :func:`~ehsched.single_epoch._burst_window`) and
 :class:`HybridStorage` to them with the same float operations in the same
 order, so a run equals the epoch-by-epoch loop over those functions bit
-for bit.  Each epoch stores its nine values into a per-run table of nine
-contiguous columns, one ``memoryview`` per column; the columns become a
-:class:`~ehsched.offline.Schedule` through ``Schedule.assemble``, the
-assembly the offline solvers use.  The trace holds the exact prefix sums
-of that schedule's ``tau * rate``, each correctly rounded once, so its
-last value is the throughput bit for bit.
+for bit.  Each epoch stores the six values that depend on the storage
+levels (the two deposits, the window and its power, the super-capacitor
+drain and the consumption) into a per-run table of six contiguous
+columns, one ``memoryview`` per column; the discards and the per-buffer
+powers follow from those columns after the loop, with the same float
+operations.  The
+columns become a :class:`~ehsched.offline.Schedule` through
+``Schedule.assemble``, the assembly the offline solvers use.  The trace
+holds the exact prefix sums of that schedule's ``tau * rate``, each
+correctly rounded once, so its last value is the throughput bit for bit.
 """
 
 from __future__ import annotations
@@ -128,21 +132,26 @@ def _exact_prefix_sums(g: np.ndarray) -> np.ndarray:
     """Every prefix sum of ``g``, each correctly rounded: entry ``k`` equals
     ``math.fsum(g[:k + 1])`` bit for bit.
 
-    The terms are summed exactly in one long integer accumulator (Kulisch):
-    each finite double is a 53-bit integer mantissa times a power of two, so
-    shifting every mantissa to the smallest exponent present (or to 2**0,
-    whichever is smaller) makes every prefix an integer multiple of one
-    power of two, ``2**base``.  Python's int-to-float conversion rounds
-    each prefix correctly, as ``math.fsum`` does, and scaling by
-    ``2**base`` is then exact: a result in the normal range keeps all 53
-    bits, and one below it is a prefix under 2**52 (exact as a float)
-    times ``2**base >= 2**-1074``, a subnormal.  When the terms span so
-    many binades that a prefix could reach 2**1023 before scaling, each
-    prefix is instead divided by ``2**-base`` with Python's correctly
-    rounded int true division.
+    The terms are summed exactly (Kulisch): each finite double is a 53-bit
+    integer mantissa times a power of two, so shifting every mantissa to
+    the smallest exponent present (or to 2**0, whichever is smaller) makes
+    every prefix an integer multiple of one power of two, ``2**base``.
+
+    When the terms span few enough binades, each shifted mantissa is split
+    at bit 40 into two int64 limbs, ``hi * 2**40 + lo`` with ``0 <= lo <
+    2**40``, and each limb is summed with ``cumsum``; after one carry from
+    ``lo`` into ``hi``, both are exact doubles, so ``hi * 2**40 + lo`` is
+    one correctly rounded addition.  Otherwise the prefixes are Python
+    ints, whose conversion to float rounds correctly, as ``math.fsum``
+    does.  Scaling by ``2**base`` is then exact: a result in the normal
+    range keeps all 53 bits, and a subnormal one is a multiple of 2**-1074
+    (as every double is) below 2**-1022, which the prefix held exactly.
+    When the terms span so many binades that a prefix could reach 2**1023
+    before scaling, each prefix is instead divided by ``2**-base`` with
+    Python's correctly rounded int true division.
     """
     frac, exp = np.frexp(g)
-    mant = np.ldexp(frac, 53).astype(np.int64)
+    mant = np.ldexp(frac, 53, out=frac).astype(np.int64)
     exp -= 53
     nonzero = mant != 0
     if not nonzero.any():
@@ -150,11 +159,29 @@ def _exact_prefix_sums(g: np.ndarray) -> np.ndarray:
     low, high = int(exp[nonzero].min()), int(exp[nonzero].max())
     base = min(low, 0)
     shift = np.where(nonzero, exp - base, 0)
+    # Each |term| < 2**(53 + high - base), so every |prefix| of the g.size
+    # terms is below 2**(bits + 53 + high - base).
+    bits = g.size.bit_length()
+    if bits + 13 + high - base <= 53 and bits <= 23:
+        # Then every |hi| prefix is below 2**53 and every lo prefix below
+        # 2**63; and shift <= 39, so each term splits below bit 40.  The
+        # widths are int64: frexp's int32 exponents would overflow 1 << 40.
+        width = np.subtract(40, shift, dtype=np.int64)
+        hi = np.right_shift(mant, width)
+        np.left_shift(1, width, out=width)
+        width -= 1
+        mant &= width
+        lo = np.left_shift(mant, shift, out=mant)
+        np.cumsum(hi, out=hi)
+        np.cumsum(lo, out=lo)
+        hi += np.right_shift(lo, 40, out=width)
+        lo &= (1 << 40) - 1
+        out = np.multiply(hi, 2.0**40, out=frac)
+        out += lo
+        return np.ldexp(out, base, out=out)
     # Memoryviews index to Python ints without materializing lists.
     prefixes = accumulate(map(operator.lshift, memoryview(mant), memoryview(shift)))
-    # Each |term| < 2**(53 + high - base), so every |prefix| of the g.size
-    # terms is below 2**(g.size.bit_length() + 53 + high - base).
-    if g.size.bit_length() + 53 + high - base <= 1023:
+    if bits + 53 + high - base <= 1023:
         out = np.fromiter(map(float, prefixes), float, g.size)
         return np.ldexp(out, base, out=out)
     return np.fromiter(map(operator.truediv, prefixes, repeat(1 << -base)), float, g.size)
@@ -195,13 +222,12 @@ def run_online(
     # rule's _burst_window), _split_drains and HybridStorage.drain, inlined
     # with their guards: each ``y if y < x else x`` is ``min(x, y)`` and
     # each ``y if y > x else x`` is ``max(x, y)``, operand for operand,
-    # without the builtin's call.  The table holds one contiguous column
-    # per value, the SplitDecision fields, then the EpochDecision's up to
-    # the drains; each epoch stores into the columns through memoryviews.
-    table = np.empty((9, N))
-    c_sc, c_b, c_discarded, c_tau, c_power, c_p_sc, c_p_b, c_eps_sc, c_eps_b = map(
-        memoryview, table
-    )
+    # without the builtin's call.  The loop stores only the six values that
+    # depend on the storage levels (the deposits, the window and its power,
+    # the SC drain and the consumption), one contiguous column each,
+    # through memoryviews.
+    table = np.empty((6, N))
+    c_sc, c_b, c_tau, c_power, c_d_sc, c_consumed = map(memoryview, table)
     for i, (amount, length, remaining, p_o_i, eps_i) in enumerate(epochs):
         if not (0.0 <= amount < math.inf):
             raise ValueError("arrival amount must be nonnegative and finite")
@@ -212,8 +238,6 @@ def run_online(
         head = (b_cap - level_b) / eta
         head = head if head > 0.0 else 0.0
         b = head if head < rest else rest
-        discarded = amount - sc - b
-        discarded = 0.0 if 0.0 > discarded else discarded
         if not (sc >= 0.0 and b >= 0.0):
             raise ValueError("deposits must be non-negative")
         if level_sc + sc > sc_limit:
@@ -244,14 +268,11 @@ def run_online(
 
         consumed = tau * (power + eps_i)
         if consumed <= 0.0:
-            p_sc = p_b = eps_sc = eps_b = d_sc = d_b = 0.0
+            d_sc = d_b = 0.0
         else:
             d_sc = consumed if consumed < level_sc else level_sc
             d_b = consumed - d_sc
             d_b = d_b if d_b < level_b else level_b
-            frac = d_sc / consumed
-            p_sc, p_b = power * frac, power * (1.0 - frac)
-            eps_sc, eps_b = eps_i * frac, eps_i * (1.0 - frac)
         if not (d_sc >= -FEAS_TOL and d_b >= -FEAS_TOL):
             raise ValueError("drains must be non-negative")
         if d_sc > level_sc + FEAS_TOL or d_b > level_b + FEAS_TOL:
@@ -262,14 +283,28 @@ def run_online(
         level_b = level_b if level_b > 0.0 else 0.0
         c_sc[i] = sc
         c_b[i] = b
-        c_discarded[i] = discarded
         c_tau[i] = tau
         c_power[i] = power
-        c_p_sc[i] = p_sc
-        c_p_b[i] = p_b
-        c_eps_sc[i] = eps_sc
-        c_eps_b[i] = eps_b
-    dep_sc, dep_b, discarded, tau, power, p_sc, p_b, eps_sc, eps_b = table
+        c_d_sc[i] = d_sc
+        c_consumed[i] = consumed
+
+    # The discards and the per-buffer shares of _split_drains, with the
+    # loop's float operations in its order, over whole columns: frac =
+    # d_sc / consumed, and exact zeros where nothing was consumed.  The
+    # drain and consumption columns are overwritten with p_sc and p_b.
+    dep_sc, dep_b, tau, power, frac, consumed = table
+    discarded = timeline.E - dep_sc
+    discarded -= dep_b
+    discarded[discarded < 0.0] = 0.0
+    idle = consumed <= 0.0
+    np.divide(frac, consumed, out=frac, where=~idle)  # d_sc is 0.0 where idle
+    rest = np.subtract(1.0, frac, out=consumed)
+    eps_col = eps_arr if burst else 0.0
+    eps_sc, eps_b = eps_col * frac, eps_col * rest
+    p_sc = np.multiply(power, frac, out=frac)
+    p_b = np.multiply(power, rest, out=rest)
+    for col in (p_sc, p_b, eps_sc, eps_b):
+        col[idle] = 0.0
 
     sched = Schedule.assemble(
         tau, power, p_sc, p_b, eps_sc, eps_b, ArrivalSplit(sc=dep_sc, b=dep_b), ws

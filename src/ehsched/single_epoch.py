@@ -135,7 +135,7 @@ def solve_single_epoch(
     power limit truncates it, the drain is exhaustive:
     tau*(power + eps) = E_tol.
     """
-    if t <= 0.0:
+    if not (t > 0.0):
         raise ValueError("window length must be positive")
     if not (0.0 < eta <= 1.0):
         raise ValueError("drain efficiency must be in (0, 1]")

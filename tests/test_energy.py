@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ehsched import (
     ArrivalSplit,
+    EpochTimeline,
     HybridStorage,
     build_timeline,
     check_feasibility,
@@ -43,6 +44,21 @@ def test_build_timeline_epoch_lengths():
 def test_build_timeline_rejects(arrivals, T):
     with pytest.raises(ValueError):
         build_timeline(arrivals, T=T)
+
+
+@pytest.mark.parametrize(
+    "t,T",
+    [
+        ([0.0, math.nan, 2.0], 3.0),
+        ([math.nan, 1.0], 2.0),
+        ([0.0, 1.0], math.inf),
+        ([0.0, math.inf], math.inf),
+        ([0.0, 1.0], math.nan),
+    ],
+)
+def test_timeline_rejects_non_finite_times(t, T):
+    with pytest.raises(ValueError, match="arrival times and the deadline must be finite"):
+        EpochTimeline(t=np.array(t), E=np.ones(len(t)), T=T)
 
 
 def test_compound_poisson_reproducible():

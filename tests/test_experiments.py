@@ -442,6 +442,17 @@ def test_cli_invalid_inputs_exit_2(files, tmp_path, capsys):
         '{"T": 2.0, "arrivals": [[0.0, 2.0], [1.0, 1.0]], "sc_cap": 5.0, "b_cap": 1e999, '
         '"eta": 0.5}'
     )
+    # A deadline of 1e999 reads as infinite, and JSON's NaN as a NaN arrival time.
+    unending = tmp_path / "unending.json"
+    unending.write_text(
+        '{"T": 1e999, "arrivals": [[0.0, 2.0], [1.0, 1.0]], "sc_cap": 5.0, "b_cap": 100.0, '
+        '"eta": 0.5}'
+    )
+    nan_time = tmp_path / "nan_time.json"
+    nan_time.write_text(
+        '{"T": 2.0, "arrivals": [[0.0, 2.0], [NaN, 1.0]], "sc_cap": 5.0, "b_cap": 100.0, '
+        '"eta": 0.5}'
+    )
     half_entry = tmp_path / "half_entry.json"
     half_entry.write_text(json.dumps({"M": 1, "users": [{"n": 1}], "H": [[[[1.0]]]]}))
     cases = [
@@ -464,6 +475,9 @@ def test_cli_invalid_inputs_exit_2(files, tmp_path, capsys):
         ["solve", "--channels", chan, "--scenario", scen, "--p-peak", "4.0", "--eps", "nan"],
         ["solve", "--channels", chan, "--scenario", scen, "--p-peak", "4.0", "--eps", "inf"],
         ["simulate", "--channels", chan, "--scenario", scen, "--p-peak", "inf"],
+        *([command, "--channels", chan, "--scenario", str(timeline), "--p-peak", "4.0", *eps]
+          for command in ("simulate", "solve") for timeline in (unending, nan_time)
+          for eps in ([], ["--eps", "1.0"])),
         ["p-o", "--channels", chan, "--eps", "nan"],
         ["sweep", "--modes", "bogus", "--trials", "1"],
         ["sweep", "--axis", "bogus", "--values", "1.0", "--trials", "1"],

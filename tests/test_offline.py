@@ -20,19 +20,21 @@ from ehsched import (
     brute_force_oracle,
     ExperimentSpec,
     UserConfig,
+    WaterSystem,
     build_timeline,
     check_feasibility,
     decompose_zf_dpc,
     generate_channels,
     objective_from_covariances,
     objective_from_transformed,
+    run_online,
     solve_offline_circuit,
     solve_offline_general,
     solve_offline_ideal,
     solve_single_epoch,
     verify_structure,
 )
-from ehsched.experiments import run_sweep, run_trial
+from ehsched.experiments import reference_profile, run_sweep, run_trial
 from ehsched.offline import _make_instance
 
 from conftest import (
@@ -509,6 +511,31 @@ def test_schedule_split_accounting(unit_eff):
     split = sol.schedule.split
     assert isinstance(split, ArrivalSplit)
     np.testing.assert_allclose(split.sc + split.b, tl.E, atol=1e-7)
+
+
+@pytest.mark.parametrize("kind", ["ideal", "circuit", "online-even", "online-burst"])
+def test_covariances_are_built_on_first_read(pair_eff, monkeypatch, kind):
+    """A solve or causal run builds no covariance stack; the schedule's
+    ``covs`` builds one on its first read, equal bit for bit to the stacks
+    of a fresh water-filling system at the schedule's power."""
+    covariances = WaterSystem.covariances
+    calls = []
+    monkeypatch.setattr(
+        WaterSystem, "covariances", lambda ws, power: calls.append(1) or covariances(ws, power)
+    )
+    tl, storage = reference_profile(), HybridStorage(5.0, 100.0, 0.5)
+    if kind == "ideal":
+        sched = solve_offline_ideal(pair_eff, None, tl, storage, 4.0).schedule
+    elif kind == "circuit":
+        sched = solve_offline_circuit(pair_eff, None, tl, storage, 4.0, 1.0).schedule
+    else:
+        eps = None if kind == "online-even" else np.linspace(0.5, 1.5, tl.N)
+        sched = run_online(pair_eff, None, tl, storage, 4.0, eps=eps).schedule
+    assert calls == []
+    want = covariances(WaterSystem(pair_eff), sched.power)
+    assert sched.covs is sched.covs and len(calls) == 1
+    for got, expected in zip(sched.covs.Phi, want.Phi, strict=True):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 def test_make_instance_eps_broadcast(unit_eff):

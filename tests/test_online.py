@@ -394,6 +394,17 @@ _finite = st.one_of(
 @example(terms=[1e-310, 5e-324, -3e-320])
 @example(terms=[5e-324, 1.0])
 @example(terms=[1e300, 1e-10])
+# Two int64 limbs while g.size.bit_length() + 13 + spread <= 53, with the
+# spread in binades between the largest term's exponent and 2**base: three
+# terms at spread 38, the bound, then 39, one past it; 10^4 terms (14 bits)
+# at spread 26; signed zeros and subnormals in limbs scaled by 2**-1126.
+@example(terms=[2.0**39 - 2.0**-14, -1.0, 2.0**39 - 2.0**-14])
+@example(terms=[2.0**40 - 2.0**-13, -1.0, 2.0**40 - 2.0**-13])
+@example(terms=[
+    (-1.0) ** (i // 3) * math.ldexp(2.0 - (i % 7 + 1) * 2.0**-52, 26 * (i % 2))
+    for i in range(10_000)
+])
+@example(terms=[5e-324, -0.0, 0.0, -1e-323, 2.5e-322, -5e-324, -0.0])
 @settings(max_examples=300, deadline=None)
 def test_running_sum_equals_fsum_of_every_prefix(terms):
     """The exact prefix sums equal math.fsum of every prefix bit for bit,

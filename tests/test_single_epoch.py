@@ -163,8 +163,9 @@ def test_single_epoch_empty_store(unit_eff):
 
 
 def test_single_epoch_validation(unit_eff):
-    with pytest.raises(ValueError):
-        solve_single_epoch(unit_eff, None, 1.0, 0.0, 0.5, 1.0, 4.0, t=0.0)
+    for t in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="window length must be positive"):
+            solve_single_epoch(unit_eff, None, 1.0, 0.0, 0.5, 1.0, 4.0, t=t)
     with pytest.raises(ValueError):
         solve_single_epoch(unit_eff, None, 1.0, 0.0, 1.5, 1.0, 4.0, t=1.0)
     with pytest.raises(ValueError):
