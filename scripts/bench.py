@@ -11,7 +11,7 @@ writes ``BENCH_<label>.json`` with four parts:
   after the arrivals; a 5 J super-capacitor over a 100 J battery at
   eta = 0.5, a 4 W peak, 1 J mean packets): ``ideal``
   (``solve_offline_ideal``), ``circuit`` (``solve_offline_circuit``,
-  eps = 1 W) and ``general`` (``solve_offline_general`` with per-epoch
+  eps = 1 W) and ``general`` (``solve_offline_circuit`` with per-epoch
   eps ~ U(0, 2) W, drawn from the cell's stream after the channel).  Per
   cell: the median wall time of a solve, of its Newton loop and of its
   reconstruction, the Newton steps, microseconds per Newton step (loop
@@ -114,9 +114,8 @@ def instance(stream: int, n: int, eps_range):
 def solve(model: str, eff, timeline, eps):
     if model == "ideal":
         return offline.solve_offline_ideal(eff, None, timeline, default_storage(), P_PEAK)
-    if model == "circuit":
-        return offline.solve_offline_circuit(eff, None, timeline, default_storage(), P_PEAK, EPS)
-    return offline.solve_offline_general(eff, None, timeline, default_storage(), P_PEAK, eps)
+    eps = EPS if model == "circuit" else eps
+    return offline.solve_offline_circuit(eff, None, timeline, default_storage(), P_PEAK, eps)
 
 
 def peak_mib(fn) -> float:

@@ -42,7 +42,6 @@ from .offline import (
     Schedule,
     SolverError,
     solve_offline_circuit,
-    solve_offline_general,
     solve_offline_ideal,
 )
 from .online import OnlineResult, policy_circuit, policy_ideal, run_online, split_arrival
@@ -99,7 +98,6 @@ __all__ = [
     "objective_from_covariances",
     "objective_from_transformed",
     "solve_offline_circuit",
-    "solve_offline_general",
     "solve_offline_ideal",
     "verify_structure",
     "OnlineResult",

@@ -38,12 +38,7 @@ from .experiments import (
     write_schedule_csv,
     write_trace_csv,
 )
-from .offline import (
-    SolverError,
-    solve_offline_circuit,
-    solve_offline_general,
-    solve_offline_ideal,
-)
+from .offline import SolverError, solve_offline_circuit, solve_offline_ideal
 from .online import run_online
 from .single_epoch import solve_p_o
 from .waterfill import solve_budget
@@ -131,10 +126,8 @@ def _cmd_solve(args) -> int:
     eps = _eps_argument(args, timeline.N)
     if eps is None:
         sol = solve_offline_ideal(eff, weights, timeline, storage, args.p_peak)
-    elif np.isscalar(eps):
-        sol = solve_offline_circuit(eff, weights, timeline, storage, args.p_peak, eps)
     else:
-        sol = solve_offline_general(eff, weights, timeline, storage, args.p_peak, eps)
+        sol = solve_offline_circuit(eff, weights, timeline, storage, args.p_peak, eps)
     if not sol.feasibility.feasible:
         print(f"infeasible schedule ({sol.feasibility.worst()})", file=sys.stderr)
         return EXIT_SOLVER
@@ -211,7 +204,7 @@ def _cmd_sweep(args) -> int:
         if n:
             print(
                 f"dropped {n} of {spec.num_trials} trials at {result.axis or 'point'}="
-                f"{v:.12g}: an offline solve did not converge",
+                f"{v:.12g}: an offline solve failed or did not converge",
                 file=sys.stderr,
             )
     return EXIT_OK

@@ -21,7 +21,7 @@ import numpy as np
 from .channels import ChannelSet, EffectiveChannels, UserConfig, decompose_zf_dpc
 from .channels import generate_channels
 from .energy import EpochTimeline, HybridStorage, build_timeline, generate_compound_poisson
-from .offline import solve_offline_circuit, solve_offline_general, solve_offline_ideal
+from .offline import SolverError, solve_offline_circuit, solve_offline_ideal
 from .online import run_online
 
 __all__ = [
@@ -160,14 +160,7 @@ def run_trial(
             eff, None, timeline, storage, spec.p_peak
         ).throughput
     if "circuit" in modes:
-        if spec.eps_range is not None:
-            off = solve_offline_general(
-                eff, None, timeline, storage, spec.p_peak, eps_input
-            )
-        else:
-            off = solve_offline_circuit(
-                eff, None, timeline, storage, spec.p_peak, float(eps_input)
-            )
+        off = solve_offline_circuit(eff, None, timeline, storage, spec.p_peak, eps_input)
         converged = converged and off.converged
         out["offline-circuit"] = off.objective
         out["online-circuit"] = run_online(
@@ -191,8 +184,9 @@ class SweepResult:
     maps ``(axis_value, policy)`` to the per-trial objectives, in trial
     order, for finer-grained analysis.  ``failed`` maps each axis value to
     the number of trials dropped from it, for every policy alike, because
-    an offline solve did not converge (its audit or its certificate
-    failed); an axis value whose every trial failed has no rows.
+    an offline solve raised :class:`SolverError` (an infeasible instance,
+    say) or did not converge (its audit or its certificate failed); an
+    axis value whose every trial failed has no rows.
     """
 
     axis: str
@@ -246,8 +240,11 @@ def run_sweep(
         per: dict[str, list[float]] = {}
         result.failed[float(v)] = 0
         for k in range(spec.num_trials):
-            outcome = run_trial(sp, k, modes)
-            if not outcome.converged:
+            try:
+                outcome = run_trial(sp, k, modes)
+            except SolverError:
+                outcome = None
+            if outcome is None or not outcome.converged:
                 result.failed[float(v)] += 1
                 continue
             for name, val in outcome.objectives.items():

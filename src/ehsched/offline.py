@@ -1,9 +1,12 @@
 """Whole-horizon (non-causal) schedule optimization.
 
 Given the full arrival profile, channel decomposition, storage parameters,
-peak power limit and (optionally) circuit power, compute the throughput-
+peak power limit and per-epoch circuit power, compute the throughput-
 optimal transmission schedule: per-epoch transmission windows, powers,
-buffer drain splits, deposit splits and spatial covariances.
+buffer drain splits, deposit splits and spatial covariances.  There is one
+model: the ideal radio is the instance whose circuit power is zero in
+every epoch, where ``p_thr = 0`` and every window is either the whole
+epoch or idle.
 
 The problem is reduced to a concave program over per-epoch *consumed*
 energies and per-arrival deposit splits.  For one epoch of length ``l``
@@ -71,11 +74,11 @@ __all__ = [
     "OfflineSolution",
     "solve_offline_ideal",
     "solve_offline_circuit",
-    "solve_offline_general",
 ]
 
-#: Transmission windows shorter than this are snapped to zero (an epoch
-#: carrying less than a microsecond of airtime is numerical noise).
+#: Transmission windows shorter than this are snapped to zero on epochs with
+#: a circuit power (an epoch carrying less than a microsecond of airtime is
+#: numerical noise).
 TAU_SNAP = 1e-6
 
 
@@ -92,8 +95,8 @@ class SolverError(RuntimeError):
 class OfflineInstance:
     """A frozen description of one whole-horizon scheduling problem.
 
-    ``eps`` is ``None`` for the ideal (zero circuit power) variant, or an
-    array of per-epoch circuit powers otherwise.
+    ``eps`` holds the circuit power of every epoch: all zeros for the ideal
+    radio.
     """
 
     eff: EffectiveChannels
@@ -103,17 +106,7 @@ class OfflineInstance:
     b_cap: float
     eta: float
     p_peak: float
-    eps: np.ndarray | None
-
-    @property
-    def is_ideal(self) -> bool:
-        return self.eps is None
-
-    @property
-    def eps_array(self) -> np.ndarray:
-        if self.eps is None:
-            return np.zeros(self.timeline.N)
-        return self.eps
+    eps: np.ndarray
 
     def storage(self) -> HybridStorage:
         """A fresh, empty storage element with this instance's parameters."""
@@ -128,7 +121,8 @@ def _make_instance(eff, weights, timeline, storage, p_peak, eps) -> OfflineInsta
             "offline solvers assume empty buffers at t=0; model initial charge "
             "as an arrival at t=0"
         )
-    eps = check_powers(p_peak, eps, timeline.N)
+    # None becomes NaN, which the check rejects.
+    eps = check_powers(p_peak, np.asarray(eps, dtype=float), timeline.N)
     return OfflineInstance(
         eff=eff,
         weights=resolve_weights(eff, weights),
@@ -209,8 +203,7 @@ class _ValueModel:
     def __init__(self, inst: OfflineInstance):
         self.ws = WaterSystem(inst.eff, inst.weights)
         self.l = inst.timeline.l.copy()
-        self.eps = inst.eps_array
-        self.ideal = inst.is_ideal
+        self.eps = inst.eps
         self.p_thr = np.minimum(self.ws.efficient_power(self.eps), inst.p_peak)
         self.c1 = self.l * (self.p_thr + self.eps)
         self.level_thr, m = self.ws.level_at_power_vec(self.p_thr)
@@ -223,11 +216,9 @@ class _ValueModel:
         return np.maximum(c / self.l - self.eps, 0.0)
 
     def windows(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Closed-form (tau, power) recovery from consumed energies."""
+        """Closed-form (tau, power) recovery from consumed energies.  With
+        eps = 0, ``c1 = 0`` and a window is either the whole epoch or idle."""
         c = np.maximum(c, 0.0)
-        if self.ideal:
-            # The whole epoch is always used; idle epochs radiate nothing.
-            return self.l.copy(), c / self.l
         tau = np.where(c < self.c1, c / np.maximum(self.p_thr + self.eps, 1e-300), self.l)
         power = np.where(c < self.c1, self.p_thr, self._power2(c))
         idle = c <= 1e-15
@@ -776,13 +767,12 @@ def _reconstruct(
     s, b, e = (np.maximum(v, 0.0) for v in (s, b, e))
     e = np.minimum(e, inst.timeline.E)
 
-    if not vm.ideal:
-        tau, _ = vm.windows(s + b)
-        for i in np.flatnonzero((tau > 0.0) & (tau < TAU_SNAP)):
-            s_zero, b_zero = s.copy(), b.copy()
-            s_zero[i] = b_zero[i] = 0.0
-            if prog.min_slack(s_zero, b_zero, e) >= -FEAS_TOL:
-                s, b = s_zero, b_zero
+    tau, _ = vm.windows(s + b)
+    for i in np.flatnonzero((tau > 0.0) & (tau < TAU_SNAP) & (vm.eps > 0.0)):
+        s_zero, b_zero = s.copy(), b.copy()
+        s_zero[i] = b_zero[i] = 0.0
+        if prog.min_slack(s_zero, b_zero, e) >= -FEAS_TOL:
+            s, b = s_zero, b_zero
     c = s + b
 
     s2, b2, ok = _canonical_split(inst, c, e)
@@ -842,11 +832,14 @@ class DualCertificate:
 
     The multipliers come in closed form from the solve's own.
     ``stationarity`` maps each stationarity-equation family to its worst
-    absolute residual and ``complementarity`` each multiplier family to its
-    worst ``multiplier * slack`` product.  ``levels`` holds the water level of
-    each epoch (the marginal value of transmit energy there) and
-    ``rate_scale`` the largest epoch rate (the rate at the peak power when
-    no epoch transmits).
+    absolute residual: the drain rows ``stat_alpha_sc``/``stat_alpha_b``,
+    the deposit rows ``stat_dep_sc``/``stat_dep_b``, ``peak_sign`` (the
+    negative part of the peak multiplier ``varpi``) and ``stat_tau`` (the
+    window row, on the epochs with eps > 0 only).  ``complementarity`` maps
+    each multiplier family to its worst ``multiplier * slack`` product.
+    ``levels`` holds the water level of each epoch (the marginal value of
+    transmit energy there) and ``rate_scale`` the largest epoch rate (the
+    rate at the peak power when no epoch transmits).
     """
 
     multipliers: dict[str, np.ndarray]
@@ -880,7 +873,6 @@ def _certificate(
     """The paper's KKT multipliers in closed form from the solve's own
     multipliers, with the residuals of the paper's KKT rows; ``audit`` is
     the schedule's feasibility audit."""
-    circuit = not inst.is_ideal
     eta = inst.eta
     slacks = _paper_slacks(inst, sched, audit)
 
@@ -921,31 +913,30 @@ def _certificate(
         "stat_alpha_b": drain_b + mu + mult["rho2_b"],
         "stat_dep_sc": dep_sc + mult["nu"],
         "stat_dep_b": dep_b + mult["nu"],
+        # The level row mu + varpi - levels holds by the definition of
+        # varpi; what remains to check is the sign of the peak's price.
+        "peak_sign": np.minimum(mult["varpi"], 0.0),
     }
-    if circuit:
-        mult["omega"] = mu
-        mult["rho3_sc"] = mult["rho2_sc"]
-        mult["rho3_b"] = mult["rho2_b"]
-        t = P * levels - sched.rate - inst.p_peak * mult["varpi"] + vm.eps * mult["omega"]
-        ttol = 1e-9 * max(1.0, float(np.max(inst.timeline.l)))
-        tau_lo = sched.tau <= ttol
-        tau_hi = slacks["tau_hi"] <= ttol
-        mult["kappa"] = np.where(tau_lo, np.maximum(t, 0.0), 0.0)
-        mult["zeta"] = np.where(tau_hi, np.maximum(-t, 0.0), 0.0)
-        rows["stat_sigma_sc"] = drain_sc + mult["omega"] + mult["rho3_sc"]
-        rows["stat_sigma_b"] = drain_b + mult["omega"] + mult["rho3_b"]
-        rows["level"] = (mu + mult["varpi"] - levels)[on]
-        rows["stat_tau"] = mult["kappa"] - mult["zeta"] - t
-    else:
-        mult["xi"] = np.zeros(sched.N)
-        rows["level"] = mu + mult["varpi"] - mult["xi"] - levels
+    # The circuit-energy rows repeat the drain rows (omega = mu, rho3 =
+    # rho2), so only their complementarity is checked.
+    mult["omega"] = mu
+    mult["rho3_sc"] = mult["rho2_sc"]
+    mult["rho3_b"] = mult["rho2_b"]
+    t = P * levels - sched.rate - inst.p_peak * mult["varpi"] + vm.eps * mult["omega"]
+    ttol = 1e-9 * max(1.0, float(np.max(inst.timeline.l)))
+    tau_lo = sched.tau <= ttol
+    tau_hi = slacks["tau_hi"] <= ttol
+    mult["kappa"] = np.where(tau_lo, np.maximum(t, 0.0), 0.0)
+    mult["zeta"] = np.where(tau_hi, np.maximum(-t, 0.0), 0.0)
+    # With eps = 0 a window is whole or idle, and its row follows from
+    # varpi >= 0 and the concavity of W (P W'(P) <= W(P)).
+    rows["stat_tau"] = (mult["kappa"] - mult["zeta"] - t)[vm.eps > 0.0]
     stat = {name: float(np.max(np.abs(r), initial=0.0)) for name, r in rows.items()}
 
     pairs = dict(lam1_sc="sc_caus", lam2_sc="sc_over", lam1_b="b_caus", lam2_b="b_over",
                  varpi="peak", rho1_sc="dep_sc", rho1_b="dep_b", rho2_sc="alpha_sc",
-                 rho2_b="alpha_b")
-    if circuit:
-        pairs.update(kappa="tau_lo", zeta="tau_hi", rho3_sc="sigma_sc", rho3_b="sigma_b")
+                 rho2_b="alpha_b", kappa="tau_lo", zeta="tau_hi", rho3_sc="sigma_sc",
+                 rho3_b="sigma_b")
     comp = {name: float(np.max(np.abs(mult[name] * slacks[sl]))) for name, sl in pairs.items()}
     return DualCertificate(
         multipliers=mult,
@@ -1004,15 +995,12 @@ def _solve(inst: OfflineInstance) -> OfflineSolution:
 
 
 def solve_offline_ideal(eff, weights, timeline, storage, p_peak) -> OfflineSolution:
-    """Optimal schedule with zero circuit power (whole epochs always used)."""
-    return _solve(_make_instance(eff, weights, timeline, storage, p_peak, None))
+    """Optimal schedule with zero circuit power: every window is the whole
+    epoch or idle."""
+    return _solve(_make_instance(eff, weights, timeline, storage, p_peak, 0.0))
 
 
 def solve_offline_circuit(eff, weights, timeline, storage, p_peak, eps) -> OfflineSolution:
-    """Optimal schedule with a constant circuit power ``eps`` while on."""
-    return _solve(_make_instance(eff, weights, timeline, storage, p_peak, float(eps)))
-
-
-def solve_offline_general(eff, weights, timeline, storage, p_peak, eps_seq) -> OfflineSolution:
-    """Optimal schedule with an epoch-varying circuit power sequence."""
-    return _solve(_make_instance(eff, weights, timeline, storage, p_peak, eps_seq))
+    """Optimal schedule with circuit power ``eps`` while on: one value for
+    every epoch or one per epoch."""
+    return _solve(_make_instance(eff, weights, timeline, storage, p_peak, eps))

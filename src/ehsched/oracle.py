@@ -79,7 +79,7 @@ def brute_force_oracle(inst: OfflineInstance, *, rounds: int = 45, pts: int = 7)
         raise ValueError("brute-force reference supports at most 2 eigenmodes")
 
     p_peak = inst.p_peak
-    eps = inst.eps_array
+    eps = inst.eps
     l = inst.timeline.l
     E = inst.timeline.E
     eta = inst.eta
@@ -438,7 +438,7 @@ def verify_structure(sol: OfflineSolution) -> LemmaReport:
     P = sched.power
     peak_slack = inst.p_peak - P
 
-    if inst.is_ideal:
+    if not inst.eps.any():
         # Terminal drainage: whatever remains at the deadline was wasted, so
         # both buffers end empty — unless the peak limit pinned the final
         # epoch's power.

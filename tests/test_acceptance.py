@@ -32,7 +32,6 @@ from ehsched import (
     objective_from_transformed,
     solve_budget,
     solve_offline_circuit,
-    solve_offline_general,
     solve_offline_ideal,
     solve_p_o,
     verify_structure,
@@ -123,7 +122,7 @@ def test_criterion_04_circuit_power_ordering():
         eps_seq = rng.uniform(0.0, 1.0, size=tl.N)
         try:
             ideal = solve_offline_ideal(eff, None, tl, storage, p_peak)
-            varying = solve_offline_general(eff, None, tl, storage, p_peak, eps_seq)
+            varying = solve_offline_circuit(eff, None, tl, storage, p_peak, eps_seq)
             worst = solve_offline_circuit(eff, None, tl, storage, p_peak, 1.0)
         except SolverError:
             continue

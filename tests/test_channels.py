@@ -62,6 +62,8 @@ def test_generate_channels_validation():
         UserConfig(1, gamma=0.0)
     with pytest.raises(ValueError):
         ChannelSet(M=2, users=(UserConfig(1),), H=(np.zeros((2, 2)),))
+    with pytest.raises(ValueError, match="one channel matrix per user is required"):
+        ChannelSet(M=2, users=(UserConfig(1), UserConfig(1)), H=(np.zeros((1, 2)),))
 
 
 # ---------------------------------------------------------------------------

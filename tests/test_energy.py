@@ -39,6 +39,7 @@ def test_build_timeline_epoch_lengths():
         ([(0.0, -1.0)], 2.0),             # negative amount
         ([(0.0, 1.0)], 0.0),              # empty horizon
         ([], 2.0),                        # no arrivals at all
+        (np.empty((0, 2)), 2.0),          # no arrivals, as a (0, 2) array
     ],
 )
 def test_build_timeline_rejects(arrivals, T):
@@ -177,6 +178,9 @@ def test_arrival_split_validation():
         ArrivalSplit(sc=np.zeros(2), b=np.zeros(3))
     s = ArrivalSplit(sc=[1.0, 0.0], b=[0.0, 2.0])
     assert s.sc.dtype == float
+    tl = build_timeline([(0.0, 1.0)], T=1.0)
+    with pytest.raises(ValueError, match="one split per arrival is required"):
+        check_feasibility(tl, s, _Plan([1.0], [0.0], [0.0]), HybridStorage(2.0, 10.0, 0.5), 4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,28 @@ def test_cli_sweep_reports_dropped_trials(files, overdrawn_schedules, capsys):
     assert open(out).read() == "axis_value,policy,mean,stderr,ratio_to_offline\n"
 
 
+def test_cli_sweep_counts_infeasible_trials(tmp_path, capsys):
+    """At 30 J mean packets the forced deposits overflow storage in every
+    trial at b_cap = 20 and in three of five at b_cap = 100.  Such a solve
+    raises ``SolverError``; the sweep counts its trial as failed, as it
+    counts an unconverged one, and reports the rest."""
+    from ehsched import SolverError
+
+    spec = ExperimentSpec(e_avg=30.0, b_cap=20.0)
+    with pytest.raises(SolverError, match="forced deposits overflow storage"):
+        run_trial(spec, 0)
+    out = tmp_path / "report.csv"
+    argv = ["sweep", "--axis", "b_cap", "--values", "20,100", "--trials", "5", "--e-avg", "30"]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "dropped 5 of 5 trials at b_cap=20: an offline solve failed or did not converge\n"
+        "dropped 3 of 5 trials at b_cap=100: an offline solve failed or did not converge\n"
+    )
+    rows = out.read_text().splitlines()
+    assert rows[0] == "axis_value,policy,mean,stderr,ratio_to_offline"
+    assert len(rows) == 5 and all(row.startswith("100,") for row in rows[1:])
+
+
 def test_cli_reuses_one_parser_like_a_fresh_one(files, capsys):
     """``main`` builds its parser once per process; each call, also one
     after a failed call, prints what a call on a fresh parser prints."""
@@ -492,6 +514,8 @@ def test_cli_invalid_inputs_exit_2(files, tmp_path, capsys):
         (["--axis", "eta", "--values", "0.5", "--trials", "0"], "num_trials must be positive"),
         (["--axis", "eta", "--values", "0.5", "--trials", "-1"], "num_trials must be positive"),
         (["--eps-range", "1.5,0.5", "--trials", "1"], "eps_range needs lo <= hi"),
+        (["--eps-range", "1", "--trials", "1"], "--eps-range needs exactly two values lo,hi"),
+        (["--axis", "eta", "--values", "0.5,x", "--trials", "1"], "bad numeric list '0.5,x'"),
     ):
         assert main(["sweep", *argv, "--out", str(out)]) == EXIT_INVALID, argv
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from ehsched import (
@@ -29,7 +31,6 @@ from ehsched import (
     objective_from_transformed,
     run_online,
     solve_offline_circuit,
-    solve_offline_general,
     solve_offline_ideal,
     solve_single_epoch,
     verify_structure,
@@ -161,12 +162,12 @@ def test_rejects_bad_parameters(unit_eff):
             solve_offline_ideal(unit_eff, None, tl, _big_storage(), p_peak=p_peak)
         with pytest.raises(ValueError, match="p_peak must be positive and finite"):
             solve_offline_circuit(unit_eff, None, tl, _big_storage(), p_peak=p_peak, eps=1.0)
-    for eps in (-1.0, math.nan, math.inf):
+    for eps in (-1.0, math.nan, math.inf, None):
         with pytest.raises(ValueError, match="circuit power must be nonnegative and finite"):
             solve_offline_circuit(unit_eff, None, tl, _big_storage(), p_peak=4.0, eps=eps)
         with pytest.raises(ValueError, match="circuit power must be nonnegative and finite"):
-            solve_offline_general(
-                unit_eff, None, tl, _big_storage(), p_peak=4.0, eps_seq=[eps]
+            solve_offline_circuit(
+                unit_eff, None, tl, _big_storage(), p_peak=4.0, eps=[eps]
             )
     with pytest.raises(TypeError):
         solve_offline_ideal(unit_eff, None, tl, "not a storage", p_peak=4.0)
@@ -284,17 +285,82 @@ def bench():
     return module
 
 
+@pytest.fixture(scope="module")
+def bench_solve(bench):
+    """The solve of one ``scripts/bench.py`` scaling cell, run once per
+    module and shared by the tests that read it."""
+    solved = {}
+
+    def solve(model, stream, n):
+        if (model, stream, n) not in solved:
+            eff, timeline, eps = bench.instance(stream, n, bench.EPS_RANGE)
+            solved[model, stream, n] = bench.solve(model, eff, timeline, eps)
+        return solved[model, stream, n]
+
+    return solve
+
+
 @pytest.mark.parametrize("n", [100, 1000])
 @pytest.mark.parametrize("stream", [100, 101])
 @pytest.mark.parametrize("model", ["ideal", "circuit", "general"])
-def test_converged_is_the_audit_and_the_certificate(model, stream, n, bench):
+def test_converged_is_the_audit_and_the_certificate(model, stream, n, bench_solve):
     """``converged`` is the verdict of the audit and the certificate, and
     nothing else: where the Newton loop stopped does not enter it.  The
     general stream-101 solve at N = 1000 stops on the loop's test with a
     certificate that fails, so it has not converged."""
-    eff, timeline, eps = bench.instance(stream, n, bench.EPS_RANGE)
-    sol = bench.solve(model, eff, timeline, eps)
+    sol = bench_solve(model, stream, n)
     assert sol.converged == (sol.feasibility.feasible and sol.certificate.ok())
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000])
+@pytest.mark.parametrize("stream", [100, 101])
+@pytest.mark.parametrize("model", ["ideal", "circuit", "general"])
+def test_certified_peak_multiplier_is_nonnegative(model, stream, n, bench_solve):
+    """A certified solve prices the peak constraint at ``varpi >= 0``, to
+    within ``STAT_TOL`` of the largest water level.  The general stream-100
+    solve at N = 1000 ends with ``varpi`` at -0.057 of that level, so its
+    certificate fails."""
+    from ehsched.offline import STAT_TOL
+
+    cert = bench_solve(model, stream, n).certificate
+    worst = float(np.min(cert.multipliers["varpi"])) / float(np.max(cert.levels))
+    assert not cert.ok() or worst >= -STAT_TOL, worst
+    if (model, stream, n) == ("general", 100, 1000):
+        assert worst < -0.05 and not cert.ok()
+
+
+def _bits(sol):
+    """A solve's objective, Newton steps, verdict, certificate residuals
+    and every schedule array, bit for bit."""
+    s, cert = sol.schedule, sol.certificate
+    arrays = (s.tau, s.p_sc, s.p_b, s.eps_sc, s.eps_b, s.split.sc, s.split.b, s.power, s.rate)
+    return (sol.objective.hex(), sol.iterations, sol.converged, cert.stationarity,
+            cert.complementarity, *(a.tobytes() for a in arrays))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    zero_share=st.sampled_from((0.0, 0.5, 1.0)),
+    eps=st.floats(0.1, 2.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_model_for_every_circuit_power(seed, n, zero_share, eps):
+    """The ideal radio is the instance with zero circuit power, and one
+    circuit power for every epoch is the same instance as that value per
+    epoch: each pair solves to the same bits, also with zero arrivals."""
+    rng = np.random.default_rng(seed)
+    t = np.concatenate(([0.0], np.sort(rng.uniform(0.0, n, n - 1))))
+    E = np.where(rng.uniform(size=n) < zero_share, 0.0, rng.uniform(0.0, 3.0, n))
+    tl = build_timeline(list(zip(t.tolist(), E.tolist())), T=float(n))
+    users = (UserConfig(n=1, gamma=1.0), UserConfig(n=1, gamma=0.5))
+    eff = decompose_zf_dpc(generate_channels(2, users, rng=rng))
+    storage = HybridStorage(sc_cap=5.0, b_cap=100.0, eta=float(rng.uniform(0.3, 1.0)))
+    args = (eff, None, tl, storage, float(10.0 ** rng.uniform(-1.0, 1.0)))
+    assert _bits(solve_offline_ideal(*args)) == _bits(solve_offline_circuit(*args, 0.0))
+    assert _bits(solve_offline_circuit(*args, eps)) == _bits(
+        solve_offline_circuit(*args, np.full(n, eps))
+    )
 
 
 def test_certified_solve_converges_after_max_newton():
@@ -392,9 +458,9 @@ def test_model_ordering_chain(unit_eff):
         arrivals = [(float(i), float(rng.uniform(0.5, 3.0))) for i in range(n)]
         tl = build_timeline(arrivals, T=float(n))
         ideal = solve_offline_ideal(unit_eff, None, tl, _big_storage(), p_peak=4.0)
-        varying = solve_offline_general(
+        varying = solve_offline_circuit(
             unit_eff, None, tl, _big_storage(), p_peak=4.0,
-            eps_seq=rng.uniform(0.0, 1.0, size=n),
+            eps=rng.uniform(0.0, 1.0, size=n),
         )
         worst = solve_offline_circuit(
             unit_eff, None, tl, _big_storage(), p_peak=4.0, eps=1.0
@@ -493,7 +559,7 @@ def test_offline_holds_only_the_solve_path():
 
     assert offline.__all__ == [
         "SolverError", "OfflineInstance", "Schedule", "DualCertificate", "OfflineSolution",
-        "solve_offline_ideal", "solve_offline_circuit", "solve_offline_general",
+        "solve_offline_ideal", "solve_offline_circuit",
     ]
     moved = ("TransformedVariables", "objective_from_covariances", "objective_from_transformed",
              "LemmaCheck", "LemmaReport", "verify_structure")
@@ -541,11 +607,9 @@ def test_covariances_are_built_on_first_read(pair_eff, monkeypatch, kind):
 def test_make_instance_eps_broadcast(unit_eff):
     tl = build_timeline([(0.0, 1.0), (1.0, 1.0)], T=2.0)
     inst = _make_instance(unit_eff, None, tl, _big_storage(), 4.0, 0.5)
-    np.testing.assert_allclose(inst.eps_array, [0.5, 0.5])
-    assert not inst.is_ideal
-    ideal = _make_instance(unit_eff, None, tl, _big_storage(), 4.0, None)
-    assert ideal.is_ideal
-    np.testing.assert_allclose(ideal.eps_array, [0.0, 0.0])
+    np.testing.assert_allclose(inst.eps, [0.5, 0.5])
+    ideal = _make_instance(unit_eff, None, tl, _big_storage(), 4.0, 0.0)
+    np.testing.assert_allclose(ideal.eps, [0.0, 0.0])
     fresh = inst.storage()
     assert fresh.level_sc == 0.0 and fresh.sc_cap == 50.0
 
@@ -585,7 +649,7 @@ def test_tiny_window_snap(seed, n, refused, monkeypatch):
     monkeypatch.setattr(offline._Program, "min_slack", min_slack)
     eff, tl, eps = _per_epoch_eps_instance(seed, n)
     storage = HybridStorage(sc_cap=5.0, b_cap=100.0, eta=0.5)
-    sol = solve_offline_general(eff, None, tl, storage, 4.0, eps)
+    sol = solve_offline_circuit(eff, None, tl, storage, 4.0, eps)
     it = iterates[0]
     use = np.maximum(it.s, 0.0) + np.maximum(it.b, 0.0)
     raw, _ = offline._ValueModel(sol.instance).windows(use)
@@ -667,7 +731,7 @@ def _assembly_cases():
     tl = build_timeline(arrivals, T=4.5)
     storage = HybridStorage(sc_cap=1.5, b_cap=8.0, eta=0.6)
     return {
-        "ideal": (pair, tl, storage, 4.0, None),
+        "ideal": (pair, tl, storage, 4.0, 0.0),
         "constant-eps": (unit, tl, storage, 4.0, 1.0),
         # eps = 0 runs from zero power (unsplit), eps = 50 has p_o above
         # the peak (c1 = cmax, unsplit and linear), eps = 1 splits.
@@ -685,7 +749,7 @@ def test_program_assembly_matches_dense_build(case, monkeypatch):
     vm = offline._ValueModel(inst)
     prog = offline._Program(inst, vm)
     A, u, Q, split = _dense_program(inst, vm)
-    if not inst.is_ideal and inst.timeline.N > 1:
+    if inst.eps.any() and inst.timeline.N > 1:
         kinds = {(bool(s), bool(c)) for s, c in zip(split, vm.c1 < vm.cmax)}
         assert (True, True) in kinds
         if np.ndim(case[-1]):
@@ -793,7 +857,7 @@ def _three_query_objective(prog, x):
     return F / prog.fscale, grad, slope, kappa
 
 
-@pytest.mark.parametrize("eps", [None, 0.3], ids=["ideal", "circuit"])
+@pytest.mark.parametrize("eps", [0.0, 0.3], ids=["ideal", "circuit"])
 def test_objective_matches_three_query_path(eps):
     from ehsched import offline
 
