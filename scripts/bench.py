@@ -17,9 +17,12 @@ writes ``BENCH_<label>.json`` with four parts:
   reconstruction, the Newton steps, microseconds per Newton step (loop
   time over steps), how many short transmission windows reconstruction
   tried to snap to zero (``min_slack`` calls) and how many of those snaps
-  it kept, ``converged`` (the audit passes and ``certificate.ok()``
-  holds), ``certificate.ok()`` on its own, the loop's dual residual
-  (nats/J), the objective and the ``tracemalloc`` peak of one more solve.
+  it kept, ``converged`` (``certificate.ok()``), ``certificate.ok()`` on
+  its own (the same value since a returned schedule always passes the
+  audit), the loop's dual residual (nats/J), the objective and the
+  ``tracemalloc`` peak of one more solve.  A solve that raises
+  ``SolverError``, as one whose schedule fails the feasibility audit
+  does, makes its cell ``"status": "error"`` with the message.
 * ``online``: ``run_online`` with the burst rule (per-epoch eps ~
   U(0.5, 1.5) W, as perfbench's ``online-long``) and with even spreading
   at 2000 and 10^4 epochs on the same generator: the median wall time,

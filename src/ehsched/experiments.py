@@ -102,8 +102,8 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class TrialOutcome:
     """Objectives of one paired trial, keyed by policy name.  ``converged``
-    is False when an offline solve did not converge: its schedule failed
-    the feasibility audit or its dual certificate failed."""
+    is False when an offline solve's dual certificate failed; a schedule
+    that fails the audit raises :class:`SolverError` instead."""
 
     objectives: dict[str, float]
     timeline: EpochTimeline
@@ -184,9 +184,9 @@ class SweepResult:
     maps ``(axis_value, policy)`` to the per-trial objectives, in trial
     order, for finer-grained analysis.  ``failed`` maps each axis value to
     the number of trials dropped from it, for every policy alike, because
-    an offline solve raised :class:`SolverError` (an infeasible instance,
-    say) or did not converge (its audit or its certificate failed); an
-    axis value whose every trial failed has no rows.
+    an offline solve raised :class:`SolverError` (its schedule failed the
+    audit, say) or did not converge (its certificate failed); an axis
+    value whose every trial failed has no rows.
     """
 
     axis: str
@@ -220,14 +220,16 @@ def run_sweep(
     """Benchmark all policy pairs, sweeping ``axis`` over ``values``.
 
     ``axis`` names one of ``SWEEP_AXES``, the float fields of the spec.
-    With ``axis=None`` a single point is run at the spec's own settings.
-    Trial seeds are shared across sweep points.
+    With ``axis=None`` and no ``values``, a single point is run at the
+    spec's own settings.  Trial seeds are shared across sweep points.
     """
     if spec.num_trials <= 0:
         raise ValueError("num_trials must be positive")
     if spec.eps_range is not None and not spec.eps_range[0] <= spec.eps_range[1]:
         raise ValueError("eps_range needs lo <= hi")
     if axis is None:
+        if values is not None:
+            raise ValueError("sweep values need an axis")
         values = (0.0,)
     else:
         if values is None or not len(values):

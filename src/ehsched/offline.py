@@ -40,14 +40,13 @@ and retries a failed factorization with a bumped diagonal), ``dpbtrs``
 solves with the factor after a finiteness check of each right-hand side,
 and scipy's CSR/CSC kernels form the sparse products from the plain CSR
 arrays that the program keeps.  A non-finite Newton matrix or right-hand
-side raises :class:`SolverError` as a numerical failure.  The loop stops
-on a small dual residual and a small relative duality gap (or after
-``MAX_NEWTON`` steps), and proves an instance infeasible with a Farkas
-certificate built from its own multipliers.  Windows, powers and
-covariances are then recovered in closed form, and the dual certificate
-from the loop's multipliers: a solve has converged when its schedule
-passes the feasibility audit and that certificate.  The test oracles
-live in :mod:`ehsched.oracle`.
+side raises :class:`SolverError` as a numerical failure.  The loop only
+optimizes: it stops on a small dual residual and a small relative
+duality gap (or after ``MAX_NEWTON`` steps).  Windows, powers and
+covariances are then recovered in closed form; a schedule that fails the
+feasibility audit raises :class:`SolverError`, and otherwise the dual
+certificate from the loop's multipliers decides convergence.  The test
+oracles live in :mod:`ehsched.oracle`.
 """
 
 from __future__ import annotations
@@ -83,7 +82,8 @@ TAU_SNAP = 1e-6
 
 
 class SolverError(RuntimeError):
-    """Raised when an instance is infeasible or the solver breaks down."""
+    """Raised when a schedule fails the feasibility audit (an infeasible
+    instance, say) or the solver breaks down numerically."""
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +219,9 @@ class _ValueModel:
         """Closed-form (tau, power) recovery from consumed energies.  With
         eps = 0, ``c1 = 0`` and a window is either the whole epoch or idle."""
         c = np.maximum(c, 0.0)
-        tau = np.where(c < self.c1, c / np.maximum(self.p_thr + self.eps, 1e-300), self.l)
-        power = np.where(c < self.c1, self.p_thr, self._power2(c))
+        burst = c < self.c1
+        tau = np.divide(c, self.p_thr + self.eps, out=self.l.copy(), where=burst)
+        power = np.where(burst, self.p_thr, self._power2(c))
         idle = c <= 1e-15
         tau = np.where(idle, 0.0, tau)
         power = np.where(idle, 0.0, power)
@@ -515,12 +516,6 @@ class _Program:
         # the value linear.
         self.zero_thr = bool(np.any(vm.p_thr == 0.0))
         self.linear = not bool(np.all(self.curved))
-        # Bounds on a feasible x (all of whose entries are nonnegative),
-        # for the infeasibility test.
-        self.xmax = np.zeros((N, _NV))
-        self.xmax[:, :_A] = 1.0
-        self.xmax[sp, _A] = vm.c1[sp] / self.escale
-        self.xmax = self.xmax.ravel()
 
     def objective(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         """Scaled F(x) and its gradient, and per epoch the slope (nats/J)
@@ -624,11 +619,14 @@ def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
     return -float(ratio.max())
 
 
+@np.errstate(over="ignore")
 def _interior_point(prog: _Program) -> _Iterate:
     """Mehrotra predictor-corrector on ``max F(x)``, ``A x + s = u``,
     ``s, z >= 0``; each Newton step is one banded Cholesky factorization
-    and two banded solves.  A Newton right-hand side that is not finite
-    raises :class:`SolverError`, as a non-finite Newton matrix does."""
+    and two banded solves.  The loop only optimizes; the audit of the
+    schedule judges feasibility.  A non-finite Newton right-hand side,
+    matrix or final iterate raises :class:`SolverError`, so overflows on
+    the way there are not warned about."""
     A, u = prog.A, prog.u
     m = u.size
     x = np.zeros(prog.n)
@@ -636,14 +634,12 @@ def _interior_point(prog: _Program) -> _Iterate:
     # the step of both.
     sz = np.concatenate((np.maximum(u, 1.0), np.ones(m)))
     s, z = sz[:m], sz[m:]
-    uabs = np.abs(u)
-    usize = np.maximum(1.0, uabs)
+    usize = np.maximum(1.0, np.abs(u))
     rtol = TOL_PRIMAL * usize
     it = 0
     F, grad, slope, kappa = prog.objective(x)
     while True:
-        ATz = _mul_t(A, z)
-        rd = ATz - grad
+        rd = _mul_t(A, z) - grad
         Ax = _mul(A, x)
         rp = Ax + s - u
         gap = float(s @ z)
@@ -655,10 +651,6 @@ def _interior_point(prog: _Program) -> _Iterate:
             and bool((Ax - u <= rtol).all())
             and gap <= TOL_MU * m * abs(F) + ROUNDING * float(z @ usize)
         )
-        # Farkas test: any z >= 0 with u'z < min over the bounded
-        # nonnegative box of (A'z)'x proves that no x satisfies A x <= u.
-        if u @ z - np.minimum(ATz, 0.0) @ prog.xmax < -1e-9 * (uabs @ z + 1.0):
-            raise SolverError("instance is infeasible: forced deposits overflow storage")
         if optimal or it == MAX_NEWTON:
             break
         it += 1
@@ -955,9 +947,9 @@ def _certificate(
 @dataclass(frozen=True)
 class OfflineSolution:
     """A solved instance.  ``feasibility`` is the independent audit of the
-    schedule, with the offline arrival split ``sc + b = E`` as an equality;
-    ``converged`` holds exactly when that audit passes and so does
-    ``certificate.ok()``."""
+    schedule, with the offline arrival split ``sc + b = E`` as an equality,
+    and always passes: a schedule that fails it raises
+    :class:`SolverError` instead.  ``converged`` is ``certificate.ok()``."""
 
     schedule: Schedule
     certificate: DualCertificate
@@ -982,6 +974,8 @@ def _solve(inst: OfflineInstance) -> OfflineSolution:
         slacks=audit.slacks,
         equalities={"arrival_split": sched.split.sc + sched.split.b - inst.timeline.E},
     )
+    if not feas.feasible:
+        raise SolverError(f"infeasible schedule ({feas.worst()})")
     cert = _certificate(inst, sched, vm, it, feas)
     return OfflineSolution(
         schedule=sched,
@@ -989,7 +983,7 @@ def _solve(inst: OfflineInstance) -> OfflineSolution:
         instance=inst,
         iterations=it.iterations,
         stationarity_residual=it.dual_residual,
-        converged=bool(feas.feasible and cert.ok()),
+        converged=cert.ok(),
         feasibility=feas,
     )
 

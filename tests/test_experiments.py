@@ -146,6 +146,8 @@ def test_run_sweep_validation():
             run_sweep(spec, axis=axis, values=[1.0, 2.0])
     with pytest.raises(ValueError, match="values are required"):
         run_sweep(spec, axis="eta")
+    with pytest.raises(ValueError, match="sweep values need an axis"):
+        run_sweep(spec, values=[1.0, 2.0])
     # A sweep without trials would report nothing as if it had passed.
     for trials in (0, -1):
         with pytest.raises(ValueError, match="num_trials must be positive"):
@@ -396,7 +398,7 @@ def test_cli_sweep_counts_infeasible_trials(tmp_path, capsys):
     from ehsched import SolverError
 
     spec = ExperimentSpec(e_avg=30.0, b_cap=20.0)
-    with pytest.raises(SolverError, match="forced deposits overflow storage"):
+    with pytest.raises(SolverError, match="infeasible"):
         run_trial(spec, 0)
     out = tmp_path / "report.csv"
     argv = ["sweep", "--axis", "b_cap", "--values", "20,100", "--trials", "5", "--e-avg", "30"]
@@ -516,6 +518,7 @@ def test_cli_invalid_inputs_exit_2(files, tmp_path, capsys):
         (["--eps-range", "1.5,0.5", "--trials", "1"], "eps_range needs lo <= hi"),
         (["--eps-range", "1", "--trials", "1"], "--eps-range needs exactly two values lo,hi"),
         (["--axis", "eta", "--values", "0.5,x", "--trials", "1"], "bad numeric list '0.5,x'"),
+        (["--values", "1,2", "--trials", "2"], "sweep values need an axis"),
     ):
         assert main(["sweep", *argv, "--out", str(out)]) == EXIT_INVALID, argv
         assert capsys.readouterr().err == f"error: {message}\n"

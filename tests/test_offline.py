@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
@@ -35,6 +35,7 @@ from ehsched import (
     solve_single_epoch,
     verify_structure,
 )
+from ehsched.energy import FEAS_TOL
 from ehsched.experiments import reference_profile, run_sweep, run_trial
 from ehsched.offline import _make_instance
 
@@ -221,11 +222,11 @@ def test_converged_implies_feasible(case):
 
 
 def test_audit_failure_is_not_converged(unit_eff, overdrawn_schedules):
+    """A schedule that fails the audit is never returned: the solve raises
+    and names the violated family."""
     tl = build_timeline([(0.0, 2.0), (1.0, 1.0)], T=2.0)
-    sol = solve_offline_ideal(unit_eff, None, tl, HybridStorage(5.0, 100.0, 0.5), 4.0)
-    assert not sol.feasibility.feasible
-    assert sol.feasibility.slacks["sc_causality"][-1] < -1.0
-    assert not sol.converged
+    with pytest.raises(SolverError, match=r"^infeasible schedule \(sc_causality: min slack -"):
+        solve_offline_ideal(unit_eff, None, tl, HybridStorage(5.0, 100.0, 0.5), 4.0)
 
 
 def _degenerate(arrivals=((0.0, 3.0), (1.0, 0.5), (2.5, 2.0)), T=4.0, eta=0.6, p_peak=2.0,
@@ -269,6 +270,67 @@ def test_degenerate_inputs_converge_audited(case, circuit):
     assert check_feasibility(tl, sched.split, sched, storage, p_peak).feasible
     ref = brute_force_oracle(sol.instance)
     assert abs(sol.objective - ref) <= max(1e-6, 1e-6 * abs(ref)), (sol.objective, ref)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("circuit", [False, True], ids=["ideal", "circuit"])
+def test_large_energy_scale_warns_nothing(circuit):
+    """Every epoch of the ideal radio has ``p_thr + eps = 0``; window
+    recovery divides by it on burst epochs only (none here), so a 1e9 J
+    solve warns nothing."""
+    eff, tl, storage, p_peak, eps = _degenerate(scale=1e9)
+    if circuit:
+        sol = solve_offline_circuit(eff, None, tl, storage, p_peak, eps)
+    else:
+        sol = solve_offline_ideal(eff, None, tl, storage, p_peak)
+    assert sol.converged
+
+
+def _random_degenerate(seed, n):
+    """A random degenerate instance: energies at 10^U(-6, 5) J, some
+    epochs 10^U(-9, -5) s long, some zero arrivals, eta = 1 in a third
+    of draws and a peak power at 10^U(-3, 1.5) W; the circuit power to
+    solve it with comes last."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-6.0, 5.0)
+    lengths = rng.uniform(0.1, 2.0, n)
+    tiny = rng.uniform(size=n) < 0.2
+    lengths[tiny] = 10.0 ** rng.uniform(-9.0, -5.0, int(tiny.sum()))
+    E = np.where(rng.uniform(size=n) < 0.2, 0.0, scale * rng.uniform(0.0, 2.0, n))
+    t = np.concatenate(([0.0], np.cumsum(lengths)))
+    tl = build_timeline(list(zip(t[:-1].tolist(), E.tolist())), T=float(t[-1]))
+    sc_cap = scale * rng.uniform(0.2, 5.0)
+    eta = 1.0 if rng.uniform() < 1 / 3 else float(rng.uniform(0.3, 1.0))
+    storage = HybridStorage(sc_cap=sc_cap, b_cap=sc_cap + scale * rng.uniform(1.0, 50.0), eta=eta)
+    users = (UserConfig(n=1, gamma=1.0), UserConfig(n=1, gamma=0.5))
+    eff = decompose_zf_dpc(generate_channels(2, users, rng=rng))
+    return eff, tl, storage, float(10.0 ** rng.uniform(-3.0, 1.5)), float(rng.uniform(0.1, 2.0))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), circuit=st.booleans())
+# Instances whose loop ends on a schedule that fails the audit: the first
+# two exceed the peak by 3.7 mJ and 0.54 uJ after the loop's own stop, the
+# third overdraws the battery after MAX_NEWTON steps.
+@example(seed=13, n=3, circuit=False)
+@example(seed=14, n=10, circuit=True)
+@example(seed=47, n=10, circuit=False)
+@settings(max_examples=30, deadline=None)
+@pytest.mark.filterwarnings("error")
+def test_returned_schedule_passes_the_audit(seed, n, circuit):
+    """Every schedule a solve returns passes the independent audit, with
+    ``sc + b = E`` for every arrival; a solve that cannot find one raises
+    :class:`SolverError`, and neither warns."""
+    eff, tl, storage, p_peak, eps = _random_degenerate(seed, n)
+    try:
+        if circuit:
+            sol = solve_offline_circuit(eff, None, tl, storage, p_peak, eps)
+        else:
+            sol = solve_offline_ideal(eff, None, tl, storage, p_peak)
+    except SolverError:
+        return
+    sched = sol.schedule
+    assert check_feasibility(tl, sched.split, sched, storage, p_peak).feasible
+    assert np.max(np.abs(sched.split.sc + sched.split.b - tl.E)) <= FEAS_TOL
 
 
 @pytest.fixture(scope="module")
@@ -822,6 +884,15 @@ def test_numerical_failure_raises_solver_error(small_instance, nan_curvature):
     with pytest.raises(SolverError, match="numerical failure"):
         solve_offline_ideal(*small_instance)
     assert len(nan_curvature) == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_iterates_raise_without_a_warning():
+    """Trial 8 of this overflowing spec drives the Newton right-hand side
+    past the float range: the loop's finiteness check raises, and the
+    overflow on the way there warns nothing."""
+    with pytest.raises(SolverError, match="numerical failure"):
+        run_trial(ExperimentSpec(e_avg=30.0, b_cap=20.0), 8)
 
 
 def test_step_to_boundary_matches_the_masked_ratio():
