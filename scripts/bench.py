@@ -15,12 +15,13 @@ writes ``BENCH_<label>.json`` with four parts:
   eps ~ U(0, 2) W, drawn from the cell's stream after the channel).  Per
   cell: the median wall time of a solve, of its Newton loop and of its
   reconstruction, the Newton steps, microseconds per Newton step (loop
-  time over steps), how many short transmission windows reconstruction
-  tried to snap to zero (``min_slack`` calls) and how many of those snaps
-  it kept, ``converged`` (``certificate.ok()``), ``certificate.ok()`` on
-  its own (the same value since a returned schedule always passes the
-  audit), the loop's dual residual (nats/J), the objective and the
-  ``tracemalloc`` peak of one more solve.  A solve that raises
+  time over steps) and of that in ``_Program.factor``
+  (``factor_us_per_step``), how many short transmission windows
+  reconstruction tried to snap to zero (``min_slack`` calls) and how many
+  of those snaps it kept, ``converged`` (``certificate.ok()``),
+  ``certificate.ok()`` on its own (the same value since a returned
+  schedule always passes the audit), the loop's dual residual (nats/J),
+  the objective and the ``tracemalloc`` peak of one more solve.  A solve that raises
   ``SolverError``, as one whose schedule fails the feasibility audit
   does, makes its cell ``"status": "error"`` with the message.
 * ``online``: ``run_online`` with the burst rule (per-epoch eps ~
@@ -145,16 +146,17 @@ def timed_runs(fn, repeats: int, budget: float) -> list[float]:
 @contextlib.contextmanager
 def phase_timers():
     """Wrap the phase functions of ``ehsched.offline`` for the duration:
-    yields the seconds spent in each phase so far, the Newton step count
-    of each finished loop and, per ``_Program.min_slack`` call (one per
-    short window that reconstruction tries to snap to zero), whether the
-    snap was kept."""
-    spent = dict.fromkeys(PHASES, 0.0)
+    yields the seconds spent in each phase so far (and, under ``"factor"``,
+    in ``_Program.factor``, part of the loop's), the Newton step count of
+    each finished loop and, per ``_Program.min_slack`` call (one per short
+    window that reconstruction tries to snap to zero), whether the snap
+    was kept."""
+    spent = dict.fromkeys((*PHASES, "factor"), 0.0)
     steps, snaps = [], []
     saved = {name: getattr(offline, name) for name in PHASES.values()}
     # The class itself: the phase wrapper replaces the module's name.
     program = saved["_Program"]
-    min_slack = program.min_slack
+    min_slack, factor = program.min_slack, program.factor
 
     def counted(self, *args):
         slack = min_slack(self, *args)
@@ -178,11 +180,12 @@ def phase_timers():
         for phase, name in PHASES.items():
             setattr(offline, name, timed(phase, saved[name]))
         program.min_slack = counted
+        program.factor = timed("factor", factor)
         yield spent, steps, snaps
     finally:
         for name, fn in saved.items():
             setattr(offline, name, fn)
-        program.min_slack = min_slack
+        program.min_slack, program.factor = min_slack, factor
 
 
 def skipped(cell: dict, predicted: float | None, budget: float) -> bool:
@@ -214,6 +217,7 @@ def scaling_cell(model: str, stream: int, n: int, repeats: int, budget: float,
         return cell
     sol, _, snaps = runs[-1]
     loop = statistics.median(spent["loop"] for _, spent, _ in runs)
+    factor = statistics.median(spent["factor"] for _, spent, _ in runs)
     cell.update(
         status="ok",
         runs=len(times),
@@ -222,6 +226,7 @@ def scaling_cell(model: str, stream: int, n: int, repeats: int, budget: float,
         reconstruct_median_s=statistics.median(spent["reconstruct"] for _, spent, _ in runs),
         newton_steps=sol.iterations,
         us_per_newton_step=1e6 * loop / max(sol.iterations, 1),
+        factor_us_per_step=1e6 * factor / max(sol.iterations, 1),
         min_slack_calls=len(snaps),
         snaps_kept=sum(snaps),
         converged=sol.converged,
@@ -284,7 +289,7 @@ def phases(trials: int) -> dict:
         run_sweep(spec, axis="eta", values=list(ETAS), modes=("ideal", "circuit"))
         wall = time.perf_counter() - t0
     solves = len(steps)
-    per_solve = {phase: 1e3 * t / max(solves, 1) for phase, t in spent.items()}
+    per_solve = {phase: 1e3 * spent[phase] / max(solves, 1) for phase in PHASES}
     per_solve["total"] = sum(per_solve.values())
     return {
         "trials": trials,

@@ -237,9 +237,14 @@ def check_feasibility(
     e_b_drainable = storage.eta * split.b
     if e_sc.size != N:
         raise ValueError("one split per arrival is required")
-    tau = np.asarray(schedule.tau, dtype=float)
-    d_sc = (np.asarray(schedule.p_sc) + np.asarray(schedule.eps_sc)) * tau
-    d_b = (np.asarray(schedule.p_b) + np.asarray(schedule.eps_b)) * tau
+    tau, p_sc, p_b, eps_sc, eps_b = (
+        np.asarray(getattr(schedule, name), dtype=float)
+        for name in ("tau", "p_sc", "p_b", "eps_sc", "eps_b")
+    )
+    if any(v.shape != (N,) for v in (tau, p_sc, p_b, eps_sc, eps_b)):
+        raise ValueError("one schedule entry per epoch is required")
+    d_sc = (p_sc + eps_sc) * tau
+    d_b = (p_b + eps_b) * tau
 
     dep_sc = np.cumsum(e_sc)
     dep_b = np.cumsum(e_b_drainable)
@@ -253,16 +258,9 @@ def check_feasibility(
         "sc_overflow": storage.sc_cap - (dep_sc - prev_sc),
         "b_causality": dep_b - use_b,
         "b_overflow": storage.b_cap - (dep_b - prev_b),
-        "peak_power": p_peak - (np.asarray(schedule.p_sc) + np.asarray(schedule.p_b)),
+        "peak_power": p_peak - (p_sc + p_b),
         "tau_bounds": np.minimum(tau, timeline.l - tau),
-        "nonneg_power": np.concatenate(
-            [
-                np.asarray(schedule.p_sc),
-                np.asarray(schedule.p_b),
-                np.asarray(schedule.eps_sc),
-                np.asarray(schedule.eps_b),
-            ]
-        ),
+        "nonneg_power": np.concatenate([p_sc, p_b, eps_sc, eps_b]),
         "nonneg_split": np.concatenate([split.sc, split.b]),
         # Routed energy cannot exceed the arrival; a causal policy may
         # discard the excess when both buffers are full, so this is a

@@ -30,23 +30,26 @@ constraint couples only epochs i-1 and i, so each Newton step is one
 banded Cholesky factorization, O(N) in time and memory (the structure
 Wang & Boyd exploit for fast MPC, IEEE TCST 2010).  Because each row
 family is one fixed stencil shifted along the epochs, the constraint
-matrix and the band tables of the Newton matrix are assembled with a few
-whole-array operations per block of families, and each Newton step
+matrix and the band map of the Newton matrix are assembled once, with a
+few whole-array operations per block of families, and each Newton step
 evaluates the objective from one water-filling lookup: at short horizons
 these fixed costs, not the factorization, set the solve time.  For the
-same reason a step calls its kernels directly: LAPACK ``dpbtrf`` factors
-the band (``_Program.factor``, which first checks that the band is finite
-and retries a failed factorization with a bumped diagonal), ``dpbtrs``
-solves with the factor after a finiteness check of each right-hand side,
-and scipy's CSR/CSC kernels form the sparse products from the plain CSR
-arrays that the program keeps.  A non-finite Newton matrix or right-hand
-side raises :class:`SolverError` as a numerical failure.  The loop only
-optimizes: it stops on a small dual residual and a small relative
-duality gap (or after ``MAX_NEWTON`` steps).  Windows, powers and
-covariances are then recovered in closed form; a schedule that fails the
-feasibility audit raises :class:`SolverError`, and otherwise the dual
-certificate from the loop's multipliers decides convergence.  The test
-oracles live in :mod:`ehsched.oracle`.
+same reason a step calls its kernels directly: the band map is a sparse
+matrix from the row weights to the band in LAPACK's column-major layout,
+so one sparse product builds the band and LAPACK ``dpbtrf`` factors it in
+place (``_Program.factor``, which first checks that the band is finite
+and retries a failed factorization on a rebuilt band with a bumped
+diagonal), ``dpbtrs`` solves with the factor after a finiteness check of
+each right-hand side, and scipy's CSR/CSC kernels form the sparse
+products from the plain CSR arrays that the program keeps.  A non-finite
+Newton matrix or right-hand side raises :class:`SolverError` as a
+numerical failure.  The loop only optimizes: it stops on a small dual
+residual and a small relative duality gap (or after ``MAX_NEWTON``
+steps).  Windows, powers and covariances are then recovered in closed
+form; a schedule that fails the feasibility audit raises
+:class:`SolverError`, and otherwise the dual certificate from the loop's
+multipliers decides convergence.  The test oracles live in
+:mod:`ehsched.oracle`.
 """
 
 from __future__ import annotations
@@ -420,9 +423,13 @@ class _Program:
     shifted by ``_NV`` columns per epoch, less the terms of epoch -1.
     ``A`` (the constraints) and ``Q`` (the curved parts' arguments) are
     kept as plain CSR arrays (:func:`_csr`), which :func:`_mul` and
-    :func:`_mul_t` hand to scipy's kernels, and the band tables
-    ``flat``/``prod``/``brow`` list every term pair's product, family by
-    family, pair by pair and row by row.
+    :func:`_mul_t` hand to scipy's kernels.  So is the band map ``band``,
+    which takes the stacked weights ``(w, kappa, 1)`` to LAPACK's
+    column-major band storage: its row ``j * (_BAND + 1) + d`` is
+    diagonal ``d`` of column ``j``, and its entries there are the
+    coefficient products of the term pairs that add to that slot, in the
+    order they were written (family by family, pair by pair and row by
+    row, the placeholder pins last), which one stable sort by slot keeps.
     """
 
     def __init__(self, inst: OfflineInstance, vm: _ValueModel):
@@ -463,12 +470,19 @@ class _Program:
         self.rows: dict[str, tuple[slice, np.ndarray]] = {}
         # CSR parts (columns, values, entries per row) of A and of Q.
         parts = {"A": ([], [], []), "Q": ([], [], [])}
-        # Band assembly: entry k adds prod[k] * w[brow[k]] to flat position
-        # flat[k] of the upper band, w being the stacked row weights.
-        flat, prod, brow = [], [], []
-        m = 0
-        for blk in _BLOCKS:
-            ep = sp if blk.on_split else al
+        epochs = [sp if blk.on_split else al for blk in _BLOCKS]
+        # The band map's entries: entry k adds bcoef[k] * w[brow[k]] to
+        # band slot slot[k], w being the stacked weights.  The tables have
+        # room for every term pair and pin, and the slots take the
+        # narrowest unsigned type that holds them (numpy sorts 16-bit keys
+        # stably by radix, up to N = 2047).
+        idle = _NV * np.flatnonzero(~split) + _A
+        size = sum(blk.pa.size * ep.size for blk, ep in zip(_BLOCKS, epochs)) + idle.size
+        slot = np.empty(size, dtype=np.min_scalar_type((_BAND + 1) * n))
+        bcoef = np.empty(size)
+        brow = np.empty(size, dtype=np.int32)
+        m = j = 0
+        for blk, ep in zip(_BLOCKS, epochs):
             k = ep.size
             ep4 = _NV * ep
             C = np.repeat(blk.const[:, None], k, axis=1)
@@ -482,11 +496,12 @@ class _Program:
             data.append(C[blk.term].transpose(0, 2, 1)[keep])
             counts.append(keep.sum(axis=2).ravel())
             # Term pairs by rows, less the pairs with a term of epoch -1.
-            pos = ep4 + (blk.diag * n + blk.col)[:, None]
             keep = ep4 + blk.low[:, None] >= 0
-            flat.append(pos[keep])
-            prod.append((C[blk.pa] * C[blk.pb])[keep])
-            brow.append((m + k * blk.fam[:, None] + np.arange(k))[keep])
+            end = j + np.count_nonzero(keep)
+            slot[j:end] = ((ep4 + blk.col[:, None]) * (_BAND + 1) + blk.diag[:, None])[keep]
+            bcoef[j:end] = (C[blk.pa] * C[blk.pb])[keep]
+            brow[j:end] = (m + k * blk.fam[:, None] + np.arange(k))[keep]
+            j = end
             for name in blk.names:
                 self.rows[name] = (slice(m, m + k), ep)
                 m += k
@@ -495,14 +510,26 @@ class _Program:
         for name, (rows, _) in self.rows.items():
             self.u[rows] = rhs[name] / self.escale
         self.A, self.Q = (_csr(*p, n) for p in parts.values())
+        del parts
         # Placeholder burst parts sit in no row: pin them with a unit
         # diagonal (their gradient is zero, so they stay at zero).  The
-        # unit entries come last, as band terms of weight one.
-        idle = _NV * np.flatnonzero(~split) + _A
-        flat.append(_BAND * n + idle)
-        prod.append(np.ones(idle.size))
-        brow.append(np.full(idle.size, m))
-        self.flat, self.prod, self.brow = map(np.concatenate, (flat, prod, brow))
+        # unit entries come last, as terms of weight one.
+        end = j + idle.size
+        slot[j:end] = (_BAND + 1) * idle + _BAND
+        bcoef[j:end] = 1.0
+        brow[j:end] = m
+        # One stable sort by slot keeps each slot's terms in the order
+        # above, so the band sums them in a fixed order.  Each table is
+        # dropped as soon as it is used: they set the solver's peak memory.
+        slot = slot[:end]
+        indptr = np.zeros((_BAND + 1) * n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(slot, minlength=(_BAND + 1) * n), out=indptr[1:])
+        order = np.argsort(slot, kind="stable")
+        del slot
+        bcoef = bcoef[order]
+        brow = brow[order]
+        del order
+        self.band = (bcoef, brow, indptr, (indptr.size - 1, m + 1))
         self.burst = _NV * sp + _A
         self.lin = np.zeros(n)
         self.lin[self.burst] = self.escale * vm.r0[sp] / self.fscale
@@ -554,31 +581,35 @@ class _Program:
         Q``, with a unit diagonal on the placeholder burst parts: row
         weights ``w`` and the curved parts' scaled curvatures.
 
-        The band goes straight to LAPACK ``dpbtrf``; the Newton solves of
+        The band is one product of the band map with the stacked weights
+        ``(w, kappa, 1)``, already in the column-major layout LAPACK takes,
+        and ``dpbtrf`` factors it in place; the Newton solves of
         :func:`_interior_point` use the factor with ``dpbtrs``.  A band
         with a non-finite entry raises :class:`SolverError` (a numerical
         failure) before LAPACK sees it.  A matrix that is not numerically
         positive definite is factored again with its diagonal bumped by a
-        relative 1e-12, then 1e-10, then 1e-8; when every attempt fails,
-        ``np.linalg.LinAlgError`` is raised."""
-        ab = np.bincount(
-            self.flat,
-            weights=self.prod * np.concatenate((w, kappa, _ONE))[self.brow],
-            minlength=(_BAND + 1) * self.n,
-        ).reshape(_BAND + 1, self.n)
+        relative 1e-12, then 1e-10, then 1e-8, each time on a band built
+        anew from the map, since the failed attempt overwrote the last;
+        when every attempt fails, ``np.linalg.LinAlgError`` is raised."""
+        wk = np.concatenate((w, kappa, _ONE))
+
+        def band():
+            return _mul(self.band, wk).reshape(self.n, _BAND + 1).T
+
+        ab = band()
         if not np.isfinite(ab).all():
             raise SolverError("numerical failure: the Newton matrix is not finite")
-        L, info = dpbtrf(ab)
+        L, info = dpbtrf(ab, overwrite_ab=1)
         if info:
             # Rows tight at the optimum weigh up to 1/mu^2 more than the
             # rest; when rounding in their block breaks positive
             # definiteness, a growing relative bump of the diagonal
             # restores it without perturbing the lightly weighted
             # directions.
-            diag = ab[_BAND].copy()
             for reg in (1e-12, 1e-10, 1e-8):
-                ab[_BAND] = diag * (1.0 + reg)
-                L, info = dpbtrf(ab)
+                ab = band()
+                ab[_BAND] *= 1.0 + reg
+                L, info = dpbtrf(ab, overwrite_ab=1)
                 if not info:
                     break
             else:

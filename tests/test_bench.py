@@ -9,8 +9,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 CELL_KEYS = {
     "model", "stream", "N", "status", "runs", "median_s", "loop_median_s",
-    "reconstruct_median_s", "newton_steps", "us_per_newton_step", "min_slack_calls",
-    "snaps_kept", "converged", "certificate_ok", "dual_residual", "objective", "peak_mem_mb",
+    "reconstruct_median_s", "newton_steps", "us_per_newton_step", "factor_us_per_step",
+    "min_slack_calls", "snaps_kept", "converged", "certificate_ok", "dual_residual",
+    "objective", "peak_mem_mb",
 }
 ONLINE_KEYS = {
     "policy", "stream", "N", "status", "runs", "median_s", "us_per_epoch", "throughput",
@@ -38,6 +39,7 @@ def test_bench_report_schema(tmp_path):
             assert set(cell) == CELL_KEYS and cell["status"] == "ok", cell
             assert cell["runs"] == 1 and cell["converged"] and cell["certificate_ok"]
             assert cell["newton_steps"] > 0 and cell["us_per_newton_step"] > 0.0
+            assert 0.0 < cell["factor_us_per_step"] < cell["us_per_newton_step"]
             assert 0.0 < cell["loop_median_s"] <= cell["median_s"]
             assert 0.0 < cell["reconstruct_median_s"] <= cell["median_s"]
             assert 0 <= cell["snaps_kept"] <= cell["min_slack_calls"]

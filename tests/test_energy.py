@@ -239,6 +239,17 @@ def test_check_feasibility_split_is_one_sided():
     assert over.slacks["arrival_split"][0] == pytest.approx(-0.5)
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+def test_check_feasibility_rejects_a_schedule_of_the_wrong_length(rows):
+    """A schedule with fewer rows than epochs neither broadcasts into a
+    passing audit (one row) nor fails inside numpy (two rows)."""
+    tl = build_timeline([(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)], T=3.0)
+    split = ArrivalSplit(sc=[1.0, 1.0, 1.0], b=[0.0, 0.0, 0.0])
+    plan = _Plan(tau=[1.0] * rows, p_sc=[1.0] * rows, p_b=[0.0] * rows)
+    with pytest.raises(ValueError, match="one schedule entry per epoch is required"):
+        check_feasibility(tl, split, plan, HybridStorage(5.0, 10.0, 0.5), p_peak=4.0)
+
+
 def test_check_feasibility_flags_peak_and_overflow():
     tl = build_timeline([(0.0, 4.0)], T=1.0)
     storage = HybridStorage(sc_cap=2.0, b_cap=10.0, eta=0.5)

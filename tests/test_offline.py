@@ -824,7 +824,9 @@ def test_program_assembly_matches_dense_build(case, monkeypatch):
 
     captured = []
     dpbtrf = offline.dpbtrf
-    monkeypatch.setattr(offline, "dpbtrf", lambda ab: captured.append(ab.copy()) or dpbtrf(ab))
+    monkeypatch.setattr(
+        offline, "dpbtrf", lambda ab, **kw: captured.append(ab.copy()) or dpbtrf(ab, **kw)
+    )
     rng = np.random.default_rng(7)
     w, kappa = rng.uniform(0.1, 10.0, u.size), rng.uniform(0.1, 10.0, inst.timeline.N)
     prog.factor(w, kappa)
@@ -856,9 +858,14 @@ def test_factor_bumps_the_diagonal_in_order(failures, monkeypatch):
     prog = offline._Program(inst, offline._ValueModel(inst))
     dpbtrf, inputs = offline.dpbtrf, []
 
-    def flaky(ab):
+    def flaky(ab, **kw):
         inputs.append(ab.copy())
-        return (ab, 1) if len(inputs) <= failures else dpbtrf(ab)
+        if len(inputs) > failures:
+            return dpbtrf(ab, **kw)
+        if kw.get("overwrite_ab"):
+            # A failed in-place factorization leaves its work in the band.
+            ab *= 2.0
+        return ab, 1
 
     monkeypatch.setattr(offline, "dpbtrf", flaky)
     rng = np.random.default_rng(3)
@@ -872,10 +879,33 @@ def test_factor_bumps_the_diagonal_in_order(failures, monkeypatch):
     assert np.array_equal(L, dpbtrf(inputs[-1])[0])
 
 
+def test_factor_hands_lapack_a_fortran_band_to_overwrite(monkeypatch):
+    """The band is built in the column-major layout LAPACK takes, so
+    ``dpbtrf`` factors it in place rather than copying it first."""
+    from ehsched import offline
+
+    eff, *rest = _assembly_cases()["per-epoch-eps"]
+    inst = _make_instance(eff, None, *rest)
+    prog = offline._Program(inst, offline._ValueModel(inst))
+    dpbtrf, calls = offline.dpbtrf, []
+
+    def spy(ab, **kw):
+        calls.append((ab, kw))
+        return dpbtrf(ab, **kw)
+
+    monkeypatch.setattr(offline, "dpbtrf", spy)
+    rng = np.random.default_rng(5)
+    L = prog.factor(rng.uniform(0.1, 10.0, prog.u.size), rng.uniform(0.1, 10.0, inst.timeline.N))
+    [(ab, kw)] = calls
+    assert kw == {"overwrite_ab": 1}
+    assert ab.shape == (offline._BAND + 1, prog.n) and ab.flags.f_contiguous
+    assert np.shares_memory(L, ab)
+
+
 def test_failed_factor_ends_the_solve_unconverged(small_instance, monkeypatch):
     from ehsched import offline
 
-    monkeypatch.setattr(offline, "dpbtrf", lambda ab: (ab, 1))
+    monkeypatch.setattr(offline, "dpbtrf", lambda ab, **kw: (ab, 1))
     sol = solve_offline_ideal(*small_instance)
     assert not sol.converged and sol.iterations == 1
 
