@@ -290,7 +290,8 @@ def channelset_from_json(doc: dict | str) -> ChannelSet:
             UserConfig(n=int(u["n"]), gamma=float(u.get("gamma", 1.0)))
             for u in doc["users"]
         )
-    except (KeyError, TypeError) as exc:
+        seed = int(doc["seed"]) if "seed" in doc else None
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed channel document: {exc}") from exc
     if "H" in doc:
         if len(doc["H"]) != len(users):
@@ -304,6 +305,6 @@ def channelset_from_json(doc: dict | str) -> ChannelSet:
                 )
             H.append(arr)
         return ChannelSet(M=M, users=users, H=tuple(H), seed=None)
-    if "seed" not in doc:
+    if seed is None:
         raise ValueError("channel document needs either a seed or explicit matrices")
-    return generate_channels(M, users, int(doc["seed"]))
+    return generate_channels(M, users, seed)

@@ -87,7 +87,7 @@ def _scenario(path: str):
         storage = HybridStorage(
             sc_cap=float(doc["sc_cap"]), b_cap=float(doc["b_cap"]), eta=float(doc["eta"])
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"bad scenario file {path}: {exc}") from exc
     return timeline, storage
 
@@ -181,11 +181,7 @@ def _cmd_sweep(args) -> int:
         deterministic_profile=args.deterministic_profile,
         pin_channels=args.pin_channels,
     )
-    if spec.eps_range is not None and len(spec.eps_range) != 2:
-        raise CliError("--eps-range needs exactly two values lo,hi")
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    if not modes or any(m not in ("ideal", "circuit") for m in modes):
-        raise CliError("--modes must be a subset of: ideal,circuit")
     values = _floats(args.values) if args.values else None
     try:
         result = run_sweep(spec, axis=args.axis, values=values, modes=modes)

@@ -88,8 +88,11 @@ def generate_compound_poisson(
 
     Inter-arrival gaps are exponential(rate) and amounts are uniform on
     [0, 2*e_avg], so the mean harvested power is rate*e_avg.  Pass either
-    a ``seed`` or an existing ``numpy`` ``Generator``.
+    a ``seed`` or an existing ``numpy`` ``Generator``.  Every parameter
+    must be finite: an infinite rate or deadline would never end the draw.
     """
+    if not all(math.isfinite(v) for v in (rate, e_avg, T, initial)):
+        raise ValueError("rate, mean energy, deadline and initial energy must be finite")
     if rate <= 0.0 or e_avg < 0.0 or T <= 0.0 or initial < 0.0:
         raise ValueError("rate and deadline must be positive, energies non-negative")
     if rng is None:
@@ -189,10 +192,13 @@ class HybridStorage:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Signed slacks per constraint family (>= 0 means satisfied)."""
+    """Signed slacks per constraint family (>= 0 means satisfied).
+
+    Every constraint is a slack, an equality as two: the audit holds
+    ``arrival_split`` (``E - sc - b``), and an offline solve adds
+    ``arrival_unrouted`` (``sc + b - E``) for the other side."""
 
     slacks: dict
-    equalities: dict
 
     @property
     def min_slack(self) -> float:
@@ -200,23 +206,13 @@ class FeasibilityReport:
         return min(vals) if vals else 0.0
 
     @property
-    def max_equality_residual(self) -> float:
-        vals = [float(np.max(np.abs(v))) for v in self.equalities.values() if np.size(v)]
-        return max(vals) if vals else 0.0
-
-    @property
     def feasible(self) -> bool:
-        return self.min_slack >= -FEAS_TOL and self.max_equality_residual <= FEAS_TOL
+        return self.min_slack >= -FEAS_TOL
 
     def worst(self) -> str:
-        lines = []
-        for name, v in self.slacks.items():
-            if np.size(v):
-                lines.append(f"{name}: min slack {np.min(v):+.3e}")
-        for name, v in self.equalities.items():
-            if np.size(v):
-                lines.append(f"{name}: max |residual| {np.max(np.abs(v)):.3e}")
-        return "; ".join(lines)
+        return "; ".join(
+            f"{name}: min slack {np.min(v):+.3e}" for name, v in self.slacks.items() if np.size(v)
+        )
 
 
 def check_feasibility(
@@ -267,4 +263,4 @@ def check_feasibility(
         # one-sided constraint rather than an equality.
         "arrival_split": timeline.E - (split.sc + split.b),
     }
-    return FeasibilityReport(slacks=slacks, equalities={})
+    return FeasibilityReport(slacks)

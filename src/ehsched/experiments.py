@@ -130,8 +130,11 @@ def run_trial(
 
     ``modes`` selects which offline/online pairs to evaluate: ``"ideal"``
     (zero circuit power) and/or ``"circuit"`` (constant or randomized
-    per-epoch circuit power, per the spec's ``eps_range``).
+    per-epoch circuit power, per the spec's ``eps_range``).  With no
+    modes the trial only draws its timeline and channels.
     """
+    if not set(modes) <= {"ideal", "circuit"}:
+        raise ValueError(f"modes must be a subset of: ideal, circuit; got {modes!r}")
     rng = trial_rng(spec.master_seed, trial_index)
     if spec.deterministic_profile:
         timeline = reference_profile()
@@ -225,8 +228,13 @@ def run_sweep(
     """
     if spec.num_trials <= 0:
         raise ValueError("num_trials must be positive")
-    if spec.eps_range is not None and not spec.eps_range[0] <= spec.eps_range[1]:
-        raise ValueError("eps_range needs lo <= hi")
+    if not modes:
+        raise ValueError("a sweep needs at least one of the modes ideal, circuit")
+    if spec.eps_range is not None:
+        if len(spec.eps_range) != 2:
+            raise ValueError("eps_range needs exactly two values lo,hi")
+        if not spec.eps_range[0] <= spec.eps_range[1]:
+            raise ValueError("eps_range needs lo <= hi")
     if axis is None:
         if values is not None:
             raise ValueError("sweep values need an axis")

@@ -822,31 +822,11 @@ def _reconstruct(
 
 #: The tolerances of :meth:`DualCertificate.ok`.
 STAT_TOL, COMP_TOL = 1e-6, 1e-8
-#: The storage families of the paper's multipliers, as the feasibility
-#: audit names them.
+#: The storage multipliers of the paper, each with its constraint family
+#: as the feasibility audit names it.
 _STORAGE = dict(
-    sc_caus="sc_causality", sc_over="sc_overflow", b_caus="b_causality", b_over="b_overflow"
+    lam1_sc="sc_causality", lam2_sc="sc_overflow", lam1_b="b_causality", lam2_b="b_overflow"
 )
-
-
-def _paper_slacks(inst: OfflineInstance, sched: Schedule, audit: FeasibilityReport) -> dict:
-    """Constraint slacks of a schedule, grouped by multiplier family: the
-    storage families from ``audit``, the schedule's feasibility audit, and
-    the families it lacks from the schedule itself."""
-    slacks = {name: audit.slacks[family] for name, family in _STORAGE.items()}
-    e = sched.split.sc
-    slacks.update(
-        peak=sched.tau * (inst.p_peak - sched.power),
-        tau_lo=sched.tau.copy(),
-        tau_hi=inst.timeline.l - sched.tau,
-        alpha_sc=sched.p_sc * sched.tau,
-        alpha_b=sched.p_b * sched.tau,
-        sigma_sc=sched.eps_sc * sched.tau,
-        sigma_b=sched.eps_b * sched.tau,
-        dep_sc=e.copy(),
-        dep_b=inst.timeline.E - e,
-    )
-    return slacks
 
 
 @dataclass(frozen=True)
@@ -895,13 +875,25 @@ def _certificate(
 ) -> DualCertificate:
     """The paper's KKT multipliers in closed form from the solve's own
     multipliers, with the residuals of the paper's KKT rows; ``audit`` is
-    the schedule's feasibility audit."""
+    the schedule's feasibility audit, which supplies the storage slacks."""
     eta = inst.eta
-    slacks = _paper_slacks(inst, sched, audit)
+    # The slack of each multiplier's constraint in the energy domain.
+    tau, P, e = sched.tau, sched.power, sched.split.sc
+    slacks = {name: audit.slacks[family] for name, family in _STORAGE.items()}
+    slacks.update(
+        varpi=tau * (inst.p_peak - P),
+        rho1_sc=e,
+        rho1_b=inst.timeline.E - e,
+        rho2_sc=sched.p_sc * tau,
+        rho2_b=sched.p_b * tau,
+        kappa=tau,
+        zeta=inst.timeline.l - tau,
+        rho3_sc=sched.eps_sc * tau,
+        rho3_b=sched.eps_b * tau,
+    )
 
-    P = sched.power
     levels, _ = vm.ws.level_at_power_vec(P)
-    on = sched.tau > 0.0
+    on = tau > 0.0
 
     # The marginal value of drained energy, net of the drain cap's price.
     # An idle split epoch sits on both a >= 0 and f >= 0; the price of the
@@ -947,20 +939,13 @@ def _certificate(
     mult["rho3_b"] = mult["rho2_b"]
     t = P * levels - sched.rate - inst.p_peak * mult["varpi"] + vm.eps * mult["omega"]
     ttol = 1e-9 * max(1.0, float(np.max(inst.timeline.l)))
-    tau_lo = sched.tau <= ttol
-    tau_hi = slacks["tau_hi"] <= ttol
-    mult["kappa"] = np.where(tau_lo, np.maximum(t, 0.0), 0.0)
-    mult["zeta"] = np.where(tau_hi, np.maximum(-t, 0.0), 0.0)
+    mult["kappa"] = np.where(slacks["kappa"] <= ttol, np.maximum(t, 0.0), 0.0)
+    mult["zeta"] = np.where(slacks["zeta"] <= ttol, np.maximum(-t, 0.0), 0.0)
     # With eps = 0 a window is whole or idle, and its row follows from
     # varpi >= 0 and the concavity of W (P W'(P) <= W(P)).
     rows["stat_tau"] = (mult["kappa"] - mult["zeta"] - t)[vm.eps > 0.0]
     stat = {name: float(np.max(np.abs(r), initial=0.0)) for name, r in rows.items()}
-
-    pairs = dict(lam1_sc="sc_caus", lam2_sc="sc_over", lam1_b="b_caus", lam2_b="b_over",
-                 varpi="peak", rho1_sc="dep_sc", rho1_b="dep_b", rho2_sc="alpha_sc",
-                 rho2_b="alpha_b", kappa="tau_lo", zeta="tau_hi", rho3_sc="sigma_sc",
-                 rho3_b="sigma_b")
-    comp = {name: float(np.max(np.abs(mult[name] * slacks[sl]))) for name, sl in pairs.items()}
+    comp = {name: float(np.max(np.abs(mult[name] * slack))) for name, slack in slacks.items()}
     return DualCertificate(
         multipliers=mult,
         levels=np.asarray(levels, dtype=float),
@@ -978,9 +963,10 @@ def _certificate(
 @dataclass(frozen=True)
 class OfflineSolution:
     """A solved instance.  ``feasibility`` is the independent audit of the
-    schedule, with the offline arrival split ``sc + b = E`` as an equality,
-    and always passes: a schedule that fails it raises
-    :class:`SolverError` instead.  ``converged`` is ``certificate.ok()``."""
+    schedule plus one slack family, ``arrival_unrouted`` (``sc + b - E``),
+    that closes the offline split ``sc + b = E`` from the other side; it
+    always passes: a schedule that fails it raises :class:`SolverError`
+    instead.  ``converged`` is ``certificate.ok()``."""
 
     schedule: Schedule
     certificate: DualCertificate
@@ -1001,10 +987,9 @@ def _solve(inst: OfflineInstance) -> OfflineSolution:
     it = _interior_point(prog)
     sched = _reconstruct(inst, vm, prog, it.s, it.b, it.e)
     audit = check_feasibility(inst.timeline, sched.split, sched, inst.storage(), inst.p_peak)
-    feas = FeasibilityReport(
-        slacks=audit.slacks,
-        equalities={"arrival_split": sched.split.sc + sched.split.b - inst.timeline.E},
-    )
+    # Offline, every arrival is routed whole: the other side of the split.
+    unrouted = sched.split.sc + sched.split.b - inst.timeline.E
+    feas = FeasibilityReport({**audit.slacks, "arrival_unrouted": unrouted})
     if not feas.feasible:
         raise SolverError(f"infeasible schedule ({feas.worst()})")
     cert = _certificate(inst, sched, vm, it, feas)

@@ -2,8 +2,10 @@
 verifier, energy-domain objective.
 
 Kept apart from the production solver in :mod:`ehsched.offline`, whose
-solve path never calls them.  :func:`brute_force_oracle` shares no code
-path with it beyond the instance description and the channel
+solve path never calls them.  They read only what a solve returns (the
+instance, the schedule, its feasibility audit and its certificate) and
+import no private name of the solver.  :func:`brute_force_oracle` shares
+no code path with it beyond the instance description and the channel
 decomposition.
 """
 
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import CovarianceSet, EffectiveChannels, weighted_rate
-from .offline import TAU_SNAP, OfflineInstance, OfflineSolution, Schedule, SolverError
-from .offline import _paper_slacks, _ValueModel
+from .offline import OfflineInstance, OfflineSolution, Schedule, SolverError
+from .waterfill import WaterSystem
 
 __all__ = [
     "brute_force_oracle",
@@ -414,6 +416,9 @@ class LemmaReport:
 
 #: Tolerance for power comparisons in the monotonicity/constancy checks.
 POWER_TOL = 1e-5
+#: Windows within this of zero or of their epoch's length (s) count as
+#: idle or whole in the circuit-power checks.
+WINDOW_TOL = 1e-6
 
 
 def verify_structure(sol: OfflineSolution) -> LemmaReport:
@@ -430,7 +435,7 @@ def verify_structure(sol: OfflineSolution) -> LemmaReport:
     sched, cert, inst = sol.schedule, sol.certificate, sol.instance
     rep = LemmaReport()
     N = sched.N
-    slacks = _paper_slacks(inst, sched, sol.feasibility)
+    slacks = sol.feasibility.slacks
     escale = max(1.0, float(np.max(np.cumsum(inst.timeline.E))))
     hyp_tol = 1e-6 * escale
     act_tol = 1e-7 * escale
@@ -444,14 +449,15 @@ def verify_structure(sol: OfflineSolution) -> LemmaReport:
         # epoch's power.
         applicable = peak_slack[N - 1] > POWER_TOL
         okv = (
-            slacks["sc_caus"][N - 1] <= hyp_tol and slacks["b_caus"][N - 1] <= hyp_tol
+            slacks["sc_causality"][N - 1] <= hyp_tol
+            and slacks["b_causality"][N - 1] <= hyp_tol
         )
         rep.add(
             "terminal_drain",
             N - 1,
             applicable,
             okv if applicable else True,
-            f"sc={slacks['sc_caus'][N-1]:.3e} b={slacks['b_caus'][N-1]:.3e}",
+            f"sc={slacks['sc_causality'][N-1]:.3e} b={slacks['b_causality'][N-1]:.3e}",
         )
 
         # The causality slack at epoch i and the overflow slack at epoch i+1
@@ -465,8 +471,8 @@ def verify_structure(sol: OfflineSolution) -> LemmaReport:
             lam_scale = max(lam_scale, float(np.max(np.abs(cert.multipliers[fam]), initial=0.0)))
         for i in range(N - 1):
             for caus, over, lam1, lam2 in (
-                ("sc_caus", "sc_over", "lam1_sc", "lam2_sc"),
-                ("b_caus", "b_over", "lam1_b", "lam2_b"),
+                ("sc_causality", "sc_overflow", "lam1_sc", "lam2_sc"),
+                ("b_causality", "b_overflow", "lam1_b", "lam2_b"),
             ):
                 cap_fill = (
                     slacks[caus][i] <= act_tol and slacks[over][i + 1] <= act_tol
@@ -487,10 +493,10 @@ def verify_structure(sol: OfflineSolution) -> LemmaReport:
             both_on = P[i] > POWER_TOL and P[i + 1] > POWER_TOL
 
             inactive_between = (
-                slacks["sc_caus"][i] > hyp_tol
-                and slacks["b_caus"][i] > hyp_tol
-                and slacks["sc_over"][i + 1] > hyp_tol
-                and slacks["b_over"][i + 1] > hyp_tol
+                slacks["sc_causality"][i] > hyp_tol
+                and slacks["b_causality"][i] > hyp_tol
+                and slacks["sc_overflow"][i + 1] > hyp_tol
+                and slacks["b_overflow"][i + 1] > hyp_tol
             )
             applicable = both_on and inactive_between and peak_ok
             rep.add(
@@ -506,12 +512,12 @@ def verify_structure(sol: OfflineSolution) -> LemmaReport:
             # drop across the boundary.
             caus_active = (
                 sched.p_sc[i] > POWER_TOL
-                and slacks["sc_caus"][i] <= act_tol
-                and slacks["sc_over"][i + 1] > hyp_tol
+                and slacks["sc_causality"][i] <= act_tol
+                and slacks["sc_overflow"][i + 1] > hyp_tol
             ) or (
                 sched.p_b[i] > POWER_TOL
-                and slacks["b_caus"][i] <= act_tol
-                and slacks["b_over"][i + 1] > hyp_tol
+                and slacks["b_causality"][i] <= act_tol
+                and slacks["b_overflow"][i + 1] > hyp_tol
             )
             applicable = both_on and caus_active and peak_ok
             rep.add(
@@ -527,12 +533,12 @@ def verify_structure(sol: OfflineSolution) -> LemmaReport:
             # must not rise across the boundary.
             over_active = (
                 sched.p_sc[i + 1] > POWER_TOL
-                and slacks["sc_over"][i + 1] <= act_tol
-                and slacks["sc_caus"][i] > hyp_tol
+                and slacks["sc_overflow"][i + 1] <= act_tol
+                and slacks["sc_causality"][i] > hyp_tol
             ) or (
                 sched.p_b[i + 1] > POWER_TOL
-                and slacks["b_over"][i + 1] <= act_tol
-                and slacks["b_caus"][i] > hyp_tol
+                and slacks["b_overflow"][i + 1] <= act_tol
+                and slacks["b_causality"][i] > hyp_tol
             )
             applicable = both_on and over_active and peak_ok
             rep.add(
@@ -544,13 +550,13 @@ def verify_structure(sol: OfflineSolution) -> LemmaReport:
             )
         return rep
 
-    # Circuit-power structure.
-    vm = _ValueModel(inst)
-    floor = vm.p_thr
+    # Circuit-power structure: the burst power is the most efficient one,
+    # capped at the peak.
+    eps = inst.eps
+    floor = np.minimum(WaterSystem(inst.eff, inst.weights).efficient_power(eps), inst.p_peak)
     l = inst.timeline.l
-    eps = vm.eps
     for i in range(N):
-        interior = TAU_SNAP < sched.tau[i] < l[i] - TAU_SNAP
+        interior = WINDOW_TOL < sched.tau[i] < l[i] - WINDOW_TOL
         rep.add(
             "burst_power_floor",
             i,
@@ -566,7 +572,7 @@ def verify_structure(sol: OfflineSolution) -> LemmaReport:
             P[i] >= floor[i] - POWER_TOL if full else True,
             f"P={P[i]:.6f} floor={floor[i]:.6f}",
         )
-        on = sched.tau[i] > TAU_SNAP and eps[i] > 0.0
+        on = sched.tau[i] > WINDOW_TOL and eps[i] > 0.0
         both = on and sched.p_sc[i] > ptol and sched.p_b[i] > ptol
         ident = abs(sched.eps_sc[i] * P[i] - eps[i] * sched.p_sc[i])
         ident_ok = ident <= 1e-9 * max(1.0, eps[i] * max(P[i], 1.0))

@@ -25,6 +25,14 @@ from ehsched import (
 )
 
 
+class NoDraws:
+    """A random generator whose every draw fails the test at once, so a
+    validation that lets a bad parameter through cannot loop."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew {name} from invalid parameters")
+
+
 def unit_scalar_channelset() -> ChannelSet:
     """One single-antenna user with |h| = 1: a single mode with gain 1."""
     return ChannelSet(

@@ -1,6 +1,7 @@
 """Timelines, the hybrid store, and the schedule feasibility checker."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from hypothesis import strategies as st
 from ehsched import (
     ArrivalSplit,
     EpochTimeline,
+    FeasibilityReport,
     HybridStorage,
     build_timeline,
     check_feasibility,
     generate_compound_poisson,
 )
 from ehsched.energy import FEAS_TOL
+
+from conftest import NoDraws
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +92,18 @@ def test_compound_poisson_validation():
         generate_compound_poisson(0.0, 1.0, 10.0, 0.0, seed=1)
     with pytest.raises(ValueError):
         generate_compound_poisson(1.0, 1.0, 10.0, 0.0)  # no seed or rng
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("param", ["rate", "e_avg", "T", "initial"])
+def test_compound_poisson_rejects_non_finite_parameters(param, value):
+    """An infinite rate or deadline never ends the draw, a NaN rate gives a
+    one-epoch timeline and a non-finite mean energy overflows the uniform
+    draw: each is refused before anything is drawn."""
+    kw = dict(rate=1.0, e_avg=1.0, T=10.0, initial=0.0)
+    kw[param] = value
+    with pytest.raises(ValueError):
+        generate_compound_poisson(**kw, rng=NoDraws())
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +253,15 @@ def test_check_feasibility_split_is_one_sided():
     )
     assert not over.feasible
     assert over.slacks["arrival_split"][0] == pytest.approx(-0.5)
+
+
+def test_feasibility_report_holds_slacks_only():
+    """Every constraint, the offline split's two sides included, is a
+    signed slack: the report has no second table."""
+    assert [f.name for f in fields(FeasibilityReport)] == ["slacks"]
+    rep = FeasibilityReport({"a": np.array([1.0, -2e-8]), "b": np.array([])})
+    assert rep.min_slack == -2e-8 and not rep.feasible
+    assert rep.worst() == "a: min slack -2.000e-08"
 
 
 @pytest.mark.parametrize("rows", [1, 2])

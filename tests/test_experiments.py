@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from ehsched import cli, energy, experiments
 from ehsched.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, build_parser, main
 from ehsched.experiments import (
     ExperimentSpec,
@@ -21,6 +22,8 @@ from ehsched.experiments import (
     write_schedule_csv,
     write_trace_csv,
 )
+
+from conftest import NoDraws
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +519,97 @@ def test_cli_invalid_inputs_exit_2(files, tmp_path, capsys):
         (["--axis", "eta", "--values", "0.5", "--trials", "0"], "num_trials must be positive"),
         (["--axis", "eta", "--values", "0.5", "--trials", "-1"], "num_trials must be positive"),
         (["--eps-range", "1.5,0.5", "--trials", "1"], "eps_range needs lo <= hi"),
-        (["--eps-range", "1", "--trials", "1"], "--eps-range needs exactly two values lo,hi"),
+        (["--eps-range", "1", "--trials", "1"], "eps_range needs exactly two values lo,hi"),
         (["--axis", "eta", "--values", "0.5,x", "--trials", "1"], "bad numeric list '0.5,x'"),
         (["--values", "1,2", "--trials", "2"], "sweep values need an axis"),
     ):
         assert main(["sweep", *argv, "--out", str(out)]) == EXIT_INVALID, argv
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+#: An integer too large for a float.
+_HUGE = "1" + "0" * 400
+_STORE = '"sc_cap": 5.0, "b_cap": 100.0, "eta": 0.5'
+
+
+@pytest.mark.parametrize(
+    "kind, doc",
+    [
+        ("channels", '{"M": 1e999, "users": [{"n": 1}], "seed": 1}'),
+        ("channels", '{"M": 2, "users": [{"n": 1}], "seed": 1e999}'),
+        ("channels", '{"M": 1, "users": [{"n": 1, "gamma": %s}], "H": [[[[1.0, 0.0]]]]}' % _HUGE),
+        ("scenario", '{"T": %s, "arrivals": [[0.0, 2.0]], %s}' % (_HUGE, _STORE)),
+        ("scenario", '{"T": 5.0, "arrivals": {"poisson": {"rate": 1.0, "e_avg": 1.0, '
+                     '"seed": 1e999}}, %s}' % _STORE),
+    ],
+    ids=["channel-M-inf", "channel-seed-inf", "channel-gamma-huge", "scenario-T-huge",
+         "poisson-seed-inf"],
+)
+def test_cli_rejects_json_numbers_out_of_range(files, kind, doc, capsys):
+    """A JSON number beyond float or int range is invalid input, not a
+    traceback."""
+    tmp, chan, scen = files
+    path = tmp / "doc.json"
+    path.write_text(doc)
+    paths = {"channels": chan, "scenario": scen, kind: str(path)}
+    argv = ["solve", "--channels", paths["channels"], "--scenario", paths["scenario"],
+            "--p-peak", "4.0"]
+    assert main(argv) == EXIT_INVALID
+    noun = "channel" if kind == "channels" else "scenario"
+    assert capsys.readouterr().err.startswith(f"error: bad {noun} file")
+
+
+@pytest.mark.parametrize(
+    "poisson",
+    ['"rate": 1e999, "e_avg": 1.0', '"rate": NaN, "e_avg": 1.0',
+     '"rate": 1.0, "e_avg": 1e999', '"rate": 1.0, "e_avg": NaN',
+     '"rate": 1.0, "e_avg": 1.0, "initial": 1e999'],
+    ids=["rate-inf", "rate-nan", "e_avg-inf", "e_avg-nan", "initial-inf"],
+)
+def test_cli_solve_rejects_non_finite_poisson_parameters(files, poisson, monkeypatch, capsys):
+    """A non-finite Poisson parameter in a scenario exits 2 before any
+    arrival is drawn; the draws fail the test rather than loop."""
+    tmp, chan, _ = files
+    monkeypatch.setattr(
+        cli, "generate_compound_poisson",
+        lambda seed, **kw: energy.generate_compound_poisson(**kw, rng=NoDraws()),
+    )
+    scen = tmp / "poisson.json"
+    scen.write_text(
+        '{"T": 5.0, "arrivals": {"poisson": {%s, "seed": 3}}, %s}' % (poisson, _STORE)
+    )
+    argv = ["solve", "--channels", chan, "--scenario", str(scen), "--p-peak", "4.0"]
+    assert main(argv) == EXIT_INVALID
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--T", "inf"), ("--rate", "inf"), ("--rate", "nan"), ("--e-avg", "nan"),
+     ("--e-avg", "inf"), ("--initial", "inf")],
+)
+def test_cli_sweep_rejects_non_finite_poisson_parameters(option, value, monkeypatch, capsys):
+    """A sweep over non-finite arrival parameters exits 2 before any
+    trial draws; the draws fail the test rather than loop."""
+    monkeypatch.setattr(experiments, "trial_rng", lambda *args: NoDraws())
+    assert main(["sweep", option, value, "--trials", "1"]) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "error: rate, mean energy, deadline and initial energy must be finite\n"
+    )
+
+
+def test_library_rejects_unknown_sweep_modes_and_eps_ranges():
+    """The library, not only the CLI, refuses a sweep that could not run as
+    asked: unknown modes, no modes, and an eps range that is not a pair."""
+    spec = ExperimentSpec(**_FAST)
+    for modes in (("idael",), ("ideal", "bogus"), "ideal"):
+        with pytest.raises(ValueError, match="modes must be a subset of: ideal, circuit"):
+            run_trial(spec, 0, modes)
+        with pytest.raises(ValueError, match="modes must be a subset of: ideal, circuit"):
+            run_sweep(spec, modes=modes)
+    with pytest.raises(ValueError, match="a sweep needs at least one of the modes"):
+        run_sweep(spec, modes=())
+    for eps_range in ((0.5,), (0.5, 1.0, 1.5)):
+        with pytest.raises(ValueError, match="eps_range needs exactly two values lo,hi"):
+            run_sweep(replace(spec, eps_range=eps_range))

@@ -631,6 +631,35 @@ def test_offline_holds_only_the_solve_path():
         assert getattr(ehsched, name) is obj, name
     for name in (*moved, "_throughput", "POWER_TOL"):
         assert hasattr(oracle, name) and not hasattr(offline, name), name
+    # The oracles read what a solve returns, not the solver's internals.
+    private = [
+        value for name, value in vars(offline).items()
+        if name.startswith("_") and not name.startswith("__")
+        and not isinstance(value, (int, float))
+    ]
+    for name, value in vars(oracle).items():
+        if not name.startswith("__"):
+            assert not any(value is p for p in private), name
+    assert not hasattr(oracle, "TAU_SNAP") and not hasattr(offline, "_paper_slacks")
+
+
+def test_solve_refuses_a_split_that_leaves_energy_unrouted(unit_eff, monkeypatch):
+    """Offline, every arrival is routed whole: a reconstruction that routes
+    1 uJ less than arrived fails the solve's audit on the
+    ``arrival_unrouted`` slack ``sc + b - E``."""
+    from ehsched import offline
+
+    reconstruct = offline._reconstruct
+
+    def short(*args):
+        sched = reconstruct(*args)
+        split = ArrivalSplit(sc=sched.split.sc, b=sched.split.b - 1e-6)
+        return replace(sched, split=split)
+
+    monkeypatch.setattr(offline, "_reconstruct", short)
+    tl = build_timeline([(0.0, 3.0), (1.0, 2.0)], T=2.0)
+    with pytest.raises(SolverError, match=r"arrival_unrouted: min slack -1\.000e-06\)$"):
+        solve_offline_ideal(unit_eff, None, tl, _big_storage(), p_peak=10.0)
 
 
 def test_schedule_split_accounting(unit_eff):
