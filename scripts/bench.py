@@ -3,7 +3,7 @@
 
     python scripts/bench.py --label mychange
 
-writes ``BENCH_<label>.json`` with four parts:
+writes ``BENCH_<label>.json`` with five parts:
 
 * ``scaling``: three offline models at N in {10, 100, 1000, 10^4} on
   perfbench's generator (``draw_timeline`` and ``rng_for`` from
@@ -35,6 +35,12 @@ writes ``BENCH_<label>.json`` with four parts:
   an efficiency sweep shaped like acceptance gate 06 (5 J mean packets,
   eta in {0.2, 0.4, 0.6, 0.8, 1.0}, 20 trials by default), timed by
   wrapping each phase function of ``ehsched.offline``.
+* ``cold``: medians over 5 fresh interpreters of ``import ehsched``
+  (``import_s``) and of the first solve after it of the ``ideal`` and
+  ``circuit`` cells at N = 10, stream 100 (``first_ideal_s``,
+  ``first_circuit_s``), one interpreter per model and run.  scipy loads
+  during the first solve that needs it, so the import leaves it out
+  and these solves pay for it.
 * ``environment``: interpreter and library versions, the CPU count and
   the BLAS thread count.
 
@@ -54,6 +60,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -69,7 +76,6 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
-import scipy  # noqa: E402
 from workloads import (  # noqa: E402
     M,
     P_PEAK,
@@ -96,6 +102,24 @@ EPS_RANGE = (0.0, 2.0)
 ONLINE_SIZES = (2000, 10_000)
 ONLINE_EPS_RANGE = (0.5, 1.5)
 ETAS = (0.2, 0.4, 0.6, 0.8, 1.0)
+#: Fresh interpreters per model, and the cell, of the ``cold`` part.
+COLD_RUNS = 5
+COLD_N = 10
+#: Run in a fresh interpreter (``argv[1]`` the model, ``argv[2]`` this
+#: script's directory): prints the seconds of ``import ehsched`` and of
+#: the first solve of the model's cell.
+COLD_PROBE = """\
+import sys, time
+t0 = time.perf_counter()
+import ehsched
+import_s = time.perf_counter() - t0
+sys.path.insert(0, sys.argv[2])
+import bench
+inputs = bench.instance(bench.STREAMS[0], bench.COLD_N, bench.EPS_RANGE)
+t0 = time.perf_counter()
+bench.solve(sys.argv[1], *inputs)
+print(import_s, time.perf_counter() - t0)
+"""
 #: The phase functions of one offline solve, in call order.
 PHASES = {
     "value_model": "_ValueModel",
@@ -302,7 +326,33 @@ def phases(trials: int) -> dict:
     }
 
 
+def cold() -> dict:
+    """Median seconds of ``import ehsched`` and of the first ``ideal`` and
+    ``circuit`` solve after it, each in ``COLD_RUNS`` fresh interpreters."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    imports, first = [], {"ideal": [], "circuit": []}
+    for _ in range(COLD_RUNS):
+        for model, times in first.items():
+            out = subprocess.run(
+                [sys.executable, "-c", COLD_PROBE, model, str(ROOT / "scripts")],
+                env=env, cwd=str(ROOT), capture_output=True, text=True, timeout=120, check=True,
+            )
+            import_s, solve_s = map(float, out.stdout.split())
+            imports.append(import_s)
+            times.append(solve_s)
+    return {
+        "runs": COLD_RUNS,
+        "N": COLD_N,
+        "stream": STREAMS[0],
+        "import_s": statistics.median(imports),
+        "first_ideal_s": statistics.median(first["ideal"]),
+        "first_circuit_s": statistics.median(first["circuit"]),
+    }
+
+
 def environment() -> dict:
+    import scipy
+
     try:
         affinity = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -340,6 +390,7 @@ def main(argv=None) -> int:
         "scaling": series(scaling_cell, MODELS, sizes, args.repeats, args.budget),
         "online": series(online_cell, ("burst", "even"), ONLINE_SIZES, args.repeats, args.budget),
         "phases": phases(args.trials),
+        "cold": cold(),
     }
     report["bench_s"] = time.perf_counter() - t0
     out = args.out_dir / f"BENCH_{args.label}.json"

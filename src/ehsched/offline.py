@@ -41,7 +41,10 @@ place (``_Program.factor``, which first checks that the band is finite
 and retries a failed factorization on a rebuilt band with a bumped
 diagonal), ``dpbtrs`` solves with the factor after a finiteness check of
 each right-hand side, and scipy's CSR/CSC kernels form the sparse
-products from the plain CSR arrays that the program keeps.  A non-finite
+products from the plain CSR arrays that the program keeps.  These three
+kernels bind as module globals when the first program is built
+(:func:`_bind_kernels`), not at import: importing any scipy module
+takes longer than the rest of ``import ehsched``.  A non-finite
 Newton matrix or right-hand side raises :class:`SolverError` as a
 numerical failure.  The loop only optimizes: it stops on a small dual
 residual and a small relative duality gap (or after ``MAX_NEWTON``
@@ -60,8 +63,6 @@ from functools import cached_property
 from itertools import groupby
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse import _sparsetools
 
 from .channels import CovarianceSet, EffectiveChannels, resolve_weights
 from .energy import FEAS_TOL, ArrivalSplit, EpochTimeline, FeasibilityReport, HybridStorage
@@ -381,6 +382,30 @@ def _csr(indices: list, data: list, counts: list, ncols: int) -> tuple:
     return np.concatenate(data), indices, indptr, (indptr.size - 1, ncols)
 
 
+#: The scipy kernels a Newton step calls, module globals once
+#: :func:`_bind_kernels` has run.
+_KERNELS = ("dpbtrf", "dpbtrs", "_sparsetools")
+
+
+def _bind_kernels() -> None:
+    """Bind LAPACK ``dpbtrf``/``dpbtrs`` and scipy's sparse kernels as
+    module globals, once.  The first :class:`_Program` calls it, as does
+    a first read of one of them from outside (``offline.dpbtrf``, through
+    the module's ``__getattr__``), so ``import ehsched`` loads no scipy
+    module and the Newton loop calls plain globals."""
+    global dpbtrf, dpbtrs, _sparsetools
+    if "_sparsetools" not in globals():
+        from scipy.linalg.lapack import dpbtrf, dpbtrs
+        from scipy.sparse import _sparsetools
+
+
+def __getattr__(name: str):
+    if name in _KERNELS:
+        _bind_kernels()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _mul(M: tuple, v: np.ndarray) -> np.ndarray:
     """``M @ v`` through scipy's CSR kernel, the loop behind a ``csr_matrix``
     product (so the same bits), without the sparse operator dispatch, which
@@ -433,6 +458,7 @@ class _Program:
     """
 
     def __init__(self, inst: OfflineInstance, vm: _ValueModel):
+        _bind_kernels()
         N = inst.timeline.N
         E = inst.timeline.E
         eta = inst.eta

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 from .channels import CovarianceSet, EffectiveChannels, resolve_weights
 
@@ -101,9 +100,21 @@ class WaterSystem:
         holds p_o, at u = p + C = -a / W0(-a e^{-k}) with a = C - eps and
         k = 1 + ln G - S/G, or u = e^k when a = 0 (derivation in
         :mod:`ehsched.single_epoch`).  eps = 0 gives 0, where W(p)/p is
-        largest.
+        largest.  Where every eps is 0 no root is taken, so
+        ``scipy.special`` loads at the first call with a circuit power.
+
+        Known defect (ROADMAP's defect (i)): p_o loses precision as eps
+        falls to 0, where x nears the branch point -1/e and the root
+        cancels.  p_o / sqrt(eps) should tend to a constant (0.8736 for
+        ``generate_channels(2, [UserConfig(1)] * 2, seed=42)``); it reads
+        0.8734 at eps = 1e-13, 0.862 at 1e-15 and 0.733 at 1e-16, and from
+        1e-17 down x rounds below -1/e and p_o is exactly 0.
         """
         eps = np.asarray(eps, dtype=float)
+        if np.all(eps == 0.0):
+            return np.zeros_like(eps)[()]
+        from scipy.special import lambertw
+
         thr = self.thr[1:-1]
         # g > 0 at breakpoint j while the ratio still rises there.
         g = thr * (self.breaks + eps[..., None]) - self.cgl[1:-1] + self.cg[1:-1] * np.log(thr)

@@ -18,6 +18,7 @@ ONLINE_KEYS = {
     "discarded_frac", "peak_mem_mb",
 }
 PHASES = {"value_model", "program", "loop", "reconstruct", "certificate", "audit", "total"}
+COLD_TIMES = ("import_s", "first_ideal_s", "first_circuit_s")
 
 
 def test_bench_report_schema(tmp_path):
@@ -27,7 +28,8 @@ def test_bench_report_schema(tmp_path):
     subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), *argv],
                    check=True, capture_output=True, timeout=300)
     report = json.loads((tmp_path / "BENCH_smoke.json").read_text())
-    assert set(report) == {"label", "environment", "scaling", "online", "phases", "bench_s"}
+    assert set(report) == {"label", "environment", "scaling", "online", "phases", "cold",
+                           "bench_s"}
     assert report["label"] == "smoke"
     env = report["environment"]
     assert {"python", "numpy", "scipy", "cpu_count", "blas_threads"} <= set(env)
@@ -62,3 +64,7 @@ def test_bench_report_schema(tmp_path):
     assert phases["trials"] == 1 and phases["etas"] == [0.2, 0.4, 0.6, 0.8, 1.0]
     assert phases["solves"] > 0 and phases["newton_steps"] > 0
     assert set(phases["ms_per_solve"]) == PHASES
+    cold = report["cold"]
+    assert set(cold) == {"runs", "N", "stream", *COLD_TIMES}
+    assert (cold["runs"], cold["N"], cold["stream"]) == (5, 10, 100)
+    assert all(cold[key] > 0.0 for key in COLD_TIMES), cold
