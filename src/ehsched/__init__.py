@@ -2,8 +2,8 @@
 broadcast transmitter with hybrid (fast + lossy bulk) energy storage.
 
 The package covers the full pipeline: zero-forcing dirty-paper channel
-decomposition, weighted water-filling, the optimal single-epoch burst
-rule under circuit power, whole-horizon offline optimization with dual
+decomposition, weighted water-filling, the efficiency-optimal burst power
+under circuit power, whole-horizon offline optimization with dual
 certificates, causal online policies, and a Monte-Carlo benchmark
 harness with a small CLI.
 """
@@ -44,17 +44,8 @@ from .offline import (
     solve_offline_circuit,
     solve_offline_ideal,
 )
-from .online import OnlineResult, policy_circuit, policy_ideal, run_online, split_arrival
-from .oracle import (
-    LemmaCheck,
-    LemmaReport,
-    TransformedVariables,
-    brute_force_oracle,
-    objective_from_covariances,
-    objective_from_transformed,
-    verify_structure,
-)
-from .single_epoch import solve_p_o, solve_single_epoch
+from .online import OnlineResult, run_online
+from .single_epoch import solve_p_o
 from .waterfill import (
     WaterLevelSolution,
     WaterSystem,
@@ -87,26 +78,15 @@ __all__ = [
     "run_sweep",
     "run_trial",
     "DualCertificate",
-    "LemmaCheck",
-    "LemmaReport",
     "OfflineInstance",
     "OfflineSolution",
     "Schedule",
     "SolverError",
-    "TransformedVariables",
-    "brute_force_oracle",
-    "objective_from_covariances",
-    "objective_from_transformed",
     "solve_offline_circuit",
     "solve_offline_ideal",
-    "verify_structure",
     "OnlineResult",
-    "policy_circuit",
-    "policy_ideal",
     "run_online",
-    "split_arrival",
     "solve_p_o",
-    "solve_single_epoch",
     "WaterLevelSolution",
     "WaterSystem",
     "covariances_for_level",

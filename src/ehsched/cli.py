@@ -22,6 +22,7 @@ Exit codes: 0 on success, 2 on invalid input, 3 when the solve raises
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -113,10 +114,18 @@ def _weights_argument(args):
     return None if args.weights is None else _floats(args.weights)
 
 
+def _open_write(path: str):
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _open_out(path: str | None):
+    """The output file at ``path``, or stdout (left open) for none or "-"."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        return contextlib.nullcontext(sys.stdout)
+    return _open_write(path)
 
 
 def _cmd_solve(args) -> int:
@@ -135,12 +144,8 @@ def _cmd_solve(args) -> int:
             file=sys.stderr,
         )
         return EXIT_SOLVER
-    f, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as f:
         write_schedule_csv(f, timeline, sol.schedule)
-    finally:
-        if close:
-            f.close()
     print(f"objective {sol.objective:.12g}", file=sys.stderr)
     return EXIT_OK
 
@@ -151,14 +156,13 @@ def _cmd_simulate(args) -> int:
     weights = _weights_argument(args)
     eps = _eps_argument(args, timeline.N)
     res = run_online(eff, weights, timeline, storage, args.p_peak, eps=eps)
-    f, close = _open_out(args.out)
-    try:
+    # Open both outputs first, so an unwritable one fails before either is
+    # written.
+    with contextlib.ExitStack() as outputs:
+        f = outputs.enter_context(_open_out(args.out))
+        f2 = outputs.enter_context(_open_write(args.schedule_out)) if args.schedule_out else None
         write_trace_csv(f, res.trace)
-    finally:
-        if close:
-            f.close()
-    if args.schedule_out:
-        with open(args.schedule_out, "w", encoding="utf-8", newline="") as f2:
+        if f2 is not None:
             write_schedule_csv(f2, timeline, res.schedule)
     print(f"throughput {res.throughput:.12g}", file=sys.stderr)
     return EXIT_OK
@@ -187,12 +191,8 @@ def _cmd_sweep(args) -> int:
         result = run_sweep(spec, axis=args.axis, values=values, modes=modes)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    f, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as f:
         write_report_csv(f, result)
-    finally:
-        if close:
-            f.close()
     for v, n in result.failed.items():
         if n:
             print(

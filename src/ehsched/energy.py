@@ -127,7 +127,11 @@ class ArrivalSplit:
 
 @dataclass
 class HybridStorage:
-    """Mutable two-buffer store used by the online policies.
+    """Two-buffer store: capacities, drain efficiency and initial levels.
+
+    The solvers and :func:`~ehsched.online.run_online` read these fields
+    (``run_online`` copies the levels into plain floats); ``deposit`` and
+    ``drain`` update the levels in place.
 
     ``level_b`` is in drainable units.  Deposits beyond a buffer's
     remaining headroom raise; discarding surplus is a policy decision

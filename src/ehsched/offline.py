@@ -51,8 +51,8 @@ residual and a small relative duality gap (or after ``MAX_NEWTON``
 steps).  Windows, powers and covariances are then recovered in closed
 form; a schedule that fails the feasibility audit raises
 :class:`SolverError`, and otherwise the dual certificate from the loop's
-multipliers decides convergence.  The test oracles live in
-:mod:`ehsched.oracle`.
+multipliers decides convergence.  The test oracles live in the test
+suite (``tests/oracle.py``); the solve path needs none of them.
 """
 
 from __future__ import annotations

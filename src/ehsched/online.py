@@ -5,31 +5,32 @@ the deadline — never future arrivals.  Each arrival is routed to storage
 super-capacitor-first (its charge path is lossless); whatever fits in
 neither buffer is lost.  Two transmission rules are provided:
 
-* :func:`policy_ideal` — spread the currently drainable energy evenly
-  over the remaining horizon, clipped at the peak power.
-* :func:`policy_circuit` — apply the optimal one-shot burst rule to the
-  current buffers with the epoch itself as the window: burn at the
-  efficiency-optimal power when energy is scarce, ramp up to the peak
-  when the buffers hold more than the epoch can carry at that power;
-  undrained energy stays buffered for later epochs.
+* even spreading (``eps=None``) — spread the currently drainable energy
+  evenly over the remaining horizon, clipped at the peak power.
+* the burst rule (a circuit power ``eps``) — apply the optimal one-shot
+  burst rule of :mod:`ehsched.single_epoch` to the current buffers with
+  the epoch itself as the window: burn at the efficiency-optimal power
+  when energy is scarce, ramp up to the peak when the buffers hold more
+  than the epoch can carry at that power; undrained energy stays
+  buffered for later epochs.
 
 :func:`run_online` drives either rule across a timeline and returns the
 realized schedule plus a cumulative-throughput trace.  Its loop keeps the
-two storage levels as plain floats and applies the rules of
-:func:`split_arrival`, the two policies (the burst rule's window inlined
-from :func:`~ehsched.single_epoch._burst_window`) and
-:class:`HybridStorage` to them with the same float operations in the same
-order, so a run equals the epoch-by-epoch loop over those functions bit
-for bit.  Each epoch stores the six values that depend on the storage
-levels (the two deposits, the window and its power, the super-capacitor
-drain and the consumption) into a per-run table of six contiguous
-columns, one ``memoryview`` per column; the discards and the per-buffer
-powers follow from those columns after the loop, with the same float
-operations.  The
-columns become a :class:`~ehsched.offline.Schedule` through
-``Schedule.assemble``, the assembly the offline solvers use.  The trace
-holds the exact prefix sums of that schedule's ``tau * rate``, each
-correctly rounded once, so its last value is the throughput bit for bit.
+two storage levels as plain floats and applies the routing, the rule and
+:class:`HybridStorage`'s deposit and drain to them.  The test suite's
+per-epoch reference (``tests/reference_online.py``) writes the same
+rules out as one call per epoch on a :class:`HybridStorage`; the loop
+uses the same float operations in the same order, so a run equals the
+epoch-by-epoch loop over those functions bit for bit.  Each epoch stores
+the six values that depend on the storage levels (the two deposits, the
+window and its power, the super-capacitor drain and the consumption)
+into a per-run table of six contiguous columns, one ``memoryview`` per
+column; the discards and the per-buffer powers follow from those columns
+after the loop, with the same float operations.  The columns become a
+:class:`~ehsched.offline.Schedule` through ``Schedule.assemble``, the
+assembly the offline solvers use.  The trace holds the exact prefix sums
+of that schedule's ``tau * rate``, each correctly rounded once, so its
+last value is the throughput bit for bit.
 """
 
 from __future__ import annotations
@@ -38,80 +39,15 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from typing import NamedTuple
 
 import numpy as np
 
 from .channels import EffectiveChannels
 from .energy import FEAS_TOL, ArrivalSplit, EpochTimeline, HybridStorage, check_powers
 from .offline import Schedule
-from .single_epoch import EpochDecision, _burst_window, _split_drains
 from .waterfill import WaterSystem
 
-__all__ = [
-    "SplitDecision",
-    "EpochDecision",
-    "OnlineResult",
-    "split_arrival",
-    "policy_ideal",
-    "policy_circuit",
-    "run_online",
-]
-
-
-class SplitDecision(NamedTuple):
-    """How one arrival was routed: to the super-capacitor, to the battery
-    (raw joules, before conversion loss), and the discarded excess."""
-
-    sc: float
-    b: float
-    discarded: float
-
-
-def split_arrival(storage: HybridStorage, amount: float) -> SplitDecision:
-    """Deposit ``amount`` super-capacitor-first, spilling to the battery.
-
-    Energy beyond both headrooms is discarded (the harvester is simply
-    not used).  The storage element is updated in place.
-    """
-    if not (0.0 <= amount < math.inf):
-        raise ValueError("arrival amount must be nonnegative and finite")
-    head_sc, head_b = storage.headroom_raw()
-    sc = min(amount, head_sc)
-    b = min(amount - sc, head_b)
-    discarded = max(amount - sc - b, 0.0)
-    storage.deposit(sc, b)
-    return SplitDecision(sc, b, discarded)
-
-
-def policy_ideal(
-    storage: HybridStorage, p_peak: float, l: float, remaining: float
-) -> EpochDecision:
-    """Even spreading: radiate ``drainable / remaining`` (clipped at the
-    peak) for the whole epoch."""
-    power = min(p_peak, storage.drainable / remaining)
-    return _split_drains(storage.level_sc, storage.level_b, l, power, 0.0)
-
-
-def policy_circuit(
-    storage: HybridStorage,
-    p_o: float,
-    p_peak: float,
-    eps: float,
-    l: float,
-) -> EpochDecision:
-    """One-shot burst rule applied to the current epoch, with ``p_o`` the
-    burst power of the circuit power ``eps``.
-
-    The window is the epoch itself, so a well-stocked buffer is drained
-    aggressively (up to the peak power for the whole epoch) rather than
-    rationed against the far deadline; a scarce buffer is burned at the
-    efficiency-optimal power for part of the epoch.  Deferring a burn
-    never pays here: the throughput per joule is already maximal at that
-    power, so holding energy only risks stranding it at the deadline.
-    """
-    tau, power = _burst_window(storage.drainable, p_o, eps, p_peak, l)
-    return _split_drains(storage.level_sc, storage.level_b, tau, power, eps)
+__all__ = ["OnlineResult", "run_online"]
 
 
 @dataclass(frozen=True)
@@ -218,14 +154,14 @@ def run_online(
         memoryview(timeline.T - timeline.t), p_o, circuit,
     )
 
-    # split_arrival, HybridStorage.deposit, the policy (with the burst
-    # rule's _burst_window), _split_drains and HybridStorage.drain, inlined
-    # with their guards: each ``y if y < x else x`` is ``min(x, y)`` and
-    # each ``y if y > x else x`` is ``max(x, y)``, operand for operand,
-    # without the builtin's call.  The loop stores only the six values that
-    # depend on the storage levels (the deposits, the window and its power,
-    # the SC drain and the consumption), one contiguous column each,
-    # through memoryviews.
+    # The reference's split_arrival, HybridStorage.deposit, the policy
+    # (with the burst rule's _burst_window), _split_drains and
+    # HybridStorage.drain, inlined with their guards: each ``y if y < x
+    # else x`` is ``min(x, y)`` and each ``y if y > x else x`` is ``max(x,
+    # y)``, operand for operand, without the builtin's call.  The loop
+    # stores only the six values that depend on the storage levels (the
+    # deposits, the window and its power, the SC drain and the
+    # consumption), one contiguous column each, through memoryviews.
     table = np.empty((6, N))
     c_sc, c_b, c_tau, c_power, c_d_sc, c_consumed = map(memoryview, table)
     for i, (amount, length, remaining, p_o_i, eps_i) in enumerate(epochs):

@@ -51,12 +51,6 @@ class WaterSystem:
         # A power p runs the first searchsorted(breaks, p) + 1 modes.
         self.breaks = self.cg[1:-1] / thr[1:] - self.cil[1:-1]
 
-    def power_at_level(self, level: float) -> float:
-        if level <= 0.0:
-            raise ValueError("water level must be positive")
-        m = int(np.count_nonzero(self.thr > level))
-        return float(self.cg[m] / level - self.cil[m]) if m else 0.0
-
     def level_at_power_vec(self, power) -> tuple[np.ndarray, np.ndarray]:
         """Exact water level and active mode count at each sum power of an
         array (``level_max`` and 0 modes where power <= 0)."""

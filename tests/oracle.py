@@ -1,12 +1,13 @@
 """Test oracles for the offline solver: brute-force optimum, structure
-verifier, energy-domain objective.
+verifier, energy-domain objective; and the water-filling level-to-power
+map that inverts :meth:`~ehsched.waterfill.WaterSystem.level_at_power_vec`.
 
-Kept apart from the production solver in :mod:`ehsched.offline`, whose
-solve path never calls them.  They read only what a solve returns (the
-instance, the schedule, its feasibility audit and its certificate) and
-import no private name of the solver.  :func:`brute_force_oracle` shares
-no code path with it beyond the instance description and the channel
-decomposition.
+Kept in the test suite, apart from the production solver in
+:mod:`ehsched.offline`, whose solve path never calls them.  They read
+only what a solve returns (the instance, the schedule, its feasibility
+audit and its certificate) and import no private name of the solver.
+:func:`brute_force_oracle` shares no code path with it beyond the
+instance description and the channel decomposition.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import CovarianceSet, EffectiveChannels, weighted_rate
-from .offline import OfflineInstance, OfflineSolution, Schedule, SolverError
-from .waterfill import WaterSystem
+from ehsched.channels import CovarianceSet, EffectiveChannels, weighted_rate
+from ehsched.offline import OfflineInstance, OfflineSolution, Schedule, SolverError
+from ehsched.waterfill import WaterSystem
 
 __all__ = [
     "brute_force_oracle",
@@ -28,7 +29,17 @@ __all__ = [
     "LemmaCheck",
     "LemmaReport",
     "verify_structure",
+    "power_at_level",
 ]
+
+
+def power_at_level(ws: WaterSystem, level: float) -> float:
+    """Sum power at a water level from the system's public tables: the
+    first m modes whose thresholds exceed the level carry G/level - C."""
+    if level <= 0.0:
+        raise ValueError("water level must be positive")
+    m = int(np.count_nonzero(ws.thr > level))
+    return float(ws.cg[m] / level - ws.cil[m]) if m else 0.0
 
 
 def _rate_table(modes: list[tuple[float, float]], pgrid: np.ndarray) -> np.ndarray:

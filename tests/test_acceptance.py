@@ -22,19 +22,15 @@ from ehsched import (
     CovarianceSet,
     HybridStorage,
     SolverError,
-    TransformedVariables,
     WaterSystem,
-    brute_force_oracle,
     build_timeline,
     covariances_for_level,
     decompose_zf_dpc,
     generate_channels,
-    objective_from_transformed,
     solve_budget,
     solve_offline_circuit,
     solve_offline_ideal,
     solve_p_o,
-    verify_structure,
 )
 from ehsched.channels import UserConfig, ZF_RTOL
 from ehsched.cli import EXIT_OK, main
@@ -45,6 +41,12 @@ from conftest import (
     orthogonal_pair_channelset,
     solve_random,
     unit_scalar_channelset,
+)
+from oracle import (
+    TransformedVariables,
+    brute_force_oracle,
+    objective_from_transformed,
+    verify_structure,
 )
 
 E = math.e

@@ -1,6 +1,6 @@
 """What a fresh interpreter loads: ``import ehsched`` and the CLI calls that
 solve nothing load numpy only; scipy's kernels load at the first solve that
-calls them."""
+calls them.  The package loads its library modules and no test reference."""
 
 import json
 import os
@@ -15,7 +15,8 @@ from ehsched import UserConfig, channelset_to_json, generate_channels
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Runs ``argv[1]`` (Python source) in this fresh interpreter, then prints
-#: the exit code it raised, if any, and the scipy modules it loaded.
+#: the exit code it raised, if any, and the scipy and ehsched modules it
+#: loaded.
 PROBE = """\
 import json, sys
 code = None
@@ -23,9 +24,17 @@ try:
     exec(sys.argv[1])
 except SystemExit as exc:
     code = exc.code
-loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
-print(json.dumps({"code": code, "scipy": loaded}))
+loaded = {pkg: sorted(name for name in sys.modules if name.startswith(pkg))
+          for pkg in ("scipy", "ehsched")}
+print(json.dumps({"code": code, **loaded}))
 """
+
+#: The package and its seven library modules: what ``import ehsched`` loads.
+LIBRARY = [
+    "ehsched", "ehsched.channels", "ehsched.energy", "ehsched.experiments", "ehsched.offline",
+    "ehsched.online", "ehsched.single_epoch", "ehsched.waterfill",
+]
+WITH_CLI = sorted([*LIBRARY, "ehsched.cli"])
 
 #: ``python -m ehsched`` with the given arguments.
 CLI = "import runpy; sys.argv = ['ehsched', *{args!r}]; runpy.run_module('ehsched', run_name='__main__')"
@@ -40,24 +49,24 @@ args = (eff, None, reference_profile(), HybridStorage(5.0, 100.0, 0.5), 4.0)
 
 
 def fresh(source: str) -> tuple:
-    """The exit code and the loaded scipy modules of ``source`` run in a
-    fresh interpreter."""
+    """The exit code, the loaded scipy modules and the loaded ehsched
+    modules of ``source`` run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", PROBE, source], env=env, cwd=str(ROOT),
                          capture_output=True, text=True, timeout=120, check=True)
     result = json.loads(out.stdout.splitlines()[-1])
-    return result["code"], result["scipy"]
+    return result["code"], result["scipy"], result["ehsched"]
 
 
-@pytest.mark.parametrize("source, code", [
-    ("import ehsched", None),
-    ("import ehsched.cli", None),
-    (CLI.format(args=["--help"]), 0),
+@pytest.mark.parametrize("source, code, modules", [
+    ("import ehsched", None, LIBRARY),
+    ("import ehsched.cli", None, WITH_CLI),
+    (CLI.format(args=["--help"]), 0, WITH_CLI),
     # Sweep values without an axis are invalid input.
-    (CLI.format(args=["sweep", "--values", "1,2", "--trials", "2"]), 2),
+    (CLI.format(args=["sweep", "--values", "1,2", "--trials", "2"]), 2, WITH_CLI),
 ], ids=["import", "import-cli", "help", "sweep-exit-2"])
-def test_no_scipy_without_a_solve(source, code):
-    assert fresh(source) == (code, [])
+def test_no_scipy_without_a_solve(source, code, modules):
+    assert fresh(source) == (code, [], modules)
 
 
 def test_level_loads_no_scipy(tmp_path):
@@ -65,15 +74,15 @@ def test_level_loads_no_scipy(tmp_path):
     channels.write_text(json.dumps(
         channelset_to_json(generate_channels(2, [UserConfig(1)] * 2, seed=42))))
     args = ["level", "--channels", str(channels), "--budget", "2.0"]
-    assert fresh(CLI.format(args=args)) == (0, [])
+    assert fresh(CLI.format(args=args)) == (0, [], WITH_CLI)
 
 
 def test_ideal_solve_loads_lapack_but_not_special():
-    _, loaded = fresh(SOLVE + "solve_offline_ideal(*args)")
+    _, loaded, _ = fresh(SOLVE + "solve_offline_ideal(*args)")
     assert "scipy.linalg" in loaded and "scipy.sparse" in loaded
     assert "scipy.special" not in loaded
 
 
 def test_circuit_solve_loads_lapack_and_special():
-    _, loaded = fresh(SOLVE + "solve_offline_circuit(*args, 1.0)")
+    _, loaded, _ = fresh(SOLVE + "solve_offline_circuit(*args, 1.0)")
     assert "scipy.linalg" in loaded and "scipy.special" in loaded

@@ -514,6 +514,18 @@ def test_cli_invalid_inputs_exit_2(files, tmp_path, capsys):
     for argv in cases:
         assert main(argv) == EXIT_INVALID, argv
         capsys.readouterr()
+    # An output path in a missing directory is invalid input, and simulate
+    # writes no trace before it fails on its schedule output.
+    nowhere = tmp_path / "missing"
+    problem = ["--channels", chan, "--scenario", scen, "--p-peak", "4.0"]
+    for argv, path in (
+        (["solve", *problem, "--out"], nowhere / "x.csv"),
+        (["simulate", *problem, "--schedule-out"], nowhere / "s.csv"),
+        (["sweep", "--trials", "1", "--out"], nowhere / "r.csv"),
+    ):
+        assert main([*argv, str(path)]) == EXIT_INVALID, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot write {path}: "), argv
     out = tmp / "report.csv"
     for argv, message in (
         (["--axis", "eta", "--values", "0.5", "--trials", "0"], "num_trials must be positive"),

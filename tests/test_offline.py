@@ -18,8 +18,6 @@ from ehsched import (
     ChannelSet,
     HybridStorage,
     SolverError,
-    TransformedVariables,
-    brute_force_oracle,
     ExperimentSpec,
     UserConfig,
     WaterSystem,
@@ -27,13 +25,9 @@ from ehsched import (
     check_feasibility,
     decompose_zf_dpc,
     generate_channels,
-    objective_from_covariances,
-    objective_from_transformed,
     run_online,
     solve_offline_circuit,
     solve_offline_ideal,
-    solve_single_epoch,
-    verify_structure,
 )
 from ehsched.energy import FEAS_TOL
 from ehsched.experiments import reference_profile, run_sweep, run_trial
@@ -44,6 +38,14 @@ from conftest import (
     solve_random,
     unit_scalar_channelset,
 )
+from oracle import (
+    TransformedVariables,
+    brute_force_oracle,
+    objective_from_covariances,
+    objective_from_transformed,
+    verify_structure,
+)
+from reference_online import solve_single_epoch
 
 E = math.e
 SOLVERS = {"ideal": solve_offline_ideal, "circuit": solve_offline_circuit}
@@ -614,22 +616,36 @@ def test_structure_report_flags_a_perturbed_power(circuit, check):
 
 
 def test_offline_holds_only_the_solve_path():
-    """The test oracles live in ``ehsched.oracle``; ``ehsched`` re-exports
-    them and ``ehsched.offline`` defines none of them."""
+    """The package holds what the library runs: the test oracles live in
+    ``tests/oracle.py`` and the per-epoch causal reference in
+    ``tests/reference_online.py``; ``ehsched`` exports none of their names
+    and ``ehsched.offline`` defines none of the oracles."""
     import ehsched
-    from ehsched import offline, oracle
+    import oracle
+    import reference_online
+    from ehsched import offline, online, single_epoch, waterfill
 
     assert offline.__all__ == [
         "SolverError", "OfflineInstance", "Schedule", "DualCertificate", "OfflineSolution",
         "solve_offline_ideal", "solve_offline_circuit",
     ]
-    moved = ("TransformedVariables", "objective_from_covariances", "objective_from_transformed",
-             "LemmaCheck", "LemmaReport", "verify_structure")
-    for name in moved:
-        obj = getattr(oracle, name)
-        assert obj.__module__ == "ehsched.oracle", name
-        assert getattr(ehsched, name) is obj, name
-    for name in (*moved, "_throughput", "POWER_TOL"):
+    assert importlib.util.find_spec("ehsched.oracle") is None
+    moved = {
+        oracle: ("TransformedVariables", "objective_from_covariances",
+                 "objective_from_transformed", "LemmaCheck", "LemmaReport",
+                 "verify_structure", "brute_force_oracle", "power_at_level"),
+        reference_online: ("SplitDecision", "split_arrival", "policy_ideal", "policy_circuit",
+                           "EpochDecision", "SingleEpochSolution", "_burst_window",
+                           "_split_drains", "solve_single_epoch"),
+    }
+    tests_dir = Path(__file__).resolve().parent
+    for module, names in moved.items():
+        assert Path(module.__file__).resolve().parent == tests_dir, module
+        for name in names:
+            assert getattr(module, name).__module__ == module.__name__, name
+            assert not any(hasattr(lib, name) for lib in (ehsched, online, single_epoch)), name
+    assert not hasattr(waterfill.WaterSystem, "power_at_level")
+    for name in (*moved[oracle], "_throughput", "POWER_TOL"):
         assert hasattr(oracle, name) and not hasattr(offline, name), name
     # The oracles read what a solve returns, not the solver's internals.
     private = [
@@ -637,9 +653,10 @@ def test_offline_holds_only_the_solve_path():
         if name.startswith("_") and not name.startswith("__")
         and not isinstance(value, (int, float))
     ]
-    for name, value in vars(oracle).items():
-        if not name.startswith("__"):
-            assert not any(value is p for p in private), name
+    for module in moved:
+        for name, value in vars(module).items():
+            if not name.startswith("__"):
+                assert not any(value is p for p in private), name
     assert not hasattr(oracle, "TAU_SNAP") and not hasattr(offline, "_paper_slacks")
 
 

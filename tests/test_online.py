@@ -12,18 +12,16 @@ from ehsched import (
     WaterSystem,
     build_timeline,
     check_feasibility,
-    policy_circuit,
-    policy_ideal,
     run_online,
     solve_offline_circuit,
     solve_offline_ideal,
     solve_p_o,
-    split_arrival,
 )
 from ehsched.experiments import reference_profile
 from ehsched.online import _exact_prefix_sums
 
 from conftest import draw_problem
+from reference_online import policy_circuit, policy_ideal, split_arrival
 
 E = math.e
 

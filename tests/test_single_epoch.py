@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from ehsched import WaterSystem, solve_p_o, solve_single_epoch
-from ehsched.single_epoch import _burst_window, _split_drains
+from ehsched import WaterSystem, solve_p_o
 
 from conftest import draw_effective
+from reference_online import _burst_window, _split_drains, solve_single_epoch
 
 E = math.e
 
