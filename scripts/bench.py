@@ -17,8 +17,9 @@ writes ``BENCH_<label>.json`` with five parts:
   reconstruction, the Newton steps, microseconds per Newton step (loop
   time over steps) and of that in ``_Program.factor``
   (``factor_us_per_step``), how many short transmission windows
-  reconstruction tried to snap to zero (``min_slack`` calls) and how many
-  of those snaps it kept, ``converged`` (``certificate.ok()``),
+  reconstruction tried to snap to zero (``snap_tries``, one
+  ``storage_slacks`` call each) and how many of those snaps it kept
+  (``snaps_kept``), ``converged`` (``certificate.ok()``),
   ``certificate.ok()`` on its own (the same value since a returned
   schedule always passes the audit), the loop's dual residual (nats/J),
   the objective and the ``tracemalloc`` peak of one more solve.  A solve that raises
@@ -88,7 +89,7 @@ from workloads import (  # noqa: E402
 
 from ehsched import offline  # noqa: E402
 from ehsched.channels import decompose_zf_dpc, generate_channels  # noqa: E402
-from ehsched.energy import FEAS_TOL  # noqa: E402
+from ehsched.energy import FeasibilityReport  # noqa: E402
 from ehsched.experiments import ExperimentSpec, run_sweep  # noqa: E402
 from ehsched.online import run_online  # noqa: E402
 
@@ -172,20 +173,20 @@ def phase_timers():
     """Wrap the phase functions of ``ehsched.offline`` for the duration:
     yields the seconds spent in each phase so far (and, under ``"factor"``,
     in ``_Program.factor``, part of the loop's), the Newton step count of
-    each finished loop and, per ``_Program.min_slack`` call (one per short
-    window that reconstruction tries to snap to zero), whether the snap
-    was kept."""
+    each finished loop and, per ``storage_slacks`` call of
+    ``ehsched.offline`` (one per short window that reconstruction tries
+    to snap to zero), whether the snap was kept."""
     spent = dict.fromkeys((*PHASES, "factor"), 0.0)
     steps, snaps = [], []
     saved = {name: getattr(offline, name) for name in PHASES.values()}
     # The class itself: the phase wrapper replaces the module's name.
     program = saved["_Program"]
-    min_slack, factor = program.min_slack, program.factor
+    storage_slacks, factor = offline.storage_slacks, program.factor
 
-    def counted(self, *args):
-        slack = min_slack(self, *args)
-        snaps.append(bool(slack >= -FEAS_TOL))
-        return slack
+    def counted(*args):
+        slacks = storage_slacks(*args)
+        snaps.append(FeasibilityReport(slacks).feasible)
+        return slacks
 
     def timed(phase, fn):
         def call(*args, **kwargs):
@@ -203,13 +204,13 @@ def phase_timers():
     try:
         for phase, name in PHASES.items():
             setattr(offline, name, timed(phase, saved[name]))
-        program.min_slack = counted
+        offline.storage_slacks = counted
         program.factor = timed("factor", factor)
         yield spent, steps, snaps
     finally:
         for name, fn in saved.items():
             setattr(offline, name, fn)
-        program.min_slack, program.factor = min_slack, factor
+        offline.storage_slacks, program.factor = storage_slacks, factor
 
 
 def skipped(cell: dict, predicted: float | None, budget: float) -> bool:
@@ -251,7 +252,7 @@ def scaling_cell(model: str, stream: int, n: int, repeats: int, budget: float,
         newton_steps=sol.iterations,
         us_per_newton_step=1e6 * loop / max(sol.iterations, 1),
         factor_us_per_step=1e6 * factor / max(sol.iterations, 1),
-        min_slack_calls=len(snaps),
+        snap_tries=len(snaps),
         snaps_kept=sum(snaps),
         converged=sol.converged,
         certificate_ok=bool(sol.certificate.ok()),

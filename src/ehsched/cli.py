@@ -114,18 +114,20 @@ def _weights_argument(args):
     return None if args.weights is None else _floats(args.weights)
 
 
-def _open_write(path: str):
-    try:
-        return open(path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
-
-
+@contextlib.contextmanager
 def _open_out(path: str | None):
-    """The output file at ``path``, or stdout (left open) for none or "-"."""
-    if path is None or path == "-":
-        return contextlib.nullcontext(sys.stdout)
-    return _open_write(path)
+    """The output file at ``path``, or stdout (left open) for none or "-";
+    an output that cannot be opened or written is invalid input."""
+    stdout = path in (None, "-")
+    try:
+        if stdout:
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                yield f
+    except OSError as exc:
+        raise CliError(f"cannot write {'<stdout>' if stdout else path}: {exc}") from exc
 
 
 def _cmd_solve(args) -> int:
@@ -155,13 +157,14 @@ def _cmd_simulate(args) -> int:
     timeline, storage = _scenario(args.scenario)
     weights = _weights_argument(args)
     eps = _eps_argument(args, timeline.N)
+    if args.schedule_out and {args.out, args.schedule_out} <= {None, "-"}:
+        raise CliError("--out and --schedule-out cannot both write to stdout")
     res = run_online(eff, weights, timeline, storage, args.p_peak, eps=eps)
-    # Open both outputs first, so an unwritable one fails before either is
-    # written.
-    with contextlib.ExitStack() as outputs:
-        f = outputs.enter_context(_open_out(args.out))
-        f2 = outputs.enter_context(_open_write(args.schedule_out)) if args.schedule_out else None
-        write_trace_csv(f, res.trace)
+    # Open both outputs before writing either; each is written while its own
+    # context is the innermost, so a failed write names its path.
+    with _open_out(args.schedule_out) if args.schedule_out else contextlib.nullcontext() as f2:
+        with _open_out(args.out) as f:
+            write_trace_csv(f, res.trace)
         if f2 is not None:
             write_schedule_csv(f2, timeline, res.schedule)
     print(f"throughput {res.throughput:.12g}", file=sys.stderr)
@@ -187,10 +190,7 @@ def _cmd_sweep(args) -> int:
     )
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
     values = _floats(args.values) if args.values else None
-    try:
-        result = run_sweep(spec, axis=args.axis, values=values, modes=modes)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    result = run_sweep(spec, axis=args.axis, values=values, modes=modes)
     with _open_out(args.out) as f:
         write_report_csv(f, result)
     for v, n in result.failed.items():
@@ -205,15 +205,17 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_p_o(args) -> int:
     eff = _channels(args.channels)
-    print("%.12g" % solve_p_o(eff, _weights_argument(args), args.eps))
+    with _open_out(None) as f:
+        print("%.12g" % solve_p_o(eff, _weights_argument(args), args.eps), file=f)
     return EXIT_OK
 
 
 def _cmd_level(args) -> int:
     eff = _channels(args.channels)
     sol = solve_budget(eff, _weights_argument(args), args.budget)
-    print("level %.12g" % sol.level)
-    print("rate %.12g" % sol.rate)
+    with _open_out(None) as f:
+        print("level %.12g" % sol.level, file=f)
+        print("rate %.12g" % sol.rate, file=f)
     return EXIT_OK
 
 

@@ -6,7 +6,8 @@ lossless supercapacitor (SC) with a small capacity and a battery with a
 large capacity whose stored energy can only be drained at efficiency
 eta.  Battery levels are tracked in drainable units throughout: a raw
 deposit of x J records eta*x, and the capacity comparison happens in
-those units.
+those units.  :func:`storage_slacks` is the one home of the storage
+constraints, which the audit and the offline reconstruction both read.
 """
 
 from __future__ import annotations
@@ -194,6 +195,24 @@ class HybridStorage:
         )
 
 
+def storage_slacks(storage: HybridStorage, e_sc, e_b, d_sc, d_b) -> dict:
+    """The storage constraint families as signed slacks (J) from raw
+    per-arrival deposits and per-epoch drains (battery drains in drainable
+    units); overflow is judged at each arrival, before its epoch's drain."""
+    dep_sc = np.cumsum(e_sc)
+    dep_b = np.cumsum(storage.eta * e_b)
+    use_sc = np.cumsum(d_sc)
+    use_b = np.cumsum(d_b)
+    prev_sc = np.concatenate(([0.0], use_sc[:-1]))
+    prev_b = np.concatenate(([0.0], use_b[:-1]))
+    return {
+        "sc_causality": dep_sc - use_sc,
+        "sc_overflow": storage.sc_cap - (dep_sc - prev_sc),
+        "b_causality": dep_b - use_b,
+        "b_overflow": storage.b_cap - (dep_b - prev_b),
+    }
+
+
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Signed slacks per constraint family (>= 0 means satisfied).
@@ -233,9 +252,7 @@ def check_feasibility(
     as negative overflow slack here rather than being clipped.
     """
     N = timeline.N
-    e_sc = split.sc
-    e_b_drainable = storage.eta * split.b
-    if e_sc.size != N:
+    if split.sc.size != N:
         raise ValueError("one split per arrival is required")
     tau, p_sc, p_b, eps_sc, eps_b = (
         np.asarray(getattr(schedule, name), dtype=float)
@@ -243,21 +260,8 @@ def check_feasibility(
     )
     if any(v.shape != (N,) for v in (tau, p_sc, p_b, eps_sc, eps_b)):
         raise ValueError("one schedule entry per epoch is required")
-    d_sc = (p_sc + eps_sc) * tau
-    d_b = (p_b + eps_b) * tau
-
-    dep_sc = np.cumsum(e_sc)
-    dep_b = np.cumsum(e_b_drainable)
-    use_sc = np.cumsum(d_sc)
-    use_b = np.cumsum(d_b)
-    prev_sc = np.concatenate(([0.0], use_sc[:-1]))
-    prev_b = np.concatenate(([0.0], use_b[:-1]))
-
     slacks = {
-        "sc_causality": dep_sc - use_sc,
-        "sc_overflow": storage.sc_cap - (dep_sc - prev_sc),
-        "b_causality": dep_b - use_b,
-        "b_overflow": storage.b_cap - (dep_b - prev_b),
+        **storage_slacks(storage, split.sc, split.b, (p_sc + eps_sc) * tau, (p_b + eps_b) * tau),
         "peak_power": p_peak - (p_sc + p_b),
         "tau_bounds": np.minimum(tau, timeline.l - tau),
         "nonneg_power": np.concatenate([p_sc, p_b, eps_sc, eps_b]),

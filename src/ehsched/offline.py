@@ -49,10 +49,13 @@ Newton matrix or right-hand side raises :class:`SolverError` as a
 numerical failure.  The loop only optimizes: it stops on a small dual
 residual and a small relative duality gap (or after ``MAX_NEWTON``
 steps).  Windows, powers and covariances are then recovered in closed
-form; a schedule that fails the feasibility audit raises
-:class:`SolverError`, and otherwise the dual certificate from the loop's
-multipliers decides convergence.  The test oracles live in the test
-suite (``tests/oracle.py``); the solve path needs none of them.
+form, after dropping each window shorter than ``TAU_SNAP`` whose drain
+the storage slacks (:func:`~ehsched.energy.storage_slacks`) can do
+without and splitting each drain super-capacitor first.  A schedule that
+fails the feasibility audit raises :class:`SolverError`, and otherwise
+the dual certificate from the loop's multipliers decides convergence.
+The test oracles live in the test suite (``tests/oracle.py``); the solve
+path needs none of them.
 """
 
 from __future__ import annotations
@@ -65,8 +68,8 @@ from itertools import groupby
 import numpy as np
 
 from .channels import CovarianceSet, EffectiveChannels, resolve_weights
-from .energy import FEAS_TOL, ArrivalSplit, EpochTimeline, FeasibilityReport, HybridStorage
-from .energy import check_feasibility, check_powers
+from .energy import ArrivalSplit, EpochTimeline, FeasibilityReport, HybridStorage
+from .energy import check_feasibility, check_powers, storage_slacks
 from .waterfill import WaterSystem
 
 __all__ = [
@@ -80,8 +83,8 @@ __all__ = [
 ]
 
 #: Transmission windows shorter than this are snapped to zero on epochs with
-#: a circuit power (an epoch carrying less than a microsecond of airtime is
-#: numerical noise).
+#: a circuit power, where the storage constraints hold without their drain
+#: (an epoch carrying less than a microsecond of airtime is numerical noise).
 TAU_SNAP = 1e-6
 
 
@@ -642,15 +645,6 @@ class _Program:
                 raise np.linalg.LinAlgError("Newton matrix is not positive definite")
         return L
 
-    def min_slack(self, s: np.ndarray, b: np.ndarray, e: np.ndarray) -> float:
-        """Smallest slack (J) of the storage, cap and bound rows at the
-        per-epoch drains ``s``, ``b`` and deposits ``e``."""
-        X = np.zeros((self.N, _NV))
-        X[:, _S], X[:, _B], X[:, _D] = np.cumsum(s), np.cumsum(b), np.cumsum(e)
-        stop = self.rows["e_hi"][0].stop
-        slack = self.u[:stop] - _mul(self.A, X.ravel() / self.escale)[:stop]
-        return self.escale * float(np.min(slack))
-
 
 @dataclass(frozen=True)
 class _Iterate:
@@ -772,21 +766,20 @@ def _interior_point(prog: _Program) -> _Iterate:
 
 def _canonical_split(
     inst: OfflineInstance, c: np.ndarray, e: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, bool]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Resolve drain-split degeneracy: drain the super-capacitor as early as
-    possible subject to keeping every storage constraint satisfied.
+    possible subject to the storage constraints.
 
     The cumulative super-capacitor drain is pushed to the greatest value
     allowed by deposits and by battery overflow headroom; the battery
-    covers the remainder.  Returns ``(s, b, ok)``; ``ok`` is False if the
-    greedy split failed a sanity check (caller then keeps the solver's raw
-    split).
+    covers the remainder.  No split of ``c`` drains the super-capacitor
+    further, so where this one breaks a storage constraint, every split
+    does and the audit raises.  Returns ``(s, b)``.
     """
     N = c.size
     E = inst.timeline.E
-    eta = inst.eta
     Dsc = np.cumsum(e)
-    Db = np.cumsum(eta * (E - e))
+    Db = np.cumsum(inst.eta * (E - e))
     C = np.cumsum(c)
     U = Dsc.copy()
     if N > 1:
@@ -799,34 +792,26 @@ def _canonical_split(
     for i in range(N):
         S[i] = min(Ubar[i], prev + c[i])
         prev = S[i]
-    tol = 1e-8 * max(1.0, float(np.max(C, initial=0.0)))
-    ok = bool(np.all(C - S <= Db + tol))
-    if N > 1:
-        ok = ok and bool(np.all(Dsc[1:] - inst.sc_cap <= S[:-1] + tol))
-    s = np.diff(S, prepend=0.0)
-    s = np.clip(s, 0.0, c)
-    b = np.maximum(c - s, 0.0)
-    return s, b, ok
+    s = np.clip(np.diff(S, prepend=0.0), 0.0, c)
+    return s, np.maximum(c - s, 0.0)
 
 
 def _reconstruct(
-    inst: OfflineInstance, vm: _ValueModel, prog: _Program, s: np.ndarray, b: np.ndarray,
-    e: np.ndarray,
+    inst: OfflineInstance, vm: _ValueModel, s: np.ndarray, b: np.ndarray, e: np.ndarray
 ) -> Schedule:
     s, b, e = (np.maximum(v, 0.0) for v in (s, b, e))
     e = np.minimum(e, inst.timeline.E)
+    storage, e_b = inst.storage(), inst.timeline.E - e
 
     tau, _ = vm.windows(s + b)
     for i in np.flatnonzero((tau > 0.0) & (tau < TAU_SNAP) & (vm.eps > 0.0)):
         s_zero, b_zero = s.copy(), b.copy()
         s_zero[i] = b_zero[i] = 0.0
-        if prog.min_slack(s_zero, b_zero, e) >= -FEAS_TOL:
+        if FeasibilityReport(storage_slacks(storage, e, e_b, s_zero, b_zero)).feasible:
             s, b = s_zero, b_zero
     c = s + b
 
-    s2, b2, ok = _canonical_split(inst, c, e)
-    if ok:
-        s, b = s2, b2
+    s, b = _canonical_split(inst, c, e)
     tau, power = vm.windows(c)
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -837,7 +822,7 @@ def _reconstruct(
     eps_sc = eps_eff * frac
     eps_b = eps_eff - eps_sc
 
-    split = ArrivalSplit(sc=e.copy(), b=(inst.timeline.E - e))
+    split = ArrivalSplit(sc=e.copy(), b=e_b)
     return Schedule.assemble(tau, power, p_sc, p_b, eps_sc, eps_b, split, vm.ws)
 
 
@@ -1011,7 +996,7 @@ def _solve(inst: OfflineInstance) -> OfflineSolution:
     vm = _ValueModel(inst)
     prog = _Program(inst, vm)
     it = _interior_point(prog)
-    sched = _reconstruct(inst, vm, prog, it.s, it.b, it.e)
+    sched = _reconstruct(inst, vm, it.s, it.b, it.e)
     audit = check_feasibility(inst.timeline, sched.split, sched, inst.storage(), inst.p_peak)
     # Offline, every arrival is routed whole: the other side of the split.
     unrouted = sched.split.sc + sched.split.b - inst.timeline.E

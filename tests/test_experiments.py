@@ -1,8 +1,11 @@
 """Benchmark harness: trial pairing, sweeps, CSV emission, and the CLI."""
 
+import errno
 import io
 import json
 import math
+import os
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -543,6 +546,73 @@ def test_cli_invalid_inputs_exit_2(files, tmp_path, capsys):
 #: An integer too large for a float.
 _HUGE = "1" + "0" * 400
 _STORE = '"sc_cap": 5.0, "b_cap": 100.0, "eta": 0.5'
+
+
+class _FullStream(io.StringIO):
+    """A text stream on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_cli_stdout_write_failure_exits_2(files, monkeypatch, capsys):
+    """Every command that writes to stdout turns a failed write (a full
+    disk behind a redirect) into invalid input, without a traceback."""
+    tmp, chan, scen = files
+    problem = ["--channels", chan, "--scenario", scen, "--p-peak", "4.0"]
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    for argv in (
+        ["level", "--channels", chan, "--budget", "1.0"],
+        ["p-o", "--channels", chan, "--eps", "1.0"],
+        ["solve", *problem],
+        ["simulate", *problem],
+        ["simulate", *problem, "--out", str(tmp / "t.csv"), "--schedule-out", "-"],
+        ["sweep", "--trials", "1"],
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", _FullStream())
+            assert main(argv) == EXIT_INVALID, argv
+        assert capsys.readouterr().err == f"error: cannot write <stdout>: {full}\n", argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_cli_file_write_failure_exits_2(files, capsys):
+    """An output file that opens but cannot be written is invalid input,
+    named in the message, whichever of simulate's two outputs it is."""
+    tmp, chan, scen = files
+    problem = ["--channels", chan, "--scenario", scen, "--p-peak", "4.0"]
+    trace = str(tmp / "t.csv")
+    for argv in (
+        ["solve", *problem, "--out", "/dev/full"],
+        ["simulate", *problem, "--out", "/dev/full"],
+        ["simulate", *problem, "--out", "/dev/full", "--schedule-out", str(tmp / "s.csv")],
+        ["simulate", *problem, "--out", trace, "--schedule-out", "/dev/full"],
+        ["sweep", "--trials", "1", "--out", "/dev/full"],
+    ):
+        assert main(argv) == EXIT_INVALID, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot write /dev/full: "), argv
+        assert err.count("\n") == 1, err
+
+
+def test_cli_simulate_schedule_to_stdout(files, monkeypatch, capsys):
+    """``--schedule-out -`` writes the schedule to stdout, as ``--out -``
+    writes the trace; both outputs on stdout is invalid input, and no
+    file named ``-`` appears."""
+    tmp, chan, scen = files
+    monkeypatch.chdir(tmp)
+    problem = ["simulate", "--channels", chan, "--scenario", scen, "--p-peak", "4.0",
+               "--eps", "1.0"]
+    assert main([*problem, "--out", "t.csv", "--schedule-out", "s.csv"]) == EXIT_OK
+    capsys.readouterr()
+    assert main([*problem, "--out", "t2.csv", "--schedule-out", "-"]) == EXIT_OK
+    assert capsys.readouterr().out == (tmp / "s.csv").read_bytes().decode()
+    assert (tmp / "t2.csv").read_bytes() == (tmp / "t.csv").read_bytes()
+    for outputs in (["--schedule-out", "-"], ["--out", "-", "--schedule-out", "-"]):
+        assert main([*problem, *outputs]) == EXIT_INVALID, outputs
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: --out and --schedule-out cannot both write to stdout\n")
+    assert not (tmp / "-").exists()
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from ehsched import (
     HybridStorage,
     SolverError,
     ExperimentSpec,
+    FeasibilityReport,
     UserConfig,
     WaterSystem,
     build_timeline,
@@ -333,6 +334,19 @@ def test_returned_schedule_passes_the_audit(seed, n, circuit):
     sched = sol.schedule
     assert check_feasibility(tl, sched.split, sched, storage, p_peak).feasible
     assert np.max(np.abs(sched.split.sc + sched.split.b - tl.E)) <= FEAS_TOL
+
+
+@pytest.mark.parametrize("seed", [229, 905, 1471])
+def test_feasible_degenerate_instances_return(seed):
+    """Degenerate circuit solves whose loop leaves sub-microsecond windows
+    above the peak power: each snap that keeps the audit's storage
+    slacks within its tolerance is taken, and the schedule passes the
+    audit.  A snap test over the solver's scaled rows refused the first
+    snap of each on a residual of about -1e-8 J in a drain cap row, which
+    no snap can change."""
+    eff, tl, storage, p_peak, eps = _random_degenerate(seed, 1 + seed % 40)
+    sol = solve_offline_circuit(eff, None, tl, storage, p_peak, eps)
+    assert check_feasibility(tl, sol.schedule.split, sol.schedule, storage, p_peak).feasible
 
 
 @pytest.fixture(scope="module")
@@ -753,8 +767,7 @@ def test_tiny_window_snap(seed, n, refused, monkeypatch):
 
     iterates, verdicts = [], []
     monkeypatch.setattr(offline, "_interior_point", recorded(offline._interior_point, iterates))
-    min_slack = recorded(offline._Program.min_slack, verdicts)
-    monkeypatch.setattr(offline._Program, "min_slack", min_slack)
+    monkeypatch.setattr(offline, "storage_slacks", recorded(offline.storage_slacks, verdicts))
     eff, tl, eps = _per_epoch_eps_instance(seed, n)
     storage = HybridStorage(sc_cap=5.0, b_cap=100.0, eta=0.5)
     sol = solve_offline_circuit(eff, None, tl, storage, 4.0, eps)
@@ -763,7 +776,7 @@ def test_tiny_window_snap(seed, n, refused, monkeypatch):
     raw, _ = offline._ValueModel(sol.instance).windows(use)
     tried = np.flatnonzero((raw > 0.0) & (raw < offline.TAU_SNAP))
     assert tried.size == len(verdicts) > 0
-    kept = np.array(verdicts) >= -offline.FEAS_TOL
+    kept = np.array([FeasibilityReport(slacks).feasible for slacks in verdicts])
     assert np.count_nonzero(~kept) == refused
     tau = sol.schedule.tau
     assert np.all(tau[tried[kept]] == 0.0)
