@@ -35,7 +35,11 @@ writes ``BENCH_<label>.json`` with five parts:
   program assembly, Newton loop, reconstruction, certificate, audit) over
   an efficiency sweep shaped like acceptance gate 06 (5 J mean packets,
   eta in {0.2, 0.4, 0.6, 0.8, 1.0}, 20 trials by default), timed by
-  wrapping each phase function of ``ehsched.offline``.
+  wrapping each phase function of ``ehsched.offline``, and how many of
+  those programs found their shape (``_Shape``, the part of the program
+  that depends only on N and the burst/full split) in the offline
+  module's cache (``template_hits``) and how many built it
+  (``template_misses``).
 * ``cold``: medians over 5 fresh interpreters of ``import ehsched``
   (``import_s``) and of the first solve after it of the ``ideal`` and
   ``circuit`` cells at N = 10, stream 100 (``first_ideal_s``,
@@ -103,6 +107,9 @@ EPS_RANGE = (0.0, 2.0)
 ONLINE_SIZES = (2000, 10_000)
 ONLINE_EPS_RANGE = (0.5, 1.5)
 ETAS = (0.2, 0.4, 0.6, 0.8, 1.0)
+#: Mean packet energy and default trials per eta of the ``phases`` sweep.
+PHASE_E_AVG = 5.0
+PHASE_TRIALS = 20
 #: Fresh interpreters per model, and the cell, of the ``cold`` part.
 COLD_RUNS = 5
 COLD_N = 10
@@ -172,13 +179,16 @@ def timed_runs(fn, repeats: int, budget: float) -> list[float]:
 def phase_timers():
     """Wrap the phase functions of ``ehsched.offline`` for the duration:
     yields the seconds spent in each phase so far (and, under ``"factor"``,
-    in ``_Program.factor``, part of the loop's), the Newton step count of
-    each finished loop and, per ``storage_slacks`` call of
-    ``ehsched.offline`` (one per short window that reconstruction tries
-    to snap to zero), whether the snap was kept."""
-    spent = dict.fromkeys((*PHASES, "factor"), 0.0)
+    in ``_Program.factor``, part of the loop's, and under ``"template"``
+    in building program shapes, part of the program's) with the calls of
+    each, the Newton step count of each finished loop and, per
+    ``storage_slacks`` call of ``ehsched.offline`` (one per short window
+    that reconstruction tries to snap to zero), whether the snap was
+    kept."""
+    spent = dict.fromkeys((*PHASES, "factor", "template"), 0.0)
+    calls = dict.fromkeys(spent, 0)
     steps, snaps = [], []
-    saved = {name: getattr(offline, name) for name in PHASES.values()}
+    saved = {name: getattr(offline, name) for name in (*PHASES.values(), "_Shape")}
     # The class itself: the phase wrapper replaces the module's name.
     program = saved["_Program"]
     storage_slacks, factor = offline.storage_slacks, program.factor
@@ -195,6 +205,7 @@ def phase_timers():
                 out = fn(*args, **kwargs)
             finally:
                 spent[phase] += time.perf_counter() - t0
+                calls[phase] += 1
             if phase == "loop":
                 steps.append(out.iterations)
             return out
@@ -204,9 +215,10 @@ def phase_timers():
     try:
         for phase, name in PHASES.items():
             setattr(offline, name, timed(phase, saved[name]))
+        offline._Shape = timed("template", saved["_Shape"])
         offline.storage_slacks = counted
         program.factor = timed("factor", factor)
-        yield spent, steps, snaps
+        yield spent, calls, steps, snaps
     finally:
         for name, fn in saved.items():
             setattr(offline, name, fn)
@@ -231,7 +243,7 @@ def scaling_cell(model: str, stream: int, n: int, repeats: int, budget: float,
     runs = []
 
     def run():
-        with phase_timers() as (spent, _, snaps):
+        with phase_timers() as (spent, _, _, snaps):
             sol = solve(model, eff, timeline, eps)
         runs.append((sol, spent, snaps))
 
@@ -308,8 +320,8 @@ def series(make_cell, kinds, sizes, repeats: int, budget: float) -> list[dict]:
 
 def phases(trials: int) -> dict:
     """Mean per-solve phase times (ms) over a gate-06-shaped sweep."""
-    spec = ExperimentSpec(num_trials=trials, e_avg=5.0)
-    with phase_timers() as (spent, steps, _):
+    spec = ExperimentSpec(num_trials=trials, e_avg=PHASE_E_AVG)
+    with phase_timers() as (spent, calls, steps, _):
         t0 = time.perf_counter()
         run_sweep(spec, axis="eta", values=list(ETAS), modes=("ideal", "circuit"))
         wall = time.perf_counter() - t0
@@ -322,6 +334,8 @@ def phases(trials: int) -> dict:
         "solves": solves,
         "newton_steps": sum(steps),
         "us_per_newton_step": 1e6 * spent["loop"] / max(sum(steps), 1),
+        "template_hits": calls["program"] - calls["template"],
+        "template_misses": calls["template"],
         "sweep_s": wall,
         "ms_per_solve": per_solve,
     }
@@ -378,7 +392,7 @@ def main(argv=None) -> int:
                     help="comma-separated epoch counts of the scaling cells")
     ap.add_argument("--repeats", type=int, default=5, help="solves per scaling cell at most")
     ap.add_argument("--budget", type=float, default=20.0, help="seconds per scaling cell")
-    ap.add_argument("--trials", type=int, default=20, help="sweep trials per eta for phases")
+    ap.add_argument("--trials", type=int, default=PHASE_TRIALS, help="sweep trials per eta for phases")
     args = ap.parse_args(argv)
     sizes = [int(v) for v in args.sizes.split(",")]
     if args.repeats < 1 or args.trials < 1 or min(sizes) < 1:

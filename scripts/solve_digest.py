@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""One sha256 per offline solve, to compare two checkouts bit for bit.
+
+    python scripts/solve_digest.py [--reverse] > digests.txt
+
+prints one ``<label> <sha256>`` line per solve.  A digest covers the
+objective (as a hex float), the Newton step count, ``converged``, the
+loop's dual residual, every array of the returned ``Schedule`` and the
+certificate's residual tables; a solve that raises ``SolverError``
+digests the message instead.  The solves are:
+
+* perfbench's two banks: ``sweep-eta`` (12 trials at 5 etas, ideal and
+  circuit, through ``experiments.run_trial``) and ``long-horizon`` (5
+  instances at N = 30, ideal and eps = 1, through ``ehsched solve``);
+* the gate-06-shaped draws of ``scripts/bench.py``'s ``phases`` part;
+* the ``scaling`` cells of ``scripts/bench.py`` at N <= 1000 (three
+  models, streams 100 and 101).
+
+``--reverse`` runs the solves in the opposite order and prints the same
+lines in the same order, so ``cmp`` of a forward and a reverse run shows
+whether a solve depends on what ran before it in the process (on the
+offline module's cache of program shapes, say).  The whole run takes
+about 3 s on a 2-core machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
+
+import bench  # noqa: E402  (puts src/ and perfbench/ on the path)
+import numpy as np  # noqa: E402
+from workloads import REFERENCE_SEED, LongHorizon, SweepEta, rng_for, seed_key  # noqa: E402
+
+from ehsched import cli, experiments  # noqa: E402
+from ehsched.experiments import ExperimentSpec  # noqa: E402
+from ehsched.offline import SolverError  # noqa: E402
+
+SOLVERS = ("solve_offline_ideal", "solve_offline_circuit")
+MODES = ("ideal", "circuit")
+SCALING_SIZES = (10, 100, 1000)
+
+
+def digest(outcome) -> str:
+    h = hashlib.sha256()
+    if isinstance(outcome, SolverError):
+        h.update(f"SolverError: {outcome}".encode())
+        return h.hexdigest()
+    h.update(f"{outcome.objective.hex()} {outcome.iterations} {outcome.converged} "
+             f"{outcome.stationarity_residual.hex()}".encode())
+    sched = outcome.schedule
+    for v in (sched.tau, sched.p_sc, sched.p_b, sched.eps_sc, sched.eps_b, sched.split.sc,
+              sched.split.b, sched.power, sched.rate):
+        h.update(np.ascontiguousarray(v, dtype=float).tobytes())
+    cert = outcome.certificate
+    for table in (cert.stationarity, cert.complementarity):
+        h.update(" ".join(f"{k}={v.hex()}" for k, v in table.items()).encode())
+    return h.hexdigest()
+
+
+@contextlib.contextmanager
+def recorded(module, sink: list):
+    """Record every offline solve called through ``module`` into ``sink``:
+    its solution, or the ``SolverError`` it raised."""
+    saved = {name: getattr(module, name) for name in SOLVERS}
+
+    def wrap(fn):
+        def call(*args, **kwargs):
+            try:
+                sink.append(fn(*args, **kwargs))
+            except SolverError as exc:
+                sink.append(exc)
+                raise
+            return sink[-1]
+
+        return call
+
+    for name, fn in saved.items():
+        setattr(module, name, wrap(fn))
+    try:
+        yield sink
+    finally:
+        for name, fn in saved.items():
+            setattr(module, name, fn)
+
+
+def trial_job(spec: ExperimentSpec, k: int, mode: str):
+    """One offline solve of ``run_trial(spec, k)``."""
+    def run():
+        with recorded(experiments, []) as sink:
+            with contextlib.suppress(SolverError):
+                experiments.run_trial(spec, k, modes=(mode,))
+        return sink[0]
+
+    return run
+
+
+def cli_job(lh: LongHorizon, inst, circuit: bool):
+    """One ``ehsched solve`` of a long-horizon bank instance."""
+    def run():
+        with recorded(cli, []) as sink:
+            lh.solve(inst, circuit)
+        return sink[0]
+
+    return run
+
+
+def scaling_job(model: str, stream: int, n: int):
+    def run():
+        try:
+            return bench.solve(model, *bench.instance(stream, n, bench.EPS_RANGE))
+        except SolverError as exc:
+            return exc
+
+    return run
+
+
+def jobs(workdir: str) -> list[tuple[str, object]]:
+    sweep = SweepEta()
+    base = sweep.spec(seed_key(REFERENCE_SEED, 0) >> 1)
+    out = [
+        (f"sweep-eta k={k} eta={eta:g} {mode}", trial_job(replace(base, eta=eta), k, mode))
+        for k in range(sweep.bank) for eta in sweep.etas for mode in MODES
+    ]
+    lh = LongHorizon()
+    for i in range(lh.bank):
+        inst = lh.write_instance(rng_for(REFERENCE_SEED, 100 + i), workdir, f"lh{i}")
+        out += [(f"long-horizon i={i} {mode}", cli_job(lh, inst, mode == "circuit"))
+                for mode in MODES]
+    phases = ExperimentSpec(num_trials=bench.PHASE_TRIALS, e_avg=bench.PHASE_E_AVG)
+    out += [
+        (f"phases k={k} eta={eta:g} {mode}", trial_job(replace(phases, eta=eta), k, mode))
+        for k in range(phases.num_trials) for eta in bench.ETAS for mode in MODES
+    ]
+    out += [
+        (f"scaling {model} s{stream} N={n}", scaling_job(model, stream, n))
+        for model in bench.MODELS for stream in bench.STREAMS for n in SCALING_SIZES
+    ]
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--reverse", action="store_true",
+                    help="run the solves last to first (the output order is the same)")
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory() as workdir:
+        todo = jobs(workdir)
+        digests = {}
+        for label, run in reversed(todo) if args.reverse else todo:
+            digests[label] = digest(run())
+    for label, _ in todo:
+        print(label, digests[label])
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

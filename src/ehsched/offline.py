@@ -29,25 +29,26 @@ drain, battery drain and super-capacitor deposits.  There every
 constraint couples only epochs i-1 and i, so each Newton step is one
 banded Cholesky factorization, O(N) in time and memory (the structure
 Wang & Boyd exploit for fast MPC, IEEE TCST 2010).  Because each row
-family is one fixed stencil shifted along the epochs, the constraint
-matrix and the band map of the Newton matrix are assembled once, with a
-few whole-array operations per block of families, and each Newton step
-evaluates the objective from one water-filling lookup: at short horizons
-these fixed costs, not the factorization, set the solve time.  For the
-same reason a step calls its kernels directly: the band map is a sparse
-matrix from the row weights to the band in LAPACK's column-major layout,
-so one sparse product builds the band and LAPACK ``dpbtrf`` factors it in
-place (``_Program.factor``, which first checks that the band is finite
-and retries a failed factorization on a rebuilt band with a bumped
-diagonal), ``dpbtrs`` solves with the factor after a finiteness check of
-each right-hand side, and scipy's CSR/CSC kernels form the sparse
-products from the plain CSR arrays that the program keeps.  These three
-kernels bind as module globals when the first program is built
-(:func:`_bind_kernels`), not at import: importing any scipy module
-takes longer than the rest of ``import ehsched``.  A non-finite
-Newton matrix or right-hand side raises :class:`SolverError` as a
-numerical failure.  The loop only optimizes: it stops on a small dual
-residual and a small relative duality gap (or after ``MAX_NEWTON``
+family is one fixed stencil shifted along the epochs, the patterns of
+the constraint matrix and of the Newton matrix's band map are built once
+per program shape (N and the burst/full split), with a few whole-array
+operations per block of families, and each instance adds only its
+values; each Newton step evaluates the objective from one water-filling
+lookup: at short horizons these fixed costs, not the factorization, set
+the solve time.  For the same reason a step calls its kernels directly:
+the band map is a sparse matrix from the row weights to the band in
+LAPACK's column-major layout, so one sparse product builds the band and
+LAPACK ``dpbtrf`` factors it in place (``_Program.factor``, which first
+checks that the band is finite and retries a failed factorization on a
+rebuilt band with a bumped diagonal), ``dpbtrs`` solves with the factor
+after a finiteness check of each right-hand side, and scipy's CSR/CSC
+kernels form the sparse products from the plain CSR arrays that the
+program keeps.  These three kernels bind as module globals when the
+first program is built (:func:`_bind_kernels`), not at import: importing
+any scipy module takes longer than the rest of ``import ehsched``.  A
+non-finite Newton matrix or right-hand side raises :class:`SolverError`
+as a numerical failure.  The loop only optimizes: it stops on a small
+dual residual and a small relative duality gap (or after ``MAX_NEWTON``
 steps).  Windows, powers and covariances are then recovered in closed
 form, after dropping each window shorter than ``TAU_SNAP`` whose drain
 the storage slacks (:func:`~ehsched.energy.storage_slacks`) can do
@@ -297,6 +298,11 @@ _FAMILIES = {
 }
 
 
+#: The values a stencil coefficient takes, by code: the constants of
+#: ``_FAMILIES``, -0 (the "-split" of an epoch not split), then the
+#: instance's eta and -eta, codes ``_ETA`` and ``_ETA + 1``.
+_CONSTS = (1.0, -1.0, -0.0)
+_ETA, _NCODE = len(_CONSTS), len(_CONSTS) + 2
 #: A column offset no epoch reaches, padding rows with fewer terms.
 _ABSENT = np.iinfo(np.int64).min
 #: The weight of the band terms that pin the placeholder burst parts.
@@ -306,17 +312,18 @@ _ONE = np.ones(1)
 @dataclass(frozen=True)
 class _Block:
     """Consecutive row families with rows on the same epochs, as one table
-    of their fixed stencils.  ``const`` holds every term's coefficient,
-    family by family, and ``named`` the terms whose coefficient depends on
-    the instance.  Family f's row at epoch i has the terms ``term[f]`` in
-    columns ``_NV * i + off[f]``, in column order and padded with
-    ``_ABSENT``.  The upper-triangle term pairs ``(pa, pb)`` of family
-    ``fam`` add to band diagonal ``diag`` at column ``_NV * i + col``, and
-    exist only where ``_NV * i + low`` (their first column) does."""
+    of their fixed stencils.  ``code`` holds every term's coefficient code
+    (``_CONSTS``), family by family, and ``named`` the terms whose
+    coefficient a name gives instead.  Family f's row at epoch i has the
+    terms ``term[f]`` in columns ``_NV * i + off[f]``, in column order and
+    padded with ``_ABSENT``.  The upper-triangle term pairs ``(pa, pb)``
+    of family ``fam`` add to band diagonal ``diag`` at column
+    ``_NV * i + col``, and exist only where ``_NV * i + low`` (their first
+    column) does."""
 
     names: tuple
     on_split: bool
-    const: np.ndarray
+    code: np.ndarray
     named: tuple
     term: np.ndarray
     off: np.ndarray
@@ -347,7 +354,9 @@ class _Block:
         return cls(
             names=tuple(names),
             on_split=on_split,
-            const=np.array([0.0 if isinstance(c, str) else c for *_, c in terms]),
+            code=np.array(
+                [0 if isinstance(c, str) else _CONSTS.index(c) for *_, c in terms], dtype=np.uint8
+            ),
             named=tuple((t, c) for t, (*_, c) in enumerate(terms) if isinstance(c, str)),
             term=term,
             off=padded,
@@ -373,16 +382,6 @@ def _blocks() -> tuple[_Block, ...]:
 
 
 _BLOCKS = _blocks()
-
-
-def _csr(indices: list, data: list, counts: list, ncols: int) -> tuple:
-    """A CSR matrix ``(data, indices, indptr, shape)`` as scipy's
-    ``csr_matrix`` holds it (32-bit indices suffice for any band that fits
-    in memory) from blocks of rows: their column indices and values, row
-    after row, and their entry counts per row."""
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))], dtype=np.int32)
-    indices = np.concatenate(indices, dtype=np.int32)
-    return np.concatenate(data), indices, indptr, (indptr.size - 1, ncols)
 
 
 #: The scipy kernels a Newton step calls, module globals once
@@ -428,6 +427,112 @@ def _mul_t(M: tuple, v: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Shape:
+    """The part of a :class:`_Program` that only its split mask (and so
+    N) fixes, built one block of families at a time (``_BLOCKS``): every
+    family's pattern is fixed, so its CSR rows of the stacked ``[A; Q]``
+    and its band map entries are that pattern shifted by ``_NV`` columns
+    per epoch, less the terms of epoch -1.  Entries hold coefficient
+    codes (``_CONSTS``), band entries ``_NCODE * ca + cb`` for the
+    product of a term pair.  The arrays, ``nbytes`` in all, are read-only:
+    one shape serves every program of that shape (:func:`_shape`)."""
+
+    def __init__(self, split: np.ndarray):
+        N = split.size
+        n = N * _NV
+        al, sp = np.arange(N), np.flatnonzero(split)
+        # "-split" is the negated 0/1 mask: -1 on split epochs, else -0.
+        coef = {"eta": _ETA, "-eta": _ETA + 1, "-split": np.where(split, 1, 2)}
+        self.rows: dict[str, tuple[slice, np.ndarray]] = {}
+        # CSR parts of [A; Q] (columns, coefficient codes, entries per row).
+        indices, codes, counts = [], [], []
+        epochs = [sp if blk.on_split else al for blk in _BLOCKS]
+        # The band map's entries: entry k adds coefficient product
+        # bcode[k] times w[brow[k]] to band slot slot[k], w being the
+        # stacked weights.  The tables have room for every term pair and
+        # pin, and the slots take the narrowest unsigned type that holds
+        # them (numpy sorts 16-bit keys stably by radix, up to N = 2047).
+        idle = _NV * np.flatnonzero(~split) + _A
+        size = sum(blk.pa.size * ep.size for blk, ep in zip(_BLOCKS, epochs)) + idle.size
+        slot = np.empty(size, dtype=np.min_scalar_type((_BAND + 1) * n))
+        bcode = np.empty(size, dtype=np.uint8)
+        brow = np.empty(size, dtype=np.int32)
+        m = j = 0
+        for blk, ep in zip(_BLOCKS, epochs):
+            k = ep.size
+            ep4 = _NV * ep
+            C = np.repeat(blk.code[:, None], k, axis=1)
+            for t, c in blk.named:
+                C[t] = coef[c]
+            # A term of epoch -1 has a negative column: it is left out.
+            cols = ep4[:, None] + blk.off[:, None, :]
+            keep = cols >= 0
+            indices.append(cols[keep])
+            codes.append(C[blk.term].transpose(0, 2, 1)[keep])
+            counts.append(keep.sum(axis=2).ravel())
+            # Term pairs by rows, less the pairs with a term of epoch -1.
+            keep = ep4 + blk.low[:, None] >= 0
+            end = j + np.count_nonzero(keep)
+            slot[j:end] = ((ep4 + blk.col[:, None]) * (_BAND + 1) + blk.diag[:, None])[keep]
+            bcode[j:end] = (_NCODE * C[blk.pa] + C[blk.pb])[keep]
+            brow[j:end] = (m + k * blk.fam[:, None] + np.arange(k))[keep]
+            j = end
+            for name in blk.names:
+                self.rows[name] = (slice(m, m + k), ep)
+                m += k
+        del self.rows["objective"]
+        self.m = m = m - N
+        self.split, self.burst = sp, _NV * sp + _A
+        # 32-bit indices suffice for any band that fits in memory.
+        self.indices = np.concatenate(indices, dtype=np.int32)
+        self.code = np.concatenate(codes)
+        self.indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))], dtype=np.int32)
+        self.q_indptr = self.indptr[m:] - self.indptr[m]
+        # Placeholder burst parts sit in no row: pin them with a unit
+        # diagonal (their gradient is zero, so they stay at zero).  The
+        # unit entries come last, as terms of weight one (1.0 * 1.0).
+        end = j + idle.size
+        slot[j:end] = (_BAND + 1) * idle + _BAND
+        bcode[j:end] = 0
+        brow[j:end] = m + N
+        # One stable sort by slot keeps each slot's terms in the order
+        # above, so the band sums them in a fixed order.  Each table is
+        # dropped as soon as it is used: they set the solver's peak memory.
+        slot = slot[:end]
+        self.bptr = np.zeros((_BAND + 1) * n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(slot, minlength=(_BAND + 1) * n), out=self.bptr[1:])
+        order = np.argsort(slot, kind="stable")
+        del slot
+        self.bcode, self.brow = bcode[order], brow[order]
+        arrays = [*vars(self).values(), *(ep for _, ep in self.rows.values())]
+        arrays = {id(v): v for v in arrays if isinstance(v, np.ndarray)}.values()
+        for v in arrays:
+            v.flags.writeable = False
+        self.nbytes = sum(v.nbytes for v in arrays)
+
+
+#: Program shapes by split mask, least recently used first, and the bytes
+#: they may take in all: a shape takes about 0.7 KB per epoch, so a
+#: sweep's shapes stay and one of N = 10^4 is built for its program only.
+_SHAPES: dict[bytes, _Shape] = {}
+_SHAPE_BYTES = 4 << 20
+
+
+def _shape(split: np.ndarray) -> _Shape:
+    """The shape of the programs with this split mask, built once while
+    it fits in ``_SHAPES``, where it displaces the least recently used."""
+    key = split.tobytes()
+    shape = _SHAPES.pop(key, None)
+    if shape is None:
+        shape = _Shape(split)
+        if shape.nbytes > _SHAPE_BYTES:
+            return shape
+        while shape.nbytes + sum(s.nbytes for s in _SHAPES.values()) > _SHAPE_BYTES:
+            del _SHAPES[next(iter(_SHAPES))]
+    _SHAPES[key] = shape
+    return shape
+
+
 class _Program:
     """The horizon problem as ``max F(x)`` subject to ``A x <= u``.
 
@@ -445,12 +550,14 @@ class _Program:
     model at zero.  Energies are measured in units of the total arriving
     energy and F in units of its largest marginal value times that energy.
 
-    Assembly works on whole arrays, one block of families at a time
-    (``_BLOCKS``): every family's pattern is fixed, so its CSR rows and
-    its contributions to the banded Newton matrix are that pattern
-    shifted by ``_NV`` columns per epoch, less the terms of epoch -1.
-    ``A`` (the constraints) and ``Q`` (the curved parts' arguments) are
-    kept as plain CSR arrays (:func:`_csr`), which :func:`_mul` and
+    Assembly has two parts.  The shape part depends only on the split
+    mask: the sparsity patterns and each entry's coefficient code, built
+    by :class:`_Shape` and kept by :func:`_shape`.  The instance part puts
+    in the coefficient values (``eta``, ``-eta``), the right-hand sides
+    ``u``, the burst parts' linear term and the scaling constants.
+    ``AQ`` (the constraints ``A`` stacked over ``Q``, the curved parts'
+    arguments) is kept as plain CSR arrays ``(data, indices, indptr,
+    shape)``, with ``A`` and ``Q`` views into it, which :func:`_mul` and
     :func:`_mul_t` hand to scipy's kernels.  So is the band map ``band``,
     which takes the stacked weights ``(w, kappa, 1)`` to LAPACK's
     column-major band storage: its row ``j * (_BAND + 1) + d`` is
@@ -470,8 +577,9 @@ class _Program:
         self.vm = vm
         self.escale = float(cumE[-1]) if cumE[-1] > 0.0 else 1.0
         self.curved = vm.c1 < vm.cmax
-        split = self.curved & (vm.c1 > 0.0)
-        self.split = np.flatnonzero(split)
+        shape = _shape(self.curved & (vm.c1 > 0.0))
+        self.split = sp = shape.split
+        self.rows = shape.rows
         self.base = vm.l * vm.rate_thr
         self.slope0 = np.where(self.curved, vm.level_thr, vm.r0)
         # Magnitude of the right-hand curvature at q = 0 (the first active
@@ -479,7 +587,6 @@ class _Program:
         self.curv0 = -vm.ws.curvature_vec(np.nextafter(vm.p_thr, np.inf)) / vm.l
         self.fscale = self.escale * float(np.max(self.slope0))
 
-        al, sp = np.arange(N), self.split
         rhs = {
             "sc_caus": 0.0,
             "sc_over": inst.sc_cap,
@@ -494,72 +601,20 @@ class _Program:
             "a_hi": vm.c1[sp],
             "f_lo": 0.0,
         }
-        coef = {"eta": eta, "-eta": -eta, "-split": -split.astype(float)}
-        n = self.n = N * _NV
-        self.rows: dict[str, tuple[slice, np.ndarray]] = {}
-        # CSR parts (columns, values, entries per row) of A and of Q.
-        parts = {"A": ([], [], []), "Q": ([], [], [])}
-        epochs = [sp if blk.on_split else al for blk in _BLOCKS]
-        # The band map's entries: entry k adds bcoef[k] * w[brow[k]] to
-        # band slot slot[k], w being the stacked weights.  The tables have
-        # room for every term pair and pin, and the slots take the
-        # narrowest unsigned type that holds them (numpy sorts 16-bit keys
-        # stably by radix, up to N = 2047).
-        idle = _NV * np.flatnonzero(~split) + _A
-        size = sum(blk.pa.size * ep.size for blk, ep in zip(_BLOCKS, epochs)) + idle.size
-        slot = np.empty(size, dtype=np.min_scalar_type((_BAND + 1) * n))
-        bcoef = np.empty(size)
-        brow = np.empty(size, dtype=np.int32)
-        m = j = 0
-        for blk, ep in zip(_BLOCKS, epochs):
-            k = ep.size
-            ep4 = _NV * ep
-            C = np.repeat(blk.const[:, None], k, axis=1)
-            for t, c in blk.named:
-                C[t] = coef[c]
-            # A term of epoch -1 has a negative column: it is left out.
-            cols = ep4[:, None] + blk.off[:, None, :]
-            keep = cols >= 0
-            indices, data, counts = parts["Q" if "objective" in blk.names else "A"]
-            indices.append(cols[keep])
-            data.append(C[blk.term].transpose(0, 2, 1)[keep])
-            counts.append(keep.sum(axis=2).ravel())
-            # Term pairs by rows, less the pairs with a term of epoch -1.
-            keep = ep4 + blk.low[:, None] >= 0
-            end = j + np.count_nonzero(keep)
-            slot[j:end] = ((ep4 + blk.col[:, None]) * (_BAND + 1) + blk.diag[:, None])[keep]
-            bcoef[j:end] = (C[blk.pa] * C[blk.pb])[keep]
-            brow[j:end] = (m + k * blk.fam[:, None] + np.arange(k))[keep]
-            j = end
-            for name in blk.names:
-                self.rows[name] = (slice(m, m + k), ep)
-                m += k
-        del self.rows["objective"]
-        self.u = np.empty(m - N)
+        m = shape.m
+        self.u = np.empty(m)
         for name, (rows, _) in self.rows.items():
             self.u[rows] = rhs[name] / self.escale
-        self.A, self.Q = (_csr(*p, n) for p in parts.values())
-        del parts
-        # Placeholder burst parts sit in no row: pin them with a unit
-        # diagonal (their gradient is zero, so they stay at zero).  The
-        # unit entries come last, as terms of weight one.
-        end = j + idle.size
-        slot[j:end] = (_BAND + 1) * idle + _BAND
-        bcoef[j:end] = 1.0
-        brow[j:end] = m
-        # One stable sort by slot keeps each slot's terms in the order
-        # above, so the band sums them in a fixed order.  Each table is
-        # dropped as soon as it is used: they set the solver's peak memory.
-        slot = slot[:end]
-        indptr = np.zeros((_BAND + 1) * n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(slot, minlength=(_BAND + 1) * n), out=indptr[1:])
-        order = np.argsort(slot, kind="stable")
-        del slot
-        bcoef = bcoef[order]
-        brow = brow[order]
-        del order
-        self.band = (bcoef, brow, indptr, (indptr.size - 1, m + 1))
-        self.burst = _NV * sp + _A
+        coef = np.array((*_CONSTS, eta, -eta))
+        data = coef[shape.code]
+        n = self.n = N * _NV
+        nnz = shape.indptr[m]
+        self.AQ = (data, shape.indices, shape.indptr, (m + N, n))
+        self.A = (data[:nnz], shape.indices[:nnz], shape.indptr[: m + 1], (m, n))
+        self.Q = (data[nnz:], shape.indices[nnz:], shape.q_indptr, (N, n))
+        bcoef = np.multiply.outer(coef, coef).ravel()[shape.bcode]
+        self.band = (bcoef, shape.brow, shape.bptr, (shape.bptr.size - 1, m + N + 1))
+        self.burst = shape.burst
         self.lin = np.zeros(n)
         self.lin[self.burst] = self.escale * vm.r0[sp] / self.fscale
         # Instance constants of the objective.
@@ -573,17 +628,18 @@ class _Program:
         self.zero_thr = bool(np.any(vm.p_thr == 0.0))
         self.linear = not bool(np.all(self.curved))
 
-    def objective(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """Scaled F(x) and its gradient, and per epoch the slope (nats/J)
-        and the scaled curvature magnitude of the curved part, all from
-        one water-filling lookup."""
+    def objective(self, x: np.ndarray, qx: np.ndarray) -> tuple:
+        """At ``x``, with ``qx = Q x``: scaled F(x) as a function to call
+        when the gap test reads it, its gradient, and per epoch the slope
+        (nats/J) and the scaled curvature magnitude of the curved part,
+        all from one water-filling lookup."""
         vm, ws = self.vm, self.vm.ws
-        q = self.escale * _mul(self.Q, x)
+        q = self.escale * qx
         p = vm.p_thr + np.maximum(q, 0.0) / vm.l
         # ``WaterSystem.level_at_power_vec`` written for p >= 0: the raw
         # mode count is at least one, so every division is by a positive
         # sum, and zero powers get the empty mode set afterwards.
-        m = np.searchsorted(ws.breaks, p) + 1
+        m = ws.breaks.searchsorted(p) + 1
         cg = ws.cg[m]
         level = cg / (p + ws.cil[m])
         if self.zero_thr:
@@ -592,18 +648,22 @@ class _Program:
             m = np.where(off, 0, m)
         # Below zero the curved part continues as its quadratic model at 0.
         qn = np.minimum(q, 0.0)
-        curv = np.where(q > 0.0, level * level / cg / vm.l, self.curv0)
-        value = vm.l * ws.rate_at_level_vec(level, m) - self.base
-        value += qn * (self.slope0 - self.half_curv0 * qn)
+        kappa = self.kscale * np.where(q > 0.0, level * level / cg / vm.l, self.curv0)
         slope = level - self.curv0 * qn
-        kappa = self.kscale * curv
         if self.linear:
-            value = np.where(self.curved, value, self.slope0 * q)
             slope = np.where(self.curved, slope, self.slope0)
             kappa = np.where(self.curved, kappa, 0.0)
-        F = math.fsum(value.tolist()) + self.escale * float(self.r0_burst @ x[self.burst])
+
+        def F() -> float:
+            value = vm.l * ws.rate_at_level_vec(level, m) - self.base
+            value += qn * (self.slope0 - self.half_curv0 * qn)
+            if self.linear:
+                value = np.where(self.curved, value, self.slope0 * q)
+            burst = self.escale * float(self.r0_burst @ x[self.burst])
+            return (math.fsum(value.tolist()) + burst) / self.fscale
+
         grad = self.gscale * _mul_t(self.Q, slope) + self.lin
-        return F / self.fscale, grad, slope, kappa
+        return F, grad, slope, kappa
 
     def factor(self, w: np.ndarray, kappa: np.ndarray) -> np.ndarray:
         """Upper banded Cholesky factor of ``A' diag(w) A + Q' diag(kappa)
@@ -626,7 +686,7 @@ class _Program:
             return _mul(self.band, wk).reshape(self.n, _BAND + 1).T
 
         ab = band()
-        if not np.isfinite(ab).all():
+        if not np.logical_and.reduce(np.isfinite(ab), axis=None):
             raise SolverError("numerical failure: the Newton matrix is not finite")
         L, info = dpbtrf(ab, overwrite_ab=1)
         if info:
@@ -665,20 +725,22 @@ class _Iterate:
 def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
     """The largest t with ``v + t dv >= 0`` for ``v > 0``: the least
     ``-v/dv`` over the falling entries, ``inf`` when none falls."""
-    ratio = np.full(v.size, -math.inf)
+    ratio = np.empty(v.size)
+    ratio.fill(-math.inf)
     np.divide(v, dv, out=ratio, where=dv < 0.0)
-    return -float(ratio.max())
+    return -float(np.maximum.reduce(ratio))
 
 
 @np.errstate(over="ignore")
 def _interior_point(prog: _Program) -> _Iterate:
     """Mehrotra predictor-corrector on ``max F(x)``, ``A x + s = u``,
     ``s, z >= 0``; each Newton step is one banded Cholesky factorization
-    and two banded solves.  The loop only optimizes; the audit of the
-    schedule judges feasibility.  A non-finite Newton right-hand side,
-    matrix or final iterate raises :class:`SolverError`, so overflows on
-    the way there are not warned about."""
-    A, u = prog.A, prog.u
+    and two banded solves, and one product with ``[A; Q]`` gives ``A x``
+    and ``Q x``.  The loop only optimizes; the audit of the schedule
+    judges feasibility.  A non-finite Newton right-hand side, matrix or
+    final iterate raises :class:`SolverError`, so overflows on the way
+    there are not warned about."""
+    A, AQ, u = prog.A, prog.AQ, prog.u
     m = u.size
     x = np.zeros(prog.n)
     # Slacks and multipliers share one vector, so one ratio test bounds
@@ -688,19 +750,20 @@ def _interior_point(prog: _Program) -> _Iterate:
     usize = np.maximum(1.0, np.abs(u))
     rtol = TOL_PRIMAL * usize
     it = 0
-    F, grad, slope, kappa = prog.objective(x)
+    AQx = _mul(AQ, x)
+    F, grad, slope, kappa = prog.objective(x, AQx[m:])
     while True:
         rd = _mul_t(A, z) - grad
-        Ax = _mul(A, x)
+        Ax = AQx[:m]
         rp = Ax + s - u
         gap = float(s @ z)
-        dual = float(np.abs(rd).max())
-        excess = dual - TOL_DUAL * (1.0 + float(np.abs(grad).max()))
-        excess -= ROUNDING * float(kappa.max())
+        dual = float(np.maximum.reduce(np.abs(rd)))
+        excess = dual - TOL_DUAL * (1.0 + float(np.maximum.reduce(np.abs(grad))))
+        excess -= ROUNDING * float(np.maximum.reduce(kappa))
         optimal = (
             excess <= 0.0
-            and bool((Ax - u <= rtol).all())
-            and gap <= TOL_MU * m * abs(F) + ROUNDING * float(z @ usize)
+            and bool(np.logical_and.reduce(Ax - u <= rtol))
+            and gap <= TOL_MU * m * abs(F()) + ROUNDING * float(z @ usize)
         )
         if optimal or it == MAX_NEWTON:
             break
@@ -712,7 +775,7 @@ def _interior_point(prog: _Program) -> _Iterate:
 
         def newton(rc, rps):
             rhs = _mul_t(A, (rc - z * rps) / s) - rd
-            if not np.isfinite(rhs).all():
+            if not np.logical_and.reduce(np.isfinite(rhs)):
                 raise SolverError("numerical failure: a Newton right-hand side is not finite")
             dx = dpbtrs(L, rhs)[0]
             dsz = np.empty(2 * m)
@@ -727,6 +790,8 @@ def _interior_point(prog: _Program) -> _Iterate:
         ds, dz = dsz[:m], dsz[m:]
         affine = sz + min(1.0, _step_to_boundary(sz, dsz)) * dsz
         mu_aff = float(affine[:m] @ affine[m:]) / m
+        # Freed now, it stays out of the memory peak of the next solve.
+        del affine
         # Centre harder while the dual residual lags behind mu, or mu
         # overtakes it and the iteration jams.
         sigma = min(1.0, max((mu_aff / mu) ** 3, SIGMA_FLOOR * excess / mu))
@@ -736,9 +801,10 @@ def _interior_point(prog: _Program) -> _Iterate:
         target = sigma * mu
         dx, dsz = newton(sz_prod + ds * dz - target, rp - target)
         alpha = min(1.0, STEP_FRAC * _step_to_boundary(sz, dsz))
-        x, sz = x + alpha * dx, sz + alpha * dsz
-        s, z = sz[:m], sz[m:]
-        F, grad, slope, kappa = prog.objective(x)
+        x += alpha * dx
+        sz += alpha * dsz
+        AQx = _mul(AQ, x)
+        F, grad, slope, kappa = prog.objective(x, AQx[m:])
     if not np.all(np.isfinite(x)):
         raise SolverError("solver produced non-finite iterates")
     X = x.reshape(prog.N, _NV)
@@ -954,9 +1020,14 @@ def _certificate(
     mult["zeta"] = np.where(slacks["zeta"] <= ttol, np.maximum(-t, 0.0), 0.0)
     # With eps = 0 a window is whole or idle, and its row follows from
     # varpi >= 0 and the concavity of W (P W'(P) <= W(P)).
-    rows["stat_tau"] = (mult["kappa"] - mult["zeta"] - t)[vm.eps > 0.0]
-    stat = {name: float(np.max(np.abs(r), initial=0.0)) for name, r in rows.items()}
-    comp = {name: float(np.max(np.abs(mult[name] * slack))) for name, slack in slacks.items()}
+    stat_tau = (mult["kappa"] - mult["zeta"] - t)[vm.eps > 0.0]
+    # Every other row, and every slack, has one entry per epoch: one
+    # stacked pass each takes their worst entries.
+    stat = dict(zip(rows, np.abs(np.stack(list(rows.values()))).max(axis=1).tolist()))
+    stat["stat_tau"] = float(np.max(np.abs(stat_tau), initial=0.0))
+    products = np.stack([mult[name] for name in slacks])
+    products *= np.stack(list(slacks.values()))
+    comp = dict(zip(slacks, np.abs(products, out=products).max(axis=1).tolist()))
     return DualCertificate(
         multipliers=mult,
         levels=np.asarray(levels, dtype=float),

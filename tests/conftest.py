@@ -97,9 +97,9 @@ def nan_curvature(monkeypatch):
     objective = offline._Program.objective
     calls = []
 
-    def poisoned(self, x):
-        F, grad, slope, kappa = objective(self, x)
-        calls.append(x)
+    def poisoned(self, *args):
+        F, grad, slope, kappa = objective(self, *args)
+        calls.append(args[0])
         if len(calls) == 3:
             kappa = np.full_like(kappa, np.nan)
         return F, grad, slope, kappa

@@ -64,6 +64,9 @@ def test_bench_report_schema(tmp_path):
     assert phases["trials"] == 1 and phases["etas"] == [0.2, 0.4, 0.6, 0.8, 1.0]
     assert phases["solves"] > 0 and phases["newton_steps"] > 0
     assert set(phases["ms_per_solve"]) == PHASES
+    # Every eta of a trial solves a program of the same shape.
+    assert phases["template_hits"] + phases["template_misses"] == phases["solves"]
+    assert phases["template_hits"] > 0
     cold = report["cold"]
     assert set(cold) == {"runs", "N", "stream", *COLD_TIMES}
     assert (cold["runs"], cold["N"], cold["stream"]) == (5, 10, 100)

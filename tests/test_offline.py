@@ -900,6 +900,97 @@ def test_program_assembly_matches_dense_build(case, monkeypatch):
     assert np.max(np.abs(np.triu(H) - banded)) <= 1e-12 * np.max(np.abs(H))
 
 
+def _program_arrays(prog):
+    """Every array a Newton step reads from a ``_Program``, by name."""
+    out = {"u": prog.u, "lin": prog.lin, "burst": prog.burst}
+    for name in ("AQ", "A", "Q", "band"):
+        data, indices, indptr, shape = getattr(prog, name)
+        out |= {f"{name}.data": data, f"{name}.indices": indices, f"{name}.indptr": indptr,
+                f"{name}.shape": np.array(shape)}
+    return out
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    etas=st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
+)
+@settings(max_examples=40, deadline=None)
+def test_cached_program_shape_matches_a_fresh_build(seed, n, etas):
+    """A program built on a cached shape, assembled first for another
+    instance of that shape, equals one built with the cache emptied, bit
+    for bit; the cached arrays are read-only, and a shape over the cache's
+    byte budget is built but not kept."""
+    from unittest import mock
+
+    from ehsched import offline
+
+    rng = np.random.default_rng(seed)
+    eff = decompose_zf_dpc(unit_scalar_channelset())
+    t = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 2.0, n - 1))))
+    tl = build_timeline(list(zip(t.tolist(), rng.uniform(0.0, 2.0, n).tolist())),
+                        T=float(t[-1]) + 1.0)
+    # eps = 0 (unsplit from zero power), eps whose p_o exceeds the peak
+    # (unsplit, linear) and eps that split, mixed along the horizon.
+    eps = rng.choice([0.0, 1.0, 50.0], n) * rng.uniform(0.5, 1.5, n)
+    insts = [
+        _make_instance(eff, None, tl, HybridStorage(sc_cap=1.5, b_cap=8.0, eta=eta), 4.0, eps)
+        for eta in etas
+    ]
+
+    def build(inst):
+        return offline._Program(inst, offline._ValueModel(inst))
+
+    with mock.patch.object(offline, "_SHAPES", {}), \
+            mock.patch.object(offline, "_Shape", wraps=offline._Shape) as built:
+        build(insts[0])
+        hit = build(insts[1])
+        assert built.call_count == 1
+        [shape] = offline._SHAPES.values()
+    with mock.patch.object(offline, "_SHAPES", {}):
+        fresh = build(insts[1])
+    got, want = _program_arrays(hit), _program_arrays(fresh)
+    assert got.keys() == want.keys()
+    for name in got:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name
+        assert np.array_equal(np.signbit(got[name]), np.signbit(want[name])), name
+    assert hit.rows.keys() == fresh.rows.keys()
+    arrays = [v for v in vars(shape).values() if isinstance(v, np.ndarray)]
+    arrays += [ep for _, ep in shape.rows.values()]
+    assert shape.nbytes == sum({id(v): v.nbytes for v in arrays}.values())
+    for arr in arrays:
+        assert not arr.flags.writeable
+        if arr.size:
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+    split = (hit.vm.c1 < hit.vm.cmax) & (hit.vm.c1 > 0.0)
+    for budget, kept in ((shape.nbytes - 1, 0), (shape.nbytes, 1)):
+        with mock.patch.object(offline, "_SHAPES", {}), \
+                mock.patch.object(offline, "_SHAPE_BYTES", budget):
+            offline._shape(split)
+            assert len(offline._SHAPES) == kept
+
+
+def test_shape_cache_drops_the_least_recently_used_shape():
+    from unittest import mock
+
+    from ehsched import offline
+
+    masks = [np.array(m, dtype=bool) for m in ([True, False], [False, True], [True, True])]
+    sizes = [offline._Shape(m).nbytes for m in masks]
+    with mock.patch.object(offline, "_SHAPES", {}), \
+            mock.patch.object(offline, "_SHAPE_BYTES", sum(sizes) - 1):
+        first = offline._shape(masks[0])
+        offline._shape(masks[1])
+        assert offline._shape(masks[0]) is first
+        offline._shape(masks[2])
+        assert [np.frombuffer(k, dtype=bool).tolist() for k in offline._SHAPES] == [
+            [True, False], [True, True]
+        ]
+        assert offline._shape(masks[0]) is first
+
+
 @pytest.fixture()
 def small_instance(unit_eff):
     """Arguments of an offline solve: two arrivals over two epochs, with
@@ -1055,8 +1146,9 @@ def test_objective_matches_three_query_path(eps):
             assert np.all(q > 0.0)
             _, m = vm.ws.level_at_power_vec(vm.p_thr + q / vm.l)
             assert len(set(m.tolist())) >= 3
-        got, want = prog.objective(x), _three_query_objective(prog, x)
-        assert got[0] == want[0], name
-        for a, b in zip(got[1:], want[1:]):
+        F, *got = prog.objective(x, _scipy(prog.Q) @ x)
+        want = _three_query_objective(prog, x)
+        assert F() == want[0], name
+        for a, b in zip(got, want[1:]):
             assert np.array_equal(a, b), name
     assert seen == {"q<0", "q=0"}
