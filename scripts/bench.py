@@ -38,8 +38,9 @@ writes ``BENCH_<label>.json`` with five parts:
   wrapping each phase function of ``ehsched.offline``, and how many of
   those programs found their shape (``_Shape``, the part of the program
   that depends only on N and the burst/full split) in the offline
-  module's cache (``template_hits``) and how many built it
-  (``template_misses``).
+  module's cache (``template_hits``), how many built it
+  (``template_misses``) and the mean milliseconds of one such build
+  (``template_ms``, 0 without one).
 * ``cold``: medians over 5 fresh interpreters of ``import ehsched``
   (``import_s``) and of the first solve after it of the ``ideal`` and
   ``circuit`` cells at N = 10, stream 100 (``first_ideal_s``,
@@ -336,6 +337,7 @@ def phases(trials: int) -> dict:
         "us_per_newton_step": 1e6 * spent["loop"] / max(sum(steps), 1),
         "template_hits": calls["program"] - calls["template"],
         "template_misses": calls["template"],
+        "template_ms": 1e3 * spent["template"] / max(calls["template"], 1),
         "sweep_s": wall,
         "ms_per_solve": per_solve,
     }

@@ -13,6 +13,9 @@ digests the message instead.  The solves are:
   circuit, through ``experiments.run_trial``) and ``long-horizon`` (5
   instances at N = 30, ideal and eps = 1, through ``ehsched solve``);
 * the gate-06-shaped draws of ``scripts/bench.py``'s ``phases`` part;
+* 40 trials per eta of the same draws with per-epoch circuit powers
+  ~ U(0.5, 8) W (``eps_range``), where 190 of the 200 circuit programs
+  split some but not all of their epochs into burst and full parts;
 * the ``scaling`` cells of ``scripts/bench.py`` at N <= 1000 (three
   models, streams 100 and 101).
 
@@ -20,7 +23,7 @@ digests the message instead.  The solves are:
 lines in the same order, so ``cmp`` of a forward and a reverse run shows
 whether a solve depends on what ran before it in the process (on the
 offline module's cache of program shapes, say).  The whole run takes
-about 3 s on a 2-core machine.
+about 4 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ from ehsched.offline import SolverError  # noqa: E402
 SOLVERS = ("solve_offline_ideal", "solve_offline_circuit")
 MODES = ("ideal", "circuit")
 SCALING_SIZES = (10, 100, 1000)
+#: Trials per eta and per-epoch circuit-power range of the mixed-split draws.
+MIXED_TRIALS = 40
+MIXED_EPS_RANGE = (0.5, 8.0)
 
 
 def digest(outcome) -> str:
@@ -136,10 +142,12 @@ def jobs(workdir: str) -> list[tuple[str, object]]:
         out += [(f"long-horizon i={i} {mode}", cli_job(lh, inst, mode == "circuit"))
                 for mode in MODES]
     phases = ExperimentSpec(num_trials=bench.PHASE_TRIALS, e_avg=bench.PHASE_E_AVG)
-    out += [
-        (f"phases k={k} eta={eta:g} {mode}", trial_job(replace(phases, eta=eta), k, mode))
-        for k in range(phases.num_trials) for eta in bench.ETAS for mode in MODES
-    ]
+    mixed = replace(phases, num_trials=MIXED_TRIALS, eps_range=MIXED_EPS_RANGE)
+    for name, spec in (("phases", phases), ("mixed", mixed)):
+        out += [
+            (f"{name} k={k} eta={eta:g} {mode}", trial_job(replace(spec, eta=eta), k, mode))
+            for k in range(spec.num_trials) for eta in bench.ETAS for mode in MODES
+        ]
     out += [
         (f"scaling {model} s{stream} N={n}", scaling_job(model, stream, n))
         for model in bench.MODELS for stream in bench.STREAMS for n in SCALING_SIZES

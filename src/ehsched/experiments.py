@@ -222,9 +222,10 @@ def run_sweep(
 ) -> SweepResult:
     """Benchmark all policy pairs, sweeping ``axis`` over ``values``.
 
-    ``axis`` names one of ``SWEEP_AXES``, the float fields of the spec.
-    With ``axis=None`` and no ``values``, a single point is run at the
-    spec's own settings.  Trial seeds are shared across sweep points.
+    ``axis`` names one of ``SWEEP_AXES``, the float fields of the spec,
+    and ``values`` must be distinct.  With ``axis=None`` and no
+    ``values``, a single point is run at the spec's own settings.  Trial
+    seeds are shared across sweep points.
     """
     if spec.num_trials <= 0:
         raise ValueError("num_trials must be positive")
@@ -245,6 +246,9 @@ def run_sweep(
         if axis not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {axis!r}; choose one of {', '.join(SWEEP_AXES)}")
     result = SweepResult(axis=axis or "", values=tuple(float(v) for v in values))
+    # A repeated point would run twice and keep one entry in raw and failed.
+    if len(set(result.values)) < len(result.values):
+        raise ValueError("sweep values must be distinct")
     for v in values:
         sp = spec if axis is None else replace(spec, **{axis: float(v)})
         per: dict[str, list[float]] = {}

@@ -32,7 +32,7 @@ Wang & Boyd exploit for fast MPC, IEEE TCST 2010).  Because each row
 family is one fixed stencil shifted along the epochs, the patterns of
 the constraint matrix and of the Newton matrix's band map are built once
 per program shape (N and the burst/full split), with a few whole-array
-operations per block of families, and each instance adds only its
+operations per family, and each instance adds only its
 values; each Newton step evaluates the objective from one water-filling
 lookup: at short horizons these fixed costs, not the factorization, set
 the solve time.  For the same reason a step calls its kernels directly:
@@ -64,7 +64,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
 
 import numpy as np
 
@@ -303,85 +302,27 @@ _FAMILIES = {
 #: instance's eta and -eta, codes ``_ETA`` and ``_ETA + 1``.
 _CONSTS = (1.0, -1.0, -0.0)
 _ETA, _NCODE = len(_CONSTS), len(_CONSTS) + 2
-#: A column offset no epoch reaches, padding rows with fewer terms.
-_ABSENT = np.iinfo(np.int64).min
 #: The weight of the band terms that pin the placeholder burst parts.
 _ONE = np.ones(1)
 
 
-@dataclass(frozen=True)
-class _Block:
-    """Consecutive row families with rows on the same epochs, as one table
-    of their fixed stencils.  ``code`` holds every term's coefficient code
-    (``_CONSTS``), family by family, and ``named`` the terms whose
-    coefficient a name gives instead.  Family f's row at epoch i has the
-    terms ``term[f]`` in columns ``_NV * i + off[f]``, in column order and
-    padded with ``_ABSENT``.  The upper-triangle term pairs ``(pa, pb)``
-    of family ``fam`` add to band diagonal ``diag`` at column
-    ``_NV * i + col``, and exist only where ``_NV * i + low`` (their first
-    column) does."""
-
-    names: tuple
-    on_split: bool
-    code: np.ndarray
-    named: tuple
-    term: np.ndarray
-    off: np.ndarray
-    fam: np.ndarray
-    pa: np.ndarray
-    pb: np.ndarray
-    diag: np.ndarray
-    col: np.ndarray
-    low: np.ndarray
-
-    @classmethod
-    def of(cls, names: tuple, on_split: bool, families: tuple) -> "_Block":
-        terms = [t for family in families for t in family]
-        off = np.array([_NV * shift + var for shift, var, _ in terms])
-        term = np.zeros((len(families), max(map(len, families))), dtype=int)
-        padded = np.full(term.shape, _ABSENT)
-        fam, pa, pb = [], [], []
-        first = 0
-        for f, family in enumerate(families):
-            t = first + np.argsort(off[first : first + len(family)])
-            term[f, : t.size], padded[f, : t.size] = t, off[t]
-            a, b = np.triu_indices(len(family))
-            fam.append(np.full(a.size, f))
-            pa.append(first + a)
-            pb.append(first + b)
-            first += len(family)
-        fam, pa, pb = map(np.concatenate, (fam, pa, pb))
-        return cls(
-            names=tuple(names),
-            on_split=on_split,
-            code=np.array(
-                [0 if isinstance(c, str) else _CONSTS.index(c) for *_, c in terms], dtype=np.uint8
-            ),
-            named=tuple((t, c) for t, (*_, c) in enumerate(terms) if isinstance(c, str)),
-            term=term,
-            off=padded,
-            fam=fam,
-            pa=pa,
-            pb=pb,
-            diag=_BAND - np.abs(off[pa] - off[pb]),
-            col=np.maximum(off[pa], off[pb]),
-            low=np.minimum(off[pa], off[pb]),
-        )
+def _tables(terms: tuple) -> tuple:
+    """A family's fixed tables from its stencil ``terms``: the column
+    offsets of its terms in column order and the terms in that order; its
+    upper-triangle term pairs ``(pa, pb)`` in stencil order with, per
+    pair, the band diagonal and the larger and smaller column offset; the
+    coefficient code (``_CONSTS``) of each term and the terms ``(t,
+    name)`` whose coefficient a name gives instead."""
+    off = np.array([_NV * shift + var for shift, var, _ in terms])
+    term = np.argsort(off)
+    pa, pb = np.triu_indices(len(terms))
+    col, low = np.maximum(off[pa], off[pb]), np.minimum(off[pa], off[pb])
+    code = np.array([0 if isinstance(c, str) else _CONSTS.index(c) for *_, c in terms], np.uint8)
+    named = tuple((t, c) for t, (*_, c) in enumerate(terms) if isinstance(c, str))
+    return off[term], term, pa, pb, _BAND - (col - low), col, low, code, named
 
 
-def _blocks() -> tuple[_Block, ...]:
-    """``_FAMILIES`` as blocks of consecutive families on the same epochs;
-    the objective map, which is not a constraint, is a block of its own."""
-    blocks = []
-    for (on_split, _), group in groupby(
-        _FAMILIES.items(), key=lambda item: (item[1][0], item[0] == "objective")
-    ):
-        names, families = zip(*((name, terms) for name, (_, terms) in group))
-        blocks.append(_Block.of(names, on_split, families))
-    return tuple(blocks)
-
-
-_BLOCKS = _blocks()
+_TABLES = {name: _tables(terms) for name, (_, terms) in _FAMILIES.items()}
 
 
 #: The scipy kernels a Newton step calls, module globals once
@@ -429,13 +370,13 @@ def _mul_t(M: tuple, v: np.ndarray) -> np.ndarray:
 
 class _Shape:
     """The part of a :class:`_Program` that only its split mask (and so
-    N) fixes, built one block of families at a time (``_BLOCKS``): every
-    family's pattern is fixed, so its CSR rows of the stacked ``[A; Q]``
-    and its band map entries are that pattern shifted by ``_NV`` columns
-    per epoch, less the terms of epoch -1.  Entries hold coefficient
-    codes (``_CONSTS``), band entries ``_NCODE * ca + cb`` for the
-    product of a term pair.  The arrays, ``nbytes`` in all, are read-only:
-    one shape serves every program of that shape (:func:`_shape`)."""
+    N) fixes, built one family at a time (``_TABLES``): every family's
+    pattern is fixed, so its CSR rows of the stacked ``[A; Q]`` and its
+    band map entries are that pattern shifted by ``_NV`` columns per
+    epoch, less the terms of epoch -1.  Entries hold coefficient codes
+    (``_CONSTS``), band entries ``_NCODE * ca + cb`` for the product of a
+    term pair.  The arrays, ``nbytes`` in all, are read-only: one shape
+    serves every program of that shape (:func:`_shape`)."""
 
     def __init__(self, split: np.ndarray):
         N = split.size
@@ -446,40 +387,40 @@ class _Shape:
         self.rows: dict[str, tuple[slice, np.ndarray]] = {}
         # CSR parts of [A; Q] (columns, coefficient codes, entries per row).
         indices, codes, counts = [], [], []
-        epochs = [sp if blk.on_split else al for blk in _BLOCKS]
+        epochs = {name: sp if on_split else al for name, (on_split, _) in _FAMILIES.items()}
         # The band map's entries: entry k adds coefficient product
         # bcode[k] times w[brow[k]] to band slot slot[k], w being the
         # stacked weights.  The tables have room for every term pair and
         # pin, and the slots take the narrowest unsigned type that holds
         # them (numpy sorts 16-bit keys stably by radix, up to N = 2047).
         idle = _NV * np.flatnonzero(~split) + _A
-        size = sum(blk.pa.size * ep.size for blk, ep in zip(_BLOCKS, epochs)) + idle.size
+        size = sum(_TABLES[name][2].size * ep.size for name, ep in epochs.items()) + idle.size
         slot = np.empty(size, dtype=np.min_scalar_type((_BAND + 1) * n))
         bcode = np.empty(size, dtype=np.uint8)
         brow = np.empty(size, dtype=np.int32)
         m = j = 0
-        for blk, ep in zip(_BLOCKS, epochs):
+        for name, ep in epochs.items():
+            off, term, pa, pb, diag, col, low, code, named = _TABLES[name]
             k = ep.size
             ep4 = _NV * ep
-            C = np.repeat(blk.code[:, None], k, axis=1)
-            for t, c in blk.named:
+            C = np.repeat(code[:, None], k, axis=1)
+            for t, c in named:
                 C[t] = coef[c]
             # A term of epoch -1 has a negative column: it is left out.
-            cols = ep4[:, None] + blk.off[:, None, :]
+            cols = ep4[:, None] + off
             keep = cols >= 0
             indices.append(cols[keep])
-            codes.append(C[blk.term].transpose(0, 2, 1)[keep])
-            counts.append(keep.sum(axis=2).ravel())
+            codes.append(C[term].T[keep])
+            counts.append(keep.sum(axis=1))
             # Term pairs by rows, less the pairs with a term of epoch -1.
-            keep = ep4 + blk.low[:, None] >= 0
+            keep = ep4 + low[:, None] >= 0
             end = j + np.count_nonzero(keep)
-            slot[j:end] = ((ep4 + blk.col[:, None]) * (_BAND + 1) + blk.diag[:, None])[keep]
-            bcode[j:end] = (_NCODE * C[blk.pa] + C[blk.pb])[keep]
-            brow[j:end] = (m + k * blk.fam[:, None] + np.arange(k))[keep]
+            slot[j:end] = ((ep4 + col[:, None]) * (_BAND + 1) + diag[:, None])[keep]
+            bcode[j:end] = (_NCODE * C[pa] + C[pb])[keep]
+            brow[j:end] = m + np.nonzero(keep)[1]
             j = end
-            for name in blk.names:
-                self.rows[name] = (slice(m, m + k), ep)
-                m += k
+            self.rows[name] = (slice(m, m + k), ep)
+            m += k
         del self.rows["objective"]
         self.m = m = m - N
         self.split, self.burst = sp, _NV * sp + _A
@@ -578,7 +519,7 @@ class _Program:
         self.escale = float(cumE[-1]) if cumE[-1] > 0.0 else 1.0
         self.curved = vm.c1 < vm.cmax
         shape = _shape(self.curved & (vm.c1 > 0.0))
-        self.split = sp = shape.split
+        sp = shape.split
         self.rows = shape.rows
         self.base = vm.l * vm.rate_thr
         self.slope0 = np.where(self.curved, vm.level_thr, vm.r0)

@@ -67,6 +67,7 @@ def test_bench_report_schema(tmp_path):
     # Every eta of a trial solves a program of the same shape.
     assert phases["template_hits"] + phases["template_misses"] == phases["solves"]
     assert phases["template_hits"] > 0
+    assert (phases["template_ms"] > 0.0) == (phases["template_misses"] > 0)
     cold = report["cold"]
     assert set(cold) == {"runs", "N", "stream", *COLD_TIMES}
     assert (cold["runs"], cold["N"], cold["stream"]) == (5, 10, 100)

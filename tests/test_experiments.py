@@ -154,6 +154,10 @@ def test_run_sweep_validation():
         run_sweep(spec, axis="eta")
     with pytest.raises(ValueError, match="sweep values need an axis"):
         run_sweep(spec, values=[1.0, 2.0])
+    # A repeated point would run twice but keep one entry in raw and failed.
+    for values in ([0.5, 0.5], [0.5, 0.6, 0.50], [0.0, -0.0]):
+        with pytest.raises(ValueError, match="sweep values must be distinct"):
+            run_sweep(spec, axis="eps", values=values)
     # A sweep without trials would report nothing as if it had passed.
     for trials in (0, -1):
         with pytest.raises(ValueError, match="num_trials must be positive"):
@@ -537,6 +541,8 @@ def test_cli_invalid_inputs_exit_2(files, tmp_path, capsys):
         (["--eps-range", "1", "--trials", "1"], "eps_range needs exactly two values lo,hi"),
         (["--axis", "eta", "--values", "0.5,x", "--trials", "1"], "bad numeric list '0.5,x'"),
         (["--values", "1,2", "--trials", "2"], "sweep values need an axis"),
+        (["--axis", "eta", "--values", "0.5,0.5", "--trials", "1"],
+         "sweep values must be distinct"),
     ):
         assert main(["sweep", *argv, "--out", str(out)]) == EXIT_INVALID, argv
         assert capsys.readouterr().err == f"error: {message}\n"

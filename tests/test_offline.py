@@ -900,6 +900,54 @@ def test_program_assembly_matches_dense_build(case, monkeypatch):
     assert np.max(np.abs(np.triu(H) - banded)) <= 1e-12 * np.max(np.abs(H))
 
 
+@pytest.mark.parametrize("case", _assembly_cases().values(), ids=_assembly_cases().keys())
+def test_band_map_sums_each_slot_in_stencil_order(case):
+    """Each band slot sums its terms, a weight row times a coefficient
+    product, in the order of a plain loop over ``_FAMILIES``: family by
+    family, term pair by term pair in stencil order, epoch by epoch, and
+    the unit pins of the placeholder burst parts last.  That order fixes
+    the band's bits."""
+    from itertools import combinations_with_replacement
+
+    from ehsched import offline
+
+    eff, *rest = case
+    inst = _make_instance(eff, None, *rest)
+    vm = offline._ValueModel(inst)
+    prog = offline._Program(inst, vm)
+    N, width = inst.timeline.N, offline._BAND + 1
+    split = (vm.c1 < vm.cmax) & (vm.c1 > 0.0)
+
+    def value(coef, i):
+        named = {"eta": inst.eta, "-eta": -inst.eta, "-split": -1.0 if split[i] else -0.0}
+        return named[coef] if isinstance(coef, str) else coef
+
+    def slot(r, c):
+        # Upper-triangle entry (r, c), r <= c, in LAPACK's band storage.
+        return c * width + offline._BAND + r - c
+
+    want, row = {}, 0
+    for on_split, terms in offline._FAMILIES.values():
+        epochs = np.flatnonzero(split) if on_split else np.arange(N)
+        for a, b in combinations_with_replacement(terms, 2):
+            for r, i in enumerate(epochs.tolist(), start=row):
+                if min(i + a[0], i + b[0]) < 0:
+                    continue
+                ca, cb = (4 * (i + t[0]) + t[1] for t in (a, b))
+                term = (r, (value(a[2], i) * value(b[2], i)).hex())
+                want.setdefault(slot(min(ca, cb), max(ca, cb)), []).append(term)
+        row += epochs.size
+    for i in np.flatnonzero(~split).tolist():
+        want.setdefault(slot(4 * i + _A, 4 * i + _A), []).append((row, (1.0).hex()))
+
+    coef, rows, ptr, (slots, weights) = prog.band
+    assert (slots, weights) == (width * prog.n, row + 1)
+    for s in range(slots):
+        got = list(zip(rows[ptr[s] : ptr[s + 1]].tolist(),
+                       [v.hex() for v in coef[ptr[s] : ptr[s + 1]].tolist()]))
+        assert got == want.get(s, []), s
+
+
 def _program_arrays(prog):
     """Every array a Newton step reads from a ``_Program``, by name."""
     out = {"u": prog.u, "lin": prog.lin, "burst": prog.burst}
@@ -1103,7 +1151,8 @@ def _three_query_objective(prog, x):
     value = np.where(prog.curved, value, prog.slope0 * q)
     slope = np.where(prog.curved, ws.level_at_power_vec(p)[0] - prog.curv0 * qn, prog.slope0)
     kappa = np.where(prog.curved, prog.escale**2 / prog.fscale * curv, 0.0)
-    F = math.fsum(value) + prog.escale * float(vm.r0[prog.split] @ x[4 * prog.split + _A])
+    sp = np.flatnonzero(prog.curved & (vm.c1 > 0.0))
+    F = math.fsum(value) + prog.escale * float(vm.r0[sp] @ x[4 * sp + _A])
     grad = (prog.escale / prog.fscale) * (_scipy(prog.Q).T @ slope) + prog.lin
     return F / prog.fscale, grad, slope, kappa
 
