@@ -30,7 +30,9 @@ writes ``BENCH_<label>.json`` with five parts:
   at 2000 and 10^4 epochs on the same generator: the median wall time,
   microseconds per epoch, the throughput, the share of the harvested
   energy the policy discarded (``discarded_frac``) and the
-  ``tracemalloc`` peak.
+  ``tracemalloc`` peak; a burst cell also records ``p_o_us``, the median
+  microseconds of one ``WaterSystem.efficient_power`` call over the
+  cell's circuit powers (``P_O_CALLS`` calls).
 * ``phases``: mean per-solve times of the solver's phases (value model,
   program assembly, Newton loop, reconstruction, certificate, audit) over
   an efficiency sweep shaped like acceptance gate 06 (5 J mean packets,
@@ -97,6 +99,7 @@ from ehsched.channels import decompose_zf_dpc, generate_channels  # noqa: E402
 from ehsched.energy import FeasibilityReport  # noqa: E402
 from ehsched.experiments import ExperimentSpec, run_sweep  # noqa: E402
 from ehsched.online import run_online  # noqa: E402
+from ehsched.waterfill import WaterSystem  # noqa: E402
 
 STREAMS = (100, 101)
 MODELS = ("ideal", "circuit", "general")
@@ -107,6 +110,8 @@ EPS_RANGE = (0.0, 2.0)
 #: Epoch counts and per-epoch circuit-power range of the online cells.
 ONLINE_SIZES = (2000, 10_000)
 ONLINE_EPS_RANGE = (0.5, 1.5)
+#: Timed ``efficient_power`` calls per burst cell.
+P_O_CALLS = 21
 ETAS = (0.2, 0.4, 0.6, 0.8, 1.0)
 #: Mean packet energy and default trials per eta of the ``phases`` sweep.
 PHASE_E_AVG = 5.0
@@ -299,6 +304,10 @@ def online_cell(policy: str, stream: int, n: int, repeats: int, budget: float,
         discarded_frac=float(runs[-1].discarded.sum()) / timeline.total_energy(),
         peak_mem_mb=peak_mib(run),
     )
+    if eps is not None:
+        ws = WaterSystem.shared(eff)
+        p_o = timed_runs(lambda: ws.efficient_power(eps), P_O_CALLS, budget)
+        cell["p_o_us"] = 1e6 * statistics.median(p_o)
     return cell
 
 

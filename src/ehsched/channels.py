@@ -77,6 +77,9 @@ class EffectiveChannels:
     lam: tuple[np.ndarray, ...]
     X: tuple[np.ndarray, ...]
     gammas: np.ndarray = field(repr=False)
+    #: The water-filling systems built for these channels, one per weight
+    #: vector (``WaterSystem.shared``).
+    _systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_users(self) -> int:

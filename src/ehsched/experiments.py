@@ -234,8 +234,13 @@ def run_sweep(
     if spec.eps_range is not None:
         if len(spec.eps_range) != 2:
             raise ValueError("eps_range needs exactly two values lo,hi")
-        if not spec.eps_range[0] <= spec.eps_range[1]:
+        lo, hi = spec.eps_range
+        if not lo <= hi:
             raise ValueError("eps_range needs lo <= hi")
+        # Circuit powers are nonnegative and finite, and so is the width of
+        # the range they are drawn from.
+        if not (lo >= 0.0 and math.isfinite(hi)):
+            raise ValueError("eps_range needs lo >= 0 and a finite hi")
     if axis is None:
         if values is not None:
             raise ValueError("sweep values need an axis")

@@ -86,6 +86,9 @@ __all__ = [
 #: a circuit power, where the storage constraints hold without their drain
 #: (an epoch carrying less than a microsecond of airtime is numerical noise).
 TAU_SNAP = 1e-6
+#: A schedule that fails the audit is audited once more with its windows
+#: this much shorter (16 ulp), so that rounding alone never fails it.
+TAU_SHAVE = 1.0 - 2.0**-48
 
 
 class SolverError(RuntimeError):
@@ -208,7 +211,7 @@ class _ValueModel:
     window recovery."""
 
     def __init__(self, inst: OfflineInstance):
-        self.ws = WaterSystem(inst.eff, inst.weights)
+        self.ws = WaterSystem.shared(inst.eff, inst.weights)
         self.l = inst.timeline.l.copy()
         self.eps = inst.eps
         self.p_thr = np.minimum(self.ws.efficient_power(self.eps), inst.p_peak)
@@ -1004,17 +1007,32 @@ class OfflineSolution:
         return self.schedule.objective
 
 
+def _audit(inst: OfflineInstance, sched: Schedule) -> FeasibilityReport:
+    audit = check_feasibility(inst.timeline, sched.split, sched, inst.storage(), inst.p_peak)
+    # Offline, every arrival is routed whole: the other side of the split.
+    unrouted = sched.split.sc + sched.split.b - inst.timeline.E
+    return FeasibilityReport({**audit.slacks, "arrival_unrouted": unrouted})
+
+
 def _solve(inst: OfflineInstance) -> OfflineSolution:
     vm = _ValueModel(inst)
     prog = _Program(inst, vm)
     it = _interior_point(prog)
     sched = _reconstruct(inst, vm, it.s, it.b, it.e)
-    audit = check_feasibility(inst.timeline, sched.split, sched, inst.storage(), inst.p_peak)
-    # Offline, every arrival is routed whole: the other side of the split.
-    unrouted = sched.split.sc + sched.split.b - inst.timeline.E
-    feas = FeasibilityReport({**audit.slacks, "arrival_unrouted": unrouted})
+    feas = _audit(inst, sched)
     if not feas.feasible:
-        raise SolverError(f"infeasible schedule ({feas.worst()})")
+        # The audit recomputes each drain as (p + eps) * tau, which meets a
+        # tight storage row only to rounding, and near 1e9 J one ulp of a
+        # cumulative drain is 1.2e-7 J, past FEAS_TOL.  Shorter windows
+        # drain both buffers a little less.
+        retry = Schedule.assemble(
+            sched.tau * TAU_SHAVE, sched.power, sched.p_sc, sched.p_b, sched.eps_sc,
+            sched.eps_b, sched.split, vm.ws,
+        )
+        retry_feas = _audit(inst, retry)
+        if not retry_feas.feasible:
+            raise SolverError(f"infeasible schedule ({feas.worst()})")
+        sched, feas = retry, retry_feas
     cert = _certificate(inst, sched, vm, it, feas)
     return OfflineSolution(
         schedule=sched,

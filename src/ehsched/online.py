@@ -15,18 +15,19 @@ neither buffer is lost.  Two transmission rules are provided:
   buffered for later epochs.
 
 :func:`run_online` drives either rule across a timeline and returns the
-realized schedule plus a cumulative-throughput trace.  Its loop keeps the
-two storage levels as plain floats and applies the routing, the rule and
-:class:`HybridStorage`'s deposit and drain to them.  The test suite's
-per-epoch reference (``tests/reference_online.py``) writes the same
-rules out as one call per epoch on a :class:`HybridStorage`; the loop
-uses the same float operations in the same order, so a run equals the
-epoch-by-epoch loop over those functions bit for bit.  Each epoch stores
-the six values that depend on the storage levels (the two deposits, the
-window and its power, the super-capacitor drain and the consumption)
-into a per-run table of six contiguous columns, one ``memoryview`` per
-column; the discards and the per-buffer powers follow from those columns
-after the loop, with the same float operations.  The columns become a
+realized schedule plus a cumulative-throughput trace.  Each rule has its
+own loop, which keeps the two storage levels as plain floats and applies
+the routing, the rule and :class:`HybridStorage`'s deposit and drain to
+them.  The test suite's per-epoch reference (``tests/reference_online.py``)
+writes the same rules out as one call per epoch on a
+:class:`HybridStorage`; the loops use the same float operations in the
+same order, so a run equals the epoch-by-epoch loop over those functions
+bit for bit.  Each epoch stores the values that depend on the storage
+levels (the two deposits, the power, the super-capacitor drain and, for
+the burst rule, the window) into a per-run table of six contiguous
+columns, one ``memoryview`` per column; the consumption, the discards and
+the per-buffer powers follow from those columns after the loop, with the
+same float operations.  The columns become a
 :class:`~ehsched.offline.Schedule` through ``Schedule.assemble``, the
 assembly the offline solvers use.  The trace holds the exact prefix sums
 of that schedule's ``tau * rate``, each correctly rounded once, so its
@@ -139,90 +140,12 @@ def run_online(
     """
     N = timeline.N
     eps_arr = check_powers(p_peak, eps, N)
-    ws = WaterSystem(eff, weights)
-    sc_cap, b_cap, eta = storage.sc_cap, storage.b_cap, storage.eta
-    level_sc, level_b = storage.level_sc, storage.level_b
-    sc_limit, b_limit = sc_cap + FEAS_TOL, b_cap + FEAS_TOL
-    burst = eps_arr is not None
-    # Memoryviews index to Python floats without copying the arrays.
-    if burst:
-        p_o, circuit = memoryview(ws.efficient_power(eps_arr)), memoryview(eps_arr)
-    else:  # even spreading drains with no circuit power
-        p_o, circuit = repeat(0.0), repeat(0.0)
-    epochs = zip(
-        memoryview(timeline.E), memoryview(timeline.l),
-        memoryview(timeline.T - timeline.t), p_o, circuit,
-    )
-
-    # The reference's split_arrival, HybridStorage.deposit, the policy
-    # (with the burst rule's _burst_window), _split_drains and
-    # HybridStorage.drain, inlined with their guards: each ``y if y < x
-    # else x`` is ``min(x, y)`` and each ``y if y > x else x`` is ``max(x,
-    # y)``, operand for operand, without the builtin's call.  The loop
-    # stores only the six values that depend on the storage levels (the
-    # deposits, the window and its power, the SC drain and the
-    # consumption), one contiguous column each, through memoryviews.
+    ws = WaterSystem.shared(eff, weights)
     table = np.empty((6, N))
-    c_sc, c_b, c_tau, c_power, c_d_sc, c_consumed = map(memoryview, table)
-    for i, (amount, length, remaining, p_o_i, eps_i) in enumerate(epochs):
-        if not (0.0 <= amount < math.inf):
-            raise ValueError("arrival amount must be nonnegative and finite")
-        head = sc_cap - level_sc
-        head = head if head > 0.0 else 0.0
-        sc = head if head < amount else amount
-        rest = amount - sc
-        head = (b_cap - level_b) / eta
-        head = head if head > 0.0 else 0.0
-        b = head if head < rest else rest
-        if not (sc >= 0.0 and b >= 0.0):
-            raise ValueError("deposits must be non-negative")
-        if level_sc + sc > sc_limit:
-            raise ValueError("SC deposit exceeds capacity headroom")
-        if level_b + eta * b > b_limit:
-            raise ValueError("battery deposit exceeds capacity headroom")
-        level_sc += sc
-        level_b += eta * b
-
-        e_tol = level_sc + level_b
-        if not burst:
-            tau, power = length, e_tol / remaining
-            power = power if power < p_peak else p_peak
-        elif e_tol <= 1e-15:
-            tau = power = 0.0
-        else:
-            if p_o_i < p_peak:
-                if e_tol < length * (p_o_i + eps_i):
-                    power = p_o_i
-                elif e_tol > length * (p_peak + eps_i):
-                    power = p_peak
-                else:
-                    power = e_tol / length - eps_i
-            else:
-                power = p_peak
-            tau = e_tol / (power + eps_i)
-            tau = tau if tau < length else length
-
-        consumed = tau * (power + eps_i)
-        if consumed <= 0.0:
-            d_sc = d_b = 0.0
-        else:
-            d_sc = consumed if consumed < level_sc else level_sc
-            d_b = consumed - d_sc
-            d_b = d_b if d_b < level_b else level_b
-        if not (d_sc >= -FEAS_TOL and d_b >= -FEAS_TOL):
-            raise ValueError("drains must be non-negative")
-        if d_sc > level_sc + FEAS_TOL or d_b > level_b + FEAS_TOL:
-            raise ValueError("drain exceeds stored energy")
-        level_sc -= d_sc
-        level_sc = level_sc if level_sc > 0.0 else 0.0
-        level_b -= d_b
-        level_b = level_b if level_b > 0.0 else 0.0
-        c_sc[i] = sc
-        c_b[i] = b
-        c_tau[i] = tau
-        c_power[i] = power
-        c_d_sc[i] = d_sc
-        c_consumed[i] = consumed
+    if eps_arr is None:
+        _spread_evenly(timeline, storage, p_peak, table)
+    else:
+        _burst(timeline, storage, p_peak, eps_arr, ws.efficient_power(eps_arr), table)
 
     # The discards and the per-buffer shares of _split_drains, with the
     # loop's float operations in its order, over whole columns: frac =
@@ -235,7 +158,7 @@ def run_online(
     idle = consumed <= 0.0
     np.divide(frac, consumed, out=frac, where=~idle)  # d_sc is 0.0 where idle
     rest = np.subtract(1.0, frac, out=consumed)
-    eps_col = eps_arr if burst else 0.0
+    eps_col = 0.0 if eps_arr is None else eps_arr
     eps_sc, eps_b = eps_col * frac, eps_col * rest
     p_sc = np.multiply(power, frac, out=frac)
     p_b = np.multiply(power, rest, out=rest)
@@ -249,3 +172,143 @@ def run_online(
     trace[1:, 0] = timeline.t + timeline.l
     trace[1:, 1] = _exact_prefix_sums(tau * sched.rate)
     return OnlineResult(schedule=sched, trace=trace, discarded=discarded)
+
+
+# The two loops inline the reference's split_arrival, HybridStorage.deposit,
+# the policy (policy_ideal, or policy_circuit with its _burst_window),
+# _split_drains and HybridStorage.drain, with their guards: each ``y if y <
+# x else x`` is ``min(x, y)`` and each ``y if y > x else x`` is ``max(x,
+# y)``, operand for operand, without the builtin's call.  Memoryviews index
+# the input arrays to Python floats, and store into the rows of ``table``,
+# without copies.
+
+
+def _spread_evenly(timeline: EpochTimeline, storage: HybridStorage, p_peak: float, table):
+    """Even spreading: each epoch radiates the drainable energy over the
+    time left, clipped at the peak, for the whole epoch.  With no circuit
+    power the reference's ``tau * (power + 0.0)`` is ``length * power``
+    (power is never -0.0): every window is the whole epoch, and the
+    consumption column is taken after the loop."""
+    sc_cap, b_cap, eta = storage.sc_cap, storage.b_cap, storage.eta
+    level_sc, level_b = storage.level_sc, storage.level_b
+    sc_limit, b_limit = sc_cap + FEAS_TOL, b_cap + FEAS_TOL
+    inf, tol, neg_tol = math.inf, FEAS_TOL, -FEAS_TOL
+    c_sc, c_b, _, c_power, c_d_sc, _ = map(memoryview, table)
+    epochs = zip(
+        memoryview(timeline.E), memoryview(timeline.l), memoryview(timeline.T - timeline.t)
+    )
+    for i, (amount, length, remaining) in enumerate(epochs):
+        if not (0.0 <= amount < inf):
+            raise ValueError("arrival amount must be nonnegative and finite")
+        head = sc_cap - level_sc
+        head = head if head > 0.0 else 0.0
+        sc = head if head < amount else amount
+        rest = amount - sc
+        head = (b_cap - level_b) / eta
+        head = head if head > 0.0 else 0.0
+        b = head if head < rest else rest
+        if not (sc >= 0.0 and b >= 0.0):
+            raise ValueError("deposits must be non-negative")
+        level_sc += sc
+        if level_sc > sc_limit:
+            raise ValueError("SC deposit exceeds capacity headroom")
+        level_b += eta * b
+        if level_b > b_limit:
+            raise ValueError("battery deposit exceeds capacity headroom")
+
+        power = (level_sc + level_b) / remaining
+        power = power if power < p_peak else p_peak
+        consumed = length * power
+
+        if consumed <= 0.0:
+            d_sc = d_b = 0.0
+        else:
+            d_sc = consumed if consumed < level_sc else level_sc
+            d_b = consumed - d_sc
+            d_b = d_b if d_b < level_b else level_b
+        if not (d_sc >= neg_tol and d_b >= neg_tol):
+            raise ValueError("drains must be non-negative")
+        if d_sc > level_sc + tol or d_b > level_b + tol:
+            raise ValueError("drain exceeds stored energy")
+        level_sc -= d_sc
+        level_sc = level_sc if level_sc > 0.0 else 0.0
+        level_b -= d_b
+        level_b = level_b if level_b > 0.0 else 0.0
+        c_sc[i] = sc
+        c_b[i] = b
+        c_power[i] = power
+        c_d_sc[i] = d_sc
+    table[2] = timeline.l
+    np.multiply(timeline.l, table[3], out=table[5])
+
+
+def _burst(timeline: EpochTimeline, storage: HybridStorage, p_peak: float, eps, p_o, table):
+    """The burst rule with the epoch as the window: burn at p_o while the
+    buffers hold less than the epoch carries at p_o, at the peak when they
+    hold more than it carries at the peak, and spread the whole epoch in
+    between.  The consumption column ``tau * (power + eps)`` is taken
+    after the loop, with the reference's float operations."""
+    sc_cap, b_cap, eta = storage.sc_cap, storage.b_cap, storage.eta
+    level_sc, level_b = storage.level_sc, storage.level_b
+    sc_limit, b_limit = sc_cap + FEAS_TOL, b_cap + FEAS_TOL
+    inf, tol, neg_tol = math.inf, FEAS_TOL, -FEAS_TOL
+    c_sc, c_b, c_tau, c_power, c_d_sc, _ = map(memoryview, table)
+    epochs = zip(memoryview(timeline.E), memoryview(timeline.l), memoryview(eps), memoryview(p_o))
+    for i, (amount, length, eps_i, p_o_i) in enumerate(epochs):
+        if not (0.0 <= amount < inf):
+            raise ValueError("arrival amount must be nonnegative and finite")
+        head = sc_cap - level_sc
+        head = head if head > 0.0 else 0.0
+        sc = head if head < amount else amount
+        rest = amount - sc
+        head = (b_cap - level_b) / eta
+        head = head if head > 0.0 else 0.0
+        b = head if head < rest else rest
+        if not (sc >= 0.0 and b >= 0.0):
+            raise ValueError("deposits must be non-negative")
+        level_sc += sc
+        if level_sc > sc_limit:
+            raise ValueError("SC deposit exceeds capacity headroom")
+        level_b += eta * b
+        if level_b > b_limit:
+            raise ValueError("battery deposit exceeds capacity headroom")
+
+        e_tol = level_sc + level_b
+        if e_tol <= 1e-15:
+            # tau * (power + eps) with tau = power = 0 and eps finite
+            tau = power = consumed = 0.0
+        else:
+            if p_o_i < p_peak:
+                if e_tol < length * (p_o_i + eps_i):
+                    power = p_o_i
+                elif e_tol > length * (p_peak + eps_i):
+                    power = p_peak
+                else:
+                    power = e_tol / length - eps_i
+            else:
+                power = p_peak
+            burn = power + eps_i
+            tau = e_tol / burn
+            tau = tau if tau < length else length
+            consumed = tau * burn
+
+        if consumed <= 0.0:
+            d_sc = d_b = 0.0
+        else:
+            d_sc = consumed if consumed < level_sc else level_sc
+            d_b = consumed - d_sc
+            d_b = d_b if d_b < level_b else level_b
+        if not (d_sc >= neg_tol and d_b >= neg_tol):
+            raise ValueError("drains must be non-negative")
+        if d_sc > level_sc + tol or d_b > level_b + tol:
+            raise ValueError("drain exceeds stored energy")
+        level_sc -= d_sc
+        level_sc = level_sc if level_sc > 0.0 else 0.0
+        level_b -= d_b
+        level_b = level_b if level_b > 0.0 else 0.0
+        c_sc[i] = sc
+        c_b[i] = b
+        c_tau[i] = tau
+        c_power[i] = power
+        c_d_sc[i] = d_sc
+    np.multiply(table[2], np.add(table[3], eps, out=table[5]), out=table[5])

@@ -12,13 +12,25 @@ not depend on the energies at all.
 p_o is exact.  On each water-filling segment W(p) = S - G ln G +
 G ln(p + C) (see :mod:`ehsched.waterfill`), so the stationarity condition
 W'(p)(p + eps) = W(p) becomes ln u + a/u = k with u = p + C,
-a = C - eps and k = 1 + ln G - S/G.  Writing u = -a/z turns it into
-z e^z = -a e^{-k}, so u = -a / W0(-a e^{-k}) with the principal Lambert-W
-branch (Corless et al., Adv. Comput. Math. 5, 1996), or u = e^k when
-a = 0; the other real branch gives u < a, i.e. p < -eps.  Which segment
-holds p_o is exact too: g(p) = W'(p)(p + eps) - W(p) starts at
-eps*W'(0) > 0 and falls with p, and the ratio rises exactly while g > 0,
-so p_o lies on the segment after the last breakpoint where g > 0.
+a = C - eps and k = 1 + ln G - S/G.  In t = p/C and r = eps/C it reads
+
+    (1 + t)(ln(1 + t) - d) - t = r,    d = k - 1 - ln C <= 0,
+
+and on the segment that starts at p = 0, where W(0) = 0 makes d = 0,
+(1 + t) ln(1 + t) - t = r.  :meth:`~ehsched.waterfill.WaterSystem.efficient_power`
+solves it with two Halley steps from a close guess, or for small r by the
+series t = s + s^2/6 - s^3/72 + ... in s = sqrt(2r), so p_o/sqrt(eps)
+tends to sqrt(2C) as eps -> 0.  Which segment holds p_o is exact too:
+g(p) = W'(p)(p + eps) - W(p) starts at eps*W'(0) > 0 and falls with p,
+and the ratio rises exactly while g > 0, so p_o lies on the segment after
+the last breakpoint where g > 0.
+
+Writing u = -a/z turns the condition into z e^z = -a e^{-k}, so
+u = -a / W0(-a e^{-k}) with the principal Lambert-W branch (Corless et
+al., Adv. Comput. Math. 5, 1996).  The test suite checks the root against
+this closed form (``tests/oracle.py``) where eps/C is not small; as eps
+falls to 0 its argument nears the branch point -1/e, and the rounding of
+k swamps the distance to it.
 
 The budget and window then select one of three regimes:
 
@@ -51,4 +63,4 @@ def solve_p_o(eff: EffectiveChannels, weights, eps):
     (the ratio W(p)/p is then decreasing).
     """
     eps = check_powers(eps=np.asarray(eps, dtype=float))
-    return WaterSystem(eff, weights).efficient_power(eps)
+    return WaterSystem.shared(eff, weights).efficient_power(eps)

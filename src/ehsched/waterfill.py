@@ -27,14 +27,27 @@ import numpy as np
 
 from .channels import CovarianceSet, EffectiveChannels, resolve_weights
 
+#: Coefficients b_k of t = sum_k b_k s^k, the series reversion of
+#: (1 + t) ln(1 + t) - t = s^2/2 (exact rationals).  It converges for
+#: s < sqrt(2); below s = _SERIES_S these twelve terms are exact to
+#: rounding (the first omitted one is under 1e-17 of t).
+_SERIES = (
+    1.0, 1 / 6, -1 / 72, 1 / 270, -23 / 17280, 19 / 34020, -11237 / 43545600, 13 / 102060,
+    -2482411 / 37623398400, 53741 / 1515591000, -272785979 / 13905608048640,
+    51173 / 4605822000,
+)
+_SERIES_S = 0.1
+
 
 class WaterSystem:
     """Flattened eigenmodes with prefix sums for exact O(log modes) queries:
     thresholds ``thr`` in decreasing order, the sums G, C, S of the first m
-    modes in ``cg[m]``, ``cil[m]``, ``cgl[m]``, and the ``breaks``."""
+    modes in ``cg[m]``, ``cil[m]``, ``cgl[m]``, and the ``breaks``.  The
+    tables are read-only, so one system can serve every caller of the
+    same channels and weights (:meth:`shared`)."""
 
     def __init__(self, eff: EffectiveChannels, weights=None):
-        w = resolve_weights(eff, weights)
+        w = np.array(resolve_weights(eff, weights))
         self.eff = eff
         self.weights = w
         gamma = np.repeat(w, [lam.size for lam in eff.lam])
@@ -50,6 +63,32 @@ class WaterSystem:
         self.level_max = float(thr[0])
         # A power p runs the first searchsorted(breaks, p) + 1 modes.
         self.breaks = self.cg[1:-1] / thr[1:] - self.cil[1:-1]
+        # For efficient_power, per segment j = m - 1 (the first m modes
+        # active): its power bracket [_lo[j], _hi[j]], its C and its d
+        # (zero on a segment that starts at p = 0) with expm1(-d).  p_o
+        # passes breakpoint j where eps exceeds _eps_at_breaks[j], where
+        # W'(p)(p + eps) = W(p) at the breakpoint.
+        bounds = np.concatenate(([0.0], self.breaks, [math.inf]))
+        self._lo, self._hi, self._C = bounds[:-1], bounds[1:], self.cil[1:]
+        rate_at_breaks = self.cgl[1:-1] - self.cg[1:-1] * np.log(thr[1:])
+        self._eps_at_breaks = np.maximum.accumulate(rate_at_breaks / thr[1:] - self.breaks)
+        d = np.log(self.cg[1:] / self._C) - self.cgl[1:] / self.cg[1:]
+        d[self._lo <= 0.0] = 0.0
+        self._d, self._expm1_neg_d = d, np.expm1(-d)
+        for table in (w, self.thr, self.cg, self.cil, self.cgl, self.breaks, self._lo, self._hi,
+                      self._C, self._eps_at_breaks, self._d, self._expm1_neg_d):
+            table.flags.writeable = False
+
+    @classmethod
+    def shared(cls, eff: EffectiveChannels, weights=None) -> "WaterSystem":
+        """The system of ``eff`` and ``weights``, built on first use and
+        kept on ``eff``: every later call with the same channel object
+        and weight values returns the same system."""
+        key = resolve_weights(eff, weights).tobytes()
+        ws = eff._systems.get(key)
+        if ws is None:
+            ws = eff._systems[key] = cls(eff, weights)
+        return ws
 
     def level_at_power_vec(self, power) -> tuple[np.ndarray, np.ndarray]:
         """Exact water level and active mode count at each sum power of an
@@ -91,41 +130,65 @@ class WaterSystem:
         for each circuit power of an array (a scalar for a scalar eps).
 
         The segment after the last breakpoint where W'(p)(p + eps) > W(p)
-        holds p_o, at u = p + C = -a / W0(-a e^{-k}) with a = C - eps and
-        k = 1 + ln G - S/G, or u = e^k when a = 0 (derivation in
-        :mod:`ehsched.single_epoch`).  eps = 0 gives 0, where W(p)/p is
-        largest.  Where every eps is 0 no root is taken, so
-        ``scipy.special`` loads at the first call with a circuit power.
+        holds p_o (one ``searchsorted`` in ``_eps_at_breaks``).  With
+        t = p/C, r = eps/C and d = ln(G/C) - S/G on that segment (d <= 0,
+        and d = 0 where the segment starts at p = 0, since W(0) = 0), the
+        stationarity condition of :mod:`ehsched.single_epoch` reads
 
-        Known defect (ROADMAP's defect (i)): p_o loses precision as eps
-        falls to 0, where x nears the branch point -1/e and the root
-        cancels.  p_o / sqrt(eps) should tend to a constant (0.8736 for
-        ``generate_channels(2, [UserConfig(1)] * 2, seed=42)``); it reads
-        0.8734 at eps = 1e-13, 0.862 at 1e-15 and 0.733 at 1e-16, and from
-        1e-17 down x rounds below -1/e and p_o is exactly 0.
+            F(t) = (1 + t)(ln(1 + t) - d) - t - r = 0,
+
+        with F increasing and convex in t; on the first segment it is
+        (1 + t) ln(1 + t) - t = r.  Two Halley steps on F, from a guess
+        within 1% (w = ln(1 + t) - d solves e^w (w - 1) + 1 = rho, guessed
+        by a Pade form of its branch-point series below rho = 0.7 and by
+        Winitzki's approximation above), reach the root to a few ulp of
+        p + C; the result is clamped into the segment's bracket, which
+        also catches a NaN step.  Where p_o lies on the first segment with
+        s = sqrt(2r) < 0.1, the series t = s + s^2/6 - s^3/72 + ... gives
+        it instead, exact to rounding: p_o/sqrt(eps) tends to sqrt(2C) as
+        eps -> 0, every eps > 0 gives p_o > 0, and eps = 0 gives 0, where
+        W(p)/p is largest.
         """
         eps = np.asarray(eps, dtype=float)
-        if np.all(eps == 0.0):
+        if not eps.any():
             return np.zeros_like(eps)[()]
-        from scipy.special import lambertw
-
-        thr = self.thr[1:-1]
-        # g > 0 at breakpoint j while the ratio still rises there.
-        g = thr * (self.breaks + eps[..., None]) - self.cgl[1:-1] + self.cg[1:-1] * np.log(thr)
-        m = 1 + np.sum(np.logical_and.accumulate(g > 0.0, axis=-1), axis=-1)
-        G, C, S = self.cg[m], self.cil[m], self.cgl[m]
-        a = C - eps
-        k = 1.0 + np.log(G) - S / G
-        x = -a * np.exp(-k)
-        # Rounding can push x to or below the branch point -1/e, where
-        # W0 = -1 (and scipy returns NaN at -1/e itself).
-        above = x > -1.0 / math.e
+        shape, eps = eps.shape, eps.reshape(-1)
+        j = self._eps_at_breaks.searchsorted(eps)
+        C, d = self._C[j], self._d[j]
+        r = eps / C
         with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.where(above, -a / lambertw(np.where(above, x, 0.0)).real, a)
-        u = np.where(a == 0.0, np.exp(k), u)
-        bounds = np.concatenate(([0.0], self.breaks, [math.inf]))
-        p_o = np.minimum(np.maximum(u - C, bounds[m - 1]), bounds[m])
-        return np.where(eps == 0.0, 0.0, p_o)[()]
+            # w = ln(1 + t) - d solves e^w (w - 1) + 1 = rho: a Pade form
+            # of its branch-point series, or Winitzki's approximation.
+            rho = r - (1.0 - r) * self._expm1_neg_d[j]
+            q = np.sqrt(2.0 * rho)
+            ln1 = np.log1p((rho - 1.0) / math.e)
+            w = np.where(
+                rho < 0.7,
+                q * (8.0 + q) / (8.0 + q * (11.0 / 3.0)),
+                1.0 + ln1 * (1.0 - np.log1p(ln1) / (2.0 + ln1)),
+            )
+            t = np.expm1(w + d)
+            for _ in range(2):
+                slope = np.log1p(t) - d  # F'(t); F''(t) = 1/(1 + t)
+                vs = (1.0 + t) * slope
+                step = (vs - t - r) / slope
+                t -= step / (1.0 - 0.5 * step / vs)
+        p_o = C * t
+        series_r = 0.5 * _SERIES_S**2  # s = sqrt(2r) < _SERIES_S
+        if r.min() < series_r:
+            small = (r < series_r) & (self._lo[j] <= 0.0)
+            # t = s * sum_k b_k s^(k-1) and p_o = C t, with C s computed
+            # without forming the tiny r; eps = 0 gives p_o = 0.
+            root2eps, rootC = np.sqrt(2.0 * eps[small]), np.sqrt(C[small])
+            s = root2eps / rootC
+            series = np.full_like(s, _SERIES[-1])
+            for b in _SERIES[-2::-1]:
+                series *= s
+                series += b
+            p_o[small] = root2eps * rootC * series
+        # Clamp into the segment's bracket; a NaN step falls back to it.
+        p_o = np.fmin(np.fmax(p_o, self._lo[j]), self._hi[j])
+        return p_o.reshape(shape)[()]
 
 
 def covariances_for_level(eff: EffectiveChannels, weights, levels) -> CovarianceSet:
@@ -159,7 +222,7 @@ def solve_budget(eff: EffectiveChannels, weights, budget: float) -> WaterLevelSo
     """Full water-filling solution (level, covariances, rate) for a budget."""
     if not (0.0 <= budget < math.inf):
         raise ValueError("budget must be nonnegative and finite")
-    sys = WaterSystem(eff, weights)
+    sys = WaterSystem.shared(eff, weights)
     power = float(budget)
     level, m = sys.level_at_power_vec(power)
     rate = sys.rate_at_level_vec(level, m)

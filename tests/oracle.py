@@ -1,6 +1,8 @@
 """Test oracles for the offline solver: brute-force optimum, structure
-verifier, energy-domain objective; and the water-filling level-to-power
-map that inverts :meth:`~ehsched.waterfill.WaterSystem.level_at_power_vec`.
+verifier, energy-domain objective; the water-filling level-to-power map
+that inverts :meth:`~ehsched.waterfill.WaterSystem.level_at_power_vec`;
+and the Lambert-W closed form of the efficiency-optimal power that
+:meth:`~ehsched.waterfill.WaterSystem.efficient_power` solves by a root.
 
 Kept in the test suite, apart from the production solver in
 :mod:`ehsched.offline`, whose solve path never calls them.  They read
@@ -30,6 +32,7 @@ __all__ = [
     "LemmaReport",
     "verify_structure",
     "power_at_level",
+    "efficient_power_lambertw",
 ]
 
 
@@ -40,6 +43,37 @@ def power_at_level(ws: WaterSystem, level: float) -> float:
         raise ValueError("water level must be positive")
     m = int(np.count_nonzero(ws.thr > level))
     return float(ws.cg[m] / level - ws.cil[m]) if m else 0.0
+
+
+def efficient_power_lambertw(ws: WaterSystem, eps):
+    """p_o in the Lambert-W closed form of :mod:`ehsched.single_epoch`.
+
+    On the segment that holds p_o (chosen as ``efficient_power`` chooses
+    it), u = p + C = -a / W0(-a e^{-k}) with a = C - eps and
+    k = 1 + ln G - S/G, or u = e^k when a = 0 (Corless et al., Adv.
+    Comput. Math. 5, 1996).  Accurate where eps/C is not small: as eps
+    falls to 0, x = -a e^{-k} nears the branch point -1/e and the
+    rounding of k swamps its distance to it (about 1e-16 of eps/C).
+    """
+    from scipy.special import lambertw
+
+    eps = np.asarray(eps, dtype=float)
+    thr = ws.thr[1:-1]
+    g = thr * (ws.breaks + eps[..., None]) - ws.cgl[1:-1] + ws.cg[1:-1] * np.log(thr)
+    m = 1 + np.sum(np.logical_and.accumulate(g > 0.0, axis=-1), axis=-1)
+    G, C, S = ws.cg[m], ws.cil[m], ws.cgl[m]
+    a = C - eps
+    k = 1.0 + np.log(G) - S / G
+    x = -a * np.exp(-k)
+    # Rounding can push x to or below the branch point -1/e, where
+    # W0 = -1 (and scipy returns NaN at -1/e itself).
+    above = x > -1.0 / math.e
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.where(above, -a / lambertw(np.where(above, x, 0.0)).real, a)
+    u = np.where(a == 0.0, np.exp(k), u)
+    bounds = np.concatenate(([0.0], ws.breaks, [math.inf]))
+    p_o = np.minimum(np.maximum(u - C, bounds[m - 1]), bounds[m])
+    return np.where(eps == 0.0, 0.0, p_o)[()]
 
 
 def _rate_table(modes: list[tuple[float, float]], pgrid: np.ndarray) -> np.ndarray:

@@ -51,9 +51,11 @@ def test_bench_report_schema(tmp_path):
     online = {(c["policy"], c["stream"], c["N"]): c for c in report["online"]}
     assert set(online) == {(p, s, n) for p in ("burst", "even") for s in (100, 101)
                            for n in (2000, 10_000)}
-    for (_, _, n), cell in online.items():
+    for (policy, _, n), cell in online.items():
         if n == 2000:
-            assert set(cell) == ONLINE_KEYS and cell["status"] == "ok", cell
+            burst = {"p_o_us"} if policy == "burst" else set()
+            assert set(cell) == ONLINE_KEYS | burst and cell["status"] == "ok", cell
+            assert all(cell[key] > 0.0 for key in burst), cell
             assert cell["runs"] == 1 and cell["throughput"] > 0.0
             assert cell["us_per_epoch"] == 1e6 * cell["median_s"] / n
             assert 0.0 <= cell["discarded_frac"] < 1.0

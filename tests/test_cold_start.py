@@ -1,6 +1,7 @@
 """What a fresh interpreter loads: ``import ehsched`` and the CLI calls that
 solve nothing load numpy only; scipy's kernels load at the first solve that
-calls them.  The package loads its library modules and no test reference."""
+calls them, and nothing loads ``scipy.special``.  The package loads its
+library modules and no test reference."""
 
 import json
 import os
@@ -77,12 +78,29 @@ def test_level_loads_no_scipy(tmp_path):
     assert fresh(CLI.format(args=args)) == (0, [], WITH_CLI)
 
 
+def test_p_o_and_simulate_load_no_scipy(tmp_path):
+    """The burst power and the causal simulator need numpy only."""
+    channels, scenario = tmp_path / "channels.json", tmp_path / "scenario.json"
+    channels.write_text(json.dumps(
+        channelset_to_json(generate_channels(2, [UserConfig(1)] * 2, seed=42))))
+    scenario.write_text(json.dumps(
+        {"T": 4.0, "arrivals": [[0.0, 3.0], [1.0, 2.0]], "sc_cap": 5.0, "b_cap": 100.0,
+         "eta": 0.5}))
+    problem = ["--channels", str(channels), "--scenario", str(scenario), "--p-peak", "4.0"]
+    for args in (["p-o", "--channels", str(channels), "--eps", "1e-20"],
+                 ["simulate", *problem, "--eps", "1.0", "--out", str(tmp_path / "trace.csv")]):
+        assert fresh(CLI.format(args=args)) == (0, [], WITH_CLI), args
+
+
 def test_ideal_solve_loads_lapack_but_not_special():
     _, loaded, _ = fresh(SOLVE + "solve_offline_ideal(*args)")
     assert "scipy.linalg" in loaded and "scipy.sparse" in loaded
     assert "scipy.special" not in loaded
 
 
-def test_circuit_solve_loads_lapack_and_special():
-    _, loaded, _ = fresh(SOLVE + "solve_offline_circuit(*args, 1.0)")
-    assert "scipy.linalg" in loaded and "scipy.special" in loaded
+def test_circuit_solve_and_burst_run_load_lapack_but_not_special():
+    # p_o is a root of the stationarity condition, not scipy's Lambert W.
+    source = SOLVE + "solve_offline_circuit(*args, 1.0)\nehsched.run_online(*args, eps=1.0)"
+    _, loaded, _ = fresh("import ehsched\n" + source)
+    assert "scipy.linalg" in loaded and "scipy.sparse" in loaded
+    assert "scipy.special" not in loaded

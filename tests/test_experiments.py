@@ -109,6 +109,27 @@ def test_run_trial_decomposes_its_channel_once(pin, monkeypatch):
     assert len(calls) == 1 and calls[0] is out.channels
 
 
+@pytest.mark.parametrize(
+    "modes, eps_range",
+    [(("ideal", "circuit"), None), (("ideal", "circuit"), (0.2, 0.8)), (("circuit",), None)],
+    ids=["both", "both-eps-range", "circuit"],
+)
+def test_run_trial_builds_one_water_system(modes, eps_range, monkeypatch):
+    """Both offline solves and both online runs of a trial share the
+    water-filling system of its channels: one build per trial, not four."""
+    from ehsched.waterfill import WaterSystem
+
+    builds = []
+    init = WaterSystem.__init__
+    monkeypatch.setattr(
+        WaterSystem, "__init__", lambda ws, *args: builds.append(args) or init(ws, *args)
+    )
+    spec = ExperimentSpec(eps_range=eps_range, **_FAST)
+    for k in range(3):
+        run_trial(spec, k, modes)
+    assert len(builds) == 3
+
+
 def test_run_trial_eps_range_draws_per_epoch():
     spec = ExperimentSpec(eps_range=(0.2, 0.8), **_FAST)
     out = run_trial(spec, 1, modes=("circuit",))
@@ -164,6 +185,10 @@ def test_run_sweep_validation():
             run_sweep(replace(spec, num_trials=trials), axis="eta", values=[0.5])
     with pytest.raises(ValueError, match=r"eps_range needs lo <= hi"):
         run_sweep(replace(spec, eps_range=(1.5, 0.5)))
+    # An infinite hi once overflowed numpy's uniform draw.
+    for eps_range in ((-0.5, 1.0), (0.0, math.inf), (-math.inf, math.inf)):
+        with pytest.raises(ValueError, match=r"eps_range needs lo >= 0 and a finite hi"):
+            run_sweep(replace(spec, eps_range=eps_range))
 
 
 def test_run_sweep_drops_unconverged_trials(overdrawn_schedules):
@@ -539,6 +564,8 @@ def test_cli_invalid_inputs_exit_2(files, tmp_path, capsys):
         (["--axis", "eta", "--values", "0.5", "--trials", "-1"], "num_trials must be positive"),
         (["--eps-range", "1.5,0.5", "--trials", "1"], "eps_range needs lo <= hi"),
         (["--eps-range", "1", "--trials", "1"], "eps_range needs exactly two values lo,hi"),
+        (["--eps-range=0,inf", "--trials", "1"], "eps_range needs lo >= 0 and a finite hi"),
+        (["--eps-range=-1,1", "--trials", "1"], "eps_range needs lo >= 0 and a finite hi"),
         (["--axis", "eta", "--values", "0.5,x", "--trials", "1"], "bad numeric list '0.5,x'"),
         (["--values", "1,2", "--trials", "2"], "sweep values need an axis"),
         (["--axis", "eta", "--values", "0.5,0.5", "--trials", "1"],

@@ -289,6 +289,42 @@ def test_large_energy_scale_warns_nothing(circuit):
     assert sol.converged
 
 
+@pytest.mark.parametrize("circuit", [False, True], ids=["ideal", "circuit"])
+def test_rounding_overdraw_is_shaved_not_refused(circuit, monkeypatch):
+    """Near 1e9 J one ulp of a cumulative drain (1.2e-7 J) is past
+    FEAS_TOL.  A schedule whose windows overdraw a tight storage row by 4
+    ulp fails the audit, is audited again with windows ``TAU_SHAVE``
+    shorter, and is returned; 64 ulp is more than rounding, and raises."""
+    from ehsched import offline
+
+    eff, tl, storage, p_peak, eps = _degenerate(scale=1e9)
+    reconstruct = offline._reconstruct
+    built = []
+
+    def longer(factor):
+        def stretched(*args):
+            sched = reconstruct(*args)
+            built.append(replace(sched, tau=sched.tau * factor))
+            return built[-1]
+
+        return stretched
+
+    def solve():
+        if circuit:
+            return solve_offline_circuit(eff, None, tl, storage, p_peak, eps)
+        return solve_offline_ideal(eff, None, tl, storage, p_peak)
+
+    monkeypatch.setattr(offline, "_reconstruct", longer(1.0 + 2.0**-50))
+    sol = solve()
+    stretched = built[-1]
+    assert not check_feasibility(tl, stretched.split, stretched, storage, p_peak).feasible
+    np.testing.assert_array_equal(sol.schedule.tau, stretched.tau * offline.TAU_SHAVE)
+    assert sol.feasibility.feasible and sol.converged
+    monkeypatch.setattr(offline, "_reconstruct", longer(1.0 + 2.0**-46))
+    with pytest.raises(SolverError, match=r"^infeasible schedule \("):
+        solve()
+
+
 def _random_degenerate(seed, n):
     """A random degenerate instance: energies at 10^U(-6, 5) J, some
     epochs 10^U(-9, -5) s long, some zero arrivals, eta = 1 in a third

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from ehsched import WaterSystem, solve_p_o
+from ehsched import UserConfig, WaterSystem, decompose_zf_dpc, generate_channels, solve_p_o
 
 from conftest import draw_effective
+from oracle import efficient_power_lambertw
 from reference_online import _burst_window, _split_drains, solve_single_epoch
 
 E = math.e
@@ -86,6 +87,65 @@ def test_p_o_monotone_in_circuit_power(two_mode_eff):
     grid = np.linspace(0.05, 6.0, 15)
     po = solve_p_o(two_mode_eff, None, grid)
     assert np.all(np.diff(po) >= -1e-8)
+
+
+def test_p_o_tends_to_sqrt_2_c_eps():
+    """On the first segment (1 + t) ln(1 + t) - t = eps/C with t = p_o/C,
+    so p_o/sqrt(eps) tends to sqrt(2C) as eps falls to 0.  The Lambert-W
+    closed form read 0.733 here at eps = 1e-16 and 0 from 1e-17 down."""
+    ws = WaterSystem(decompose_zf_dpc(generate_channels(2, [UserConfig(1)] * 2, seed=42)))
+    limit = math.sqrt(2.0 * ws.cil[1])
+    assert limit == pytest.approx(0.873646, abs=5e-7)
+    eps = 10.0 ** -np.arange(24, 301, dtype=float)
+    np.testing.assert_allclose(ws.efficient_power(eps) / np.sqrt(eps), limit, rtol=1e-12, atol=0)
+    tiny = np.array([5e-324, 1e-320, 2.2e-308, 1e-200, 1e-60, 1e-17, 1e-16, 1e-13, 1e-9])
+    assert np.all(ws.efficient_power(tiny) > 0.0)
+    assert ws.efficient_power(0.0) == 0.0
+    np.testing.assert_array_equal(ws.efficient_power([0.0, 1e-300, 0.0]) > 0.0, [0, 1, 0])
+
+
+def test_p_o_matches_the_lambert_w_closed_form():
+    """Where eps >= C (t >= e - 1 on the first segment) the Lambert-W form
+    is accurate, and the root agrees with it to a few ulp of u = p_o + C,
+    the variable both solve for (p_o = u - C carries the rounding of C).
+    Below, the closed form's error grows as 1/t: about 20 ulp of u at
+    eps/C = 0.01."""
+    rng = np.random.Generator(np.random.Philox(key=7))
+    for _ in range(24):
+        ws = WaterSystem(draw_effective(rng))
+        eps = ws.cil[1] * np.geomspace(1.0, 1e4, 41)
+        root, closed = ws.efficient_power(eps), efficient_power_lambertw(ws, eps)
+        u = root + ws.cil[np.searchsorted(ws.breaks, root) + 1]
+        assert np.all(np.abs(root - closed) <= 8.0 * np.finfo(float).eps * u)
+
+
+def test_p_o_series_and_halley_steps_agree_at_the_handover(two_mode_eff):
+    """The first segment switches from the Halley steps to the series at
+    s = sqrt(2 eps/C) = 0.1; across the switch p_o stays smooth."""
+    ws = WaterSystem(two_mode_eff)
+    C = ws.cil[1]
+    eps = 0.005 * C * np.array([1 - 1e-12, 1.0, 1 + 1e-12])
+    p_o = ws.efficient_power(eps)
+    slope = (p_o[2] - p_o[0]) / (eps[2] - eps[0])
+    assert slope > 0.0
+    assert p_o[1] == pytest.approx(p_o[0] + slope * (eps[1] - eps[0]), rel=1e-14)
+
+
+def test_p_o_is_exact_at_breakpoints_and_in_far_segments():
+    """Across every segment of random channels p_o meets the stationarity
+    condition W'(p)(p + eps) = W(p) to rounding, or sits at a breakpoint
+    where the condition changes sign."""
+    rng = np.random.Generator(np.random.Philox(key=11))
+    for _ in range(20):
+        ws = WaterSystem(draw_effective(rng, max_users=3, max_n=2))
+        eps = np.geomspace(1e-6, 1e6, 49)
+        p_o = ws.efficient_power(eps)
+        level, m = ws.level_at_power_vec(p_o)
+        gap = level * (p_o + eps) - ws.rate_at_level_vec(level, m)
+        at_break = np.isin(p_o, ws.breaks)
+        scale = level * (p_o + eps) + np.abs(ws.rate_at_level_vec(level, m))
+        assert np.all(at_break | (np.abs(gap) <= 1e-13 * scale))
+        assert np.all(np.diff(p_o) > 0.0)
 
 
 # ---------------------------------------------------------------------------

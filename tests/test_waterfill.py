@@ -22,8 +22,45 @@ from ehsched import (
     weighted_rate,
 )
 
-from conftest import draw_effective
+from conftest import draw_effective, orthogonal_pair_channelset
 from oracle import power_at_level
+
+
+# ---------------------------------------------------------------------------
+# One shared, read-only system per channel object and weights
+# ---------------------------------------------------------------------------
+
+
+def test_shared_system_per_channels_and_weights(pair_eff):
+    ws = WaterSystem.shared(pair_eff)
+    assert WaterSystem.shared(pair_eff, None) is ws
+    assert WaterSystem.shared(pair_eff, pair_eff.gammas.copy()) is ws
+    assert WaterSystem.shared(pair_eff, [1.0, 1.0]) is ws
+    other = WaterSystem.shared(pair_eff, [2.0, 1.0])
+    assert other is not ws and other is WaterSystem.shared(pair_eff, np.array([2.0, 1.0]))
+    np.testing.assert_array_equal(other.weights, [2.0, 1.0])
+    # Another decomposition of the same channels is another channel object.
+    again = decompose_zf_dpc(orthogonal_pair_channelset())
+    assert WaterSystem.shared(again) is not ws
+    with pytest.raises(ValueError, match="one positive weight per user"):
+        WaterSystem.shared(pair_eff, [1.0])
+
+
+def test_system_tables_are_read_only(pair_eff):
+    weights = np.array([1.0, 2.0])
+    ws = WaterSystem.shared(pair_eff, weights)
+    tables = {name: value for name, value in vars(ws).items() if isinstance(value, np.ndarray)}
+    assert {"weights", "thr", "cg", "cil", "cgl", "breaks"} <= set(tables)
+    for name, table in tables.items():
+        assert not table.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+    # The system holds its own copy of the weights; the caller's arrays,
+    # and the channels' gammas, stay writable.
+    weights[0] = 3.0
+    assert ws.weights[0] == 1.0
+    assert WaterSystem.shared(pair_eff).weights is not pair_eff.gammas
+    assert pair_eff.gammas.flags.writeable
 
 
 # ---------------------------------------------------------------------------
