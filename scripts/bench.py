@@ -138,7 +138,7 @@ print(import_s, time.perf_counter() - t0)
 PHASES = {
     "value_model": "_ValueModel",
     "program": "_Program",
-    "loop": "_interior_point",
+    "loop": "_maximize",
     "reconstruct": "_reconstruct",
     "certificate": "_certificate",
     "audit": "check_feasibility",

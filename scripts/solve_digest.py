@@ -1,17 +1,25 @@
 #!/usr/bin/env python3
-"""One sha256 per offline solve, to compare two checkouts bit for bit.
+"""One sha256 per offline solve or online run, to compare two checkouts
+bit for bit.
 
     python scripts/solve_digest.py [--reverse] > digests.txt
 
-prints one ``<label> <sha256>`` line per solve.  A digest covers the
-objective (as a hex float), the Newton step count, ``converged``, the
-loop's dual residual, every array of the returned ``Schedule`` and the
-certificate's residual tables; a solve that raises ``SolverError``
-digests the message instead.  The solves are:
+prints one ``<label> <sha256>`` line per solve or run.  A solve's digest
+covers the objective (as a hex float), the Newton step count,
+``converged``, the loop's dual residual, every array of the returned
+``Schedule`` and the certificate's residual tables; a solve that raises
+``SolverError`` digests the message instead.  A ``run_online`` digest
+(labels ending in ``online``) covers the throughput (as a hex float),
+every array of its ``Schedule``, the trace and the discards.  The solves
+and runs are:
 
 * perfbench's two banks: ``sweep-eta`` (12 trials at 5 etas, ideal and
-  circuit, through ``experiments.run_trial``) and ``long-horizon`` (5
-  instances at N = 30, ideal and eps = 1, through ``ehsched solve``);
+  circuit, through ``experiments.run_trial``, with each trial's offline
+  solve and its ``run_online`` call) and ``long-horizon`` (5 instances at
+  N = 30, ideal and eps = 1, through ``ehsched solve``);
+* the first operations of perfbench's ``online-long``: ``run_online``
+  over fresh 2000-epoch timelines, the burst rule with per-epoch circuit
+  powers and even spreading;
 * the gate-06-shaped draws of ``scripts/bench.py``'s ``phases`` part;
 * 40 trials per eta of the same draws with per-epoch circuit powers
   ~ U(0.5, 8) W (``eps_range``), where 190 of the 200 circuit programs
@@ -19,11 +27,11 @@ digests the message instead.  The solves are:
 * the ``scaling`` cells of ``scripts/bench.py`` at N <= 1000 (three
   models, streams 100 and 101).
 
-``--reverse`` runs the solves in the opposite order and prints the same
+``--reverse`` runs the jobs in the opposite order and prints the same
 lines in the same order, so ``cmp`` of a forward and a reverse run shows
-whether a solve depends on what ran before it in the process (on the
+whether a result depends on what ran before it in the process (on the
 offline module's cache of program shapes, say).  The whole run takes
-about 4 s on a 2-core machine.
+about 5 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -41,11 +49,13 @@ sys.path.insert(0, str(ROOT / "scripts"))
 
 import bench  # noqa: E402  (puts src/ and perfbench/ on the path)
 import numpy as np  # noqa: E402
-from workloads import REFERENCE_SEED, LongHorizon, SweepEta, rng_for, seed_key  # noqa: E402
+from workloads import P_PEAK, REFERENCE_SEED, LongHorizon, OnlineLong, SweepEta  # noqa: E402
+from workloads import default_storage, rng_for, seed_key  # noqa: E402
 
-from ehsched import cli, experiments  # noqa: E402
+from ehsched import cli, experiments, online  # noqa: E402
 from ehsched.experiments import ExperimentSpec  # noqa: E402
 from ehsched.offline import SolverError  # noqa: E402
+from ehsched.online import OnlineResult  # noqa: E402
 
 SOLVERS = ("solve_offline_ideal", "solve_offline_circuit")
 MODES = ("ideal", "circuit")
@@ -53,6 +63,8 @@ SCALING_SIZES = (10, 100, 1000)
 #: Trials per eta and per-epoch circuit-power range of the mixed-split draws.
 MIXED_TRIALS = 40
 MIXED_EPS_RANGE = (0.5, 8.0)
+#: perfbench ``online-long`` operations digested, each under both rules.
+ONLINE_DRAWS = 4
 
 
 def digest(outcome) -> str:
@@ -60,12 +72,19 @@ def digest(outcome) -> str:
     if isinstance(outcome, SolverError):
         h.update(f"SolverError: {outcome}".encode())
         return h.hexdigest()
-    h.update(f"{outcome.objective.hex()} {outcome.iterations} {outcome.converged} "
-             f"{outcome.stationarity_residual.hex()}".encode())
+    if isinstance(outcome, OnlineResult):
+        h.update(outcome.throughput.hex().encode())
+        extra = (outcome.trace, outcome.discarded)
+    else:
+        h.update(f"{outcome.objective.hex()} {outcome.iterations} {outcome.converged} "
+                 f"{outcome.stationarity_residual.hex()}".encode())
+        extra = ()
     sched = outcome.schedule
     for v in (sched.tau, sched.p_sc, sched.p_b, sched.eps_sc, sched.eps_b, sched.split.sc,
-              sched.split.b, sched.power, sched.rate):
+              sched.split.b, sched.power, sched.rate, *extra):
         h.update(np.ascontiguousarray(v, dtype=float).tobytes())
+    if extra:
+        return h.hexdigest()
     cert = outcome.certificate
     for table in (cert.stationarity, cert.complementarity):
         h.update(" ".join(f"{k}={v.hex()}" for k, v in table.items()).encode())
@@ -73,10 +92,11 @@ def digest(outcome) -> str:
 
 
 @contextlib.contextmanager
-def recorded(module, sink: list):
-    """Record every offline solve called through ``module`` into ``sink``:
-    its solution, or the ``SolverError`` it raised."""
-    saved = {name: getattr(module, name) for name in SOLVERS}
+def recorded(module, sink: list, names=SOLVERS):
+    """Record every call of ``names`` (by default the offline solvers)
+    made through ``module`` into ``sink``: its result, or the
+    ``SolverError`` it raised."""
+    saved = {name: getattr(module, name) for name in names}
 
     def wrap(fn):
         def call(*args, **kwargs):
@@ -98,13 +118,15 @@ def recorded(module, sink: list):
             setattr(module, name, fn)
 
 
-def trial_job(spec: ExperimentSpec, k: int, mode: str):
-    """One offline solve of ``run_trial(spec, k)``."""
+def trial_job(spec: ExperimentSpec, k: int, mode: str, step: int = 0):
+    """The offline solve (``step`` 0) or the ``run_online`` call (``step``
+    1) of ``run_trial(spec, k)`` with one mode; a trial whose solve raised
+    makes no online call and yields the solve's ``SolverError``."""
     def run():
-        with recorded(experiments, []) as sink:
+        with recorded(experiments, [], (*SOLVERS, "run_online")) as sink:
             with contextlib.suppress(SolverError):
                 experiments.run_trial(spec, k, modes=(mode,))
-        return sink[0]
+        return sink[min(step, len(sink) - 1)]
 
     return run
 
@@ -129,13 +151,29 @@ def scaling_job(model: str, stream: int, n: int):
     return run
 
 
+def online_job(inp, eps):
+    """One ``run_online`` call of a perfbench ``online-long`` operation."""
+    def run():
+        return online.run_online(inp.eff, None, inp.timeline, default_storage(), P_PEAK, eps=eps)
+
+    return run
+
+
 def jobs(workdir: str) -> list[tuple[str, object]]:
     sweep = SweepEta()
     base = sweep.spec(seed_key(REFERENCE_SEED, 0) >> 1)
     out = [
-        (f"sweep-eta k={k} eta={eta:g} {mode}", trial_job(replace(base, eta=eta), k, mode))
+        (f"sweep-eta k={k} eta={eta:g} {mode}{suffix}",
+         trial_job(replace(base, eta=eta), k, mode, step))
         for k in range(sweep.bank) for eta in sweep.etas for mode in MODES
+        for step, suffix in enumerate(("", " online"))
     ]
+    ol = OnlineLong()
+    run = ol.generate(REFERENCE_SEED, workdir)
+    for j in range(ONLINE_DRAWS):
+        inp = ol.draw(run, j)
+        out += [(f"online-long j={j} {rule} online", online_job(inp, eps))
+                for rule, eps in (("burst", inp.eps), ("even", None))]
     lh = LongHorizon()
     for i in range(lh.bank):
         inst = lh.write_instance(rng_for(REFERENCE_SEED, 100 + i), workdir, f"lh{i}")

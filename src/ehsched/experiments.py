@@ -73,6 +73,17 @@ class ExperimentSpec:
     #: every trial (default: fresh fading per trial).
     pin_channels: bool = False
 
+    def __post_init__(self):
+        if self.eps_range is not None:
+            if len(self.eps_range) != 2:
+                raise ValueError("eps_range needs exactly two values lo,hi")
+            lo, hi = self.eps_range
+            if not lo <= hi:
+                raise ValueError("eps_range needs lo <= hi")
+            # Nonnegative circuit powers, drawn from a range of finite width.
+            if not (lo >= 0.0 and math.isfinite(hi)):
+                raise ValueError("eps_range needs lo >= 0 and a finite hi")
+
     def users(self) -> tuple[UserConfig, ...]:
         if len(self.user_antennas) != len(self.user_weights):
             raise ValueError("user_antennas and user_weights lengths differ")
@@ -147,8 +158,7 @@ def run_trial(
     else:
         chans, eff = _draw_channels(spec, rng)
     if spec.eps_range is not None:
-        lo, hi = spec.eps_range
-        eps_input = rng.uniform(lo, hi, timeline.N)
+        eps_input = rng.uniform(*spec.eps_range, timeline.N)
     else:
         eps_input = spec.eps
 
@@ -231,16 +241,6 @@ def run_sweep(
         raise ValueError("num_trials must be positive")
     if not modes:
         raise ValueError("a sweep needs at least one of the modes ideal, circuit")
-    if spec.eps_range is not None:
-        if len(spec.eps_range) != 2:
-            raise ValueError("eps_range needs exactly two values lo,hi")
-        lo, hi = spec.eps_range
-        if not lo <= hi:
-            raise ValueError("eps_range needs lo <= hi")
-        # Circuit powers are nonnegative and finite, and so is the width of
-        # the range they are drawn from.
-        if not (lo >= 0.0 and math.isfinite(hi)):
-            raise ValueError("eps_range needs lo >= 0 and a finite hi")
     if axis is None:
         if values is not None:
             raise ValueError("sweep values need an axis")

@@ -617,7 +617,7 @@ class _Program:
         The band is one product of the band map with the stacked weights
         ``(w, kappa, 1)``, already in the column-major layout LAPACK takes,
         and ``dpbtrf`` factors it in place; the Newton solves of
-        :func:`_interior_point` use the factor with ``dpbtrs``.  A band
+        :func:`_maximize` use the factor with ``dpbtrs``.  A band
         with a non-finite entry raises :class:`SolverError` (a numerical
         failure) before LAPACK sees it.  A matrix that is not numerically
         positive definite is factored again with its diagonal bumped by a
@@ -676,7 +676,7 @@ def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
 
 
 @np.errstate(over="ignore")
-def _interior_point(prog: _Program) -> _Iterate:
+def _maximize(prog: _Program) -> _Iterate:
     """Mehrotra predictor-corrector on ``max F(x)``, ``A x + s = u``,
     ``s, z >= 0``; each Newton step is one banded Cholesky factorization
     and two banded solves, and one product with ``[A; Q]`` gives ``A x``
@@ -1017,7 +1017,7 @@ def _audit(inst: OfflineInstance, sched: Schedule) -> FeasibilityReport:
 def _solve(inst: OfflineInstance) -> OfflineSolution:
     vm = _ValueModel(inst)
     prog = _Program(inst, vm)
-    it = _interior_point(prog)
+    it = _maximize(prog)
     sched = _reconstruct(inst, vm, it.s, it.b, it.e)
     feas = _audit(inst, sched)
     if not feas.feasible:

@@ -15,23 +15,24 @@ neither buffer is lost.  Two transmission rules are provided:
   buffered for later epochs.
 
 :func:`run_online` drives either rule across a timeline and returns the
-realized schedule plus a cumulative-throughput trace.  Each rule has its
-own loop, which keeps the two storage levels as plain floats and applies
-the routing, the rule and :class:`HybridStorage`'s deposit and drain to
-them.  The test suite's per-epoch reference (``tests/reference_online.py``)
-writes the same rules out as one call per epoch on a
-:class:`HybridStorage`; the loops use the same float operations in the
-same order, so a run equals the epoch-by-epoch loop over those functions
-bit for bit.  Each epoch stores the values that depend on the storage
-levels (the two deposits, the power, the super-capacitor drain and, for
-the burst rule, the window) into a per-run table of six contiguous
-columns, one ``memoryview`` per column; the consumption, the discards and
-the per-buffer powers follow from those columns after the loop, with the
-same float operations.  The columns become a
-:class:`~ehsched.offline.Schedule` through ``Schedule.assemble``, the
-assembly the offline solvers use.  The trace holds the exact prefix sums
-of that schedule's ``tau * rate``, each correctly rounded once, so its
-last value is the throughput bit for bit.
+realized schedule plus a cumulative-throughput trace.  It checks once that
+every arrival and both starting levels are nonnegative and finite; each
+rule then has its own loop, which keeps the two storage levels as plain
+floats and applies the routing, the rule and :class:`HybridStorage`'s
+deposit and drain to them.  The test suite's per-epoch reference
+(``tests/reference_online.py``) writes the same rules out as one call per
+epoch on a :class:`HybridStorage`; the loops use the same float
+operations in the same order, so a run equals the epoch-by-epoch loop
+over those functions bit for bit.  Each epoch stores the values that
+depend on the storage levels (the two deposits, the power, the
+super-capacitor drain and, for the burst rule, the window) into a per-run
+table of six contiguous columns, one ``memoryview`` per column; the
+consumption, the discards and the per-buffer powers follow from those
+columns after the loop, with the same float operations.  The columns
+become a :class:`~ehsched.offline.Schedule` through
+``Schedule.assemble``, the assembly the offline solvers use.  The trace
+holds the exact prefix sums of that schedule's ``tau * rate``, each
+correctly rounded once, so its last value is the throughput bit for bit.
 """
 
 from __future__ import annotations
@@ -140,6 +141,11 @@ def run_online(
     """
     N = timeline.N
     eps_arr = check_powers(p_peak, eps, N)
+    # Checked on construction too, but a caller may change either since.
+    if not (0.0 <= timeline.E.min() and timeline.E.max() < math.inf):
+        raise ValueError("arrival amount must be nonnegative and finite")
+    if not (0.0 <= storage.level_sc < math.inf and 0.0 <= storage.level_b < math.inf):
+        raise ValueError("storage levels must be nonnegative and finite")
     ws = WaterSystem.shared(eff, weights)
     table = np.empty((6, N))
     if eps_arr is None:
@@ -176,11 +182,13 @@ def run_online(
 
 # The two loops inline the reference's split_arrival, HybridStorage.deposit,
 # the policy (policy_ideal, or policy_circuit with its _burst_window),
-# _split_drains and HybridStorage.drain, with their guards: each ``y if y <
-# x else x`` is ``min(x, y)`` and each ``y if y > x else x`` is ``max(x,
-# y)``, operand for operand, without the builtin's call.  Memoryviews index
-# the input arrays to Python floats, and store into the rows of ``table``,
-# without copies.
+# _split_drains and HybridStorage.drain: each ``y if y < x else x`` is
+# ``min(x, y)`` and each ``y if y > x else x`` is ``max(x, y)``, operand for
+# operand, without the builtin's call.  After run_online's entry checks no
+# deposit or drain is negative or exceeds its level, so only the headroom
+# guards remain (for levels set above capacity after construction), and a
+# zero consumption needs no branch.  Memoryviews index the input arrays to
+# Python floats, and store into the rows of ``table``, without copies.
 
 
 def _spread_evenly(timeline: EpochTimeline, storage: HybridStorage, p_peak: float, table):
@@ -192,14 +200,11 @@ def _spread_evenly(timeline: EpochTimeline, storage: HybridStorage, p_peak: floa
     sc_cap, b_cap, eta = storage.sc_cap, storage.b_cap, storage.eta
     level_sc, level_b = storage.level_sc, storage.level_b
     sc_limit, b_limit = sc_cap + FEAS_TOL, b_cap + FEAS_TOL
-    inf, tol, neg_tol = math.inf, FEAS_TOL, -FEAS_TOL
     c_sc, c_b, _, c_power, c_d_sc, _ = map(memoryview, table)
     epochs = zip(
         memoryview(timeline.E), memoryview(timeline.l), memoryview(timeline.T - timeline.t)
     )
     for i, (amount, length, remaining) in enumerate(epochs):
-        if not (0.0 <= amount < inf):
-            raise ValueError("arrival amount must be nonnegative and finite")
         head = sc_cap - level_sc
         head = head if head > 0.0 else 0.0
         sc = head if head < amount else amount
@@ -207,8 +212,6 @@ def _spread_evenly(timeline: EpochTimeline, storage: HybridStorage, p_peak: floa
         head = (b_cap - level_b) / eta
         head = head if head > 0.0 else 0.0
         b = head if head < rest else rest
-        if not (sc >= 0.0 and b >= 0.0):
-            raise ValueError("deposits must be non-negative")
         level_sc += sc
         if level_sc > sc_limit:
             raise ValueError("SC deposit exceeds capacity headroom")
@@ -220,20 +223,11 @@ def _spread_evenly(timeline: EpochTimeline, storage: HybridStorage, p_peak: floa
         power = power if power < p_peak else p_peak
         consumed = length * power
 
-        if consumed <= 0.0:
-            d_sc = d_b = 0.0
-        else:
-            d_sc = consumed if consumed < level_sc else level_sc
-            d_b = consumed - d_sc
-            d_b = d_b if d_b < level_b else level_b
-        if not (d_sc >= neg_tol and d_b >= neg_tol):
-            raise ValueError("drains must be non-negative")
-        if d_sc > level_sc + tol or d_b > level_b + tol:
-            raise ValueError("drain exceeds stored energy")
+        d_sc = consumed if consumed < level_sc else level_sc
+        d_b = consumed - d_sc
+        d_b = d_b if d_b < level_b else level_b
         level_sc -= d_sc
-        level_sc = level_sc if level_sc > 0.0 else 0.0
         level_b -= d_b
-        level_b = level_b if level_b > 0.0 else 0.0
         c_sc[i] = sc
         c_b[i] = b
         c_power[i] = power
@@ -251,12 +245,9 @@ def _burst(timeline: EpochTimeline, storage: HybridStorage, p_peak: float, eps, 
     sc_cap, b_cap, eta = storage.sc_cap, storage.b_cap, storage.eta
     level_sc, level_b = storage.level_sc, storage.level_b
     sc_limit, b_limit = sc_cap + FEAS_TOL, b_cap + FEAS_TOL
-    inf, tol, neg_tol = math.inf, FEAS_TOL, -FEAS_TOL
     c_sc, c_b, c_tau, c_power, c_d_sc, _ = map(memoryview, table)
     epochs = zip(memoryview(timeline.E), memoryview(timeline.l), memoryview(eps), memoryview(p_o))
     for i, (amount, length, eps_i, p_o_i) in enumerate(epochs):
-        if not (0.0 <= amount < inf):
-            raise ValueError("arrival amount must be nonnegative and finite")
         head = sc_cap - level_sc
         head = head if head > 0.0 else 0.0
         sc = head if head < amount else amount
@@ -264,8 +255,6 @@ def _burst(timeline: EpochTimeline, storage: HybridStorage, p_peak: float, eps, 
         head = (b_cap - level_b) / eta
         head = head if head > 0.0 else 0.0
         b = head if head < rest else rest
-        if not (sc >= 0.0 and b >= 0.0):
-            raise ValueError("deposits must be non-negative")
         level_sc += sc
         if level_sc > sc_limit:
             raise ValueError("SC deposit exceeds capacity headroom")
@@ -292,20 +281,11 @@ def _burst(timeline: EpochTimeline, storage: HybridStorage, p_peak: float, eps, 
             tau = tau if tau < length else length
             consumed = tau * burn
 
-        if consumed <= 0.0:
-            d_sc = d_b = 0.0
-        else:
-            d_sc = consumed if consumed < level_sc else level_sc
-            d_b = consumed - d_sc
-            d_b = d_b if d_b < level_b else level_b
-        if not (d_sc >= neg_tol and d_b >= neg_tol):
-            raise ValueError("drains must be non-negative")
-        if d_sc > level_sc + tol or d_b > level_b + tol:
-            raise ValueError("drain exceeds stored energy")
+        d_sc = consumed if consumed < level_sc else level_sc
+        d_b = consumed - d_sc
+        d_b = d_b if d_b < level_b else level_b
         level_sc -= d_sc
-        level_sc = level_sc if level_sc > 0.0 else 0.0
         level_b -= d_b
-        level_b = level_b if level_b > 0.0 else 0.0
         c_sc[i] = sc
         c_b[i] = b
         c_tau[i] = tau

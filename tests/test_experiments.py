@@ -715,8 +715,9 @@ def test_cli_sweep_rejects_non_finite_poisson_parameters(option, value, monkeypa
 
 
 def test_library_rejects_unknown_sweep_modes_and_eps_ranges():
-    """The library, not only the CLI, refuses a sweep that could not run as
-    asked: unknown modes, no modes, and an eps range that is not a pair."""
+    """The library, not only the CLI, refuses a sweep or a trial that could
+    not run as asked: unknown modes, no modes, and an eps range that is not
+    a pair of nonnegative bounds in order with a finite top."""
     spec = ExperimentSpec(**_FAST)
     for modes in (("idael",), ("ideal", "bogus"), "ideal"):
         with pytest.raises(ValueError, match="modes must be a subset of: ideal, circuit"):
@@ -728,3 +729,15 @@ def test_library_rejects_unknown_sweep_modes_and_eps_ranges():
     for eps_range in ((0.5,), (0.5, 1.0, 1.5)):
         with pytest.raises(ValueError, match="eps_range needs exactly two values lo,hi"):
             run_sweep(replace(spec, eps_range=eps_range))
+    # A trial draws from the range too; numpy's own errors (an OverflowError
+    # for an infinite top, "high - low < 0") once leaked from run_trial.
+    for eps_range, message in (
+        ((2.0, 1.0), "eps_range needs lo <= hi"),
+        ((0.0, math.inf), "eps_range needs lo >= 0 and a finite hi"),
+        ((-1.0, 1.0), "eps_range needs lo >= 0 and a finite hi"),
+        ((0.5,), "eps_range needs exactly two values lo,hi"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run_trial(replace(spec, eps_range=eps_range), 0, ("circuit",))
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(eps_range=eps_range)

@@ -802,7 +802,7 @@ def test_tiny_window_snap(seed, n, refused, monkeypatch):
         return call
 
     iterates, verdicts = [], []
-    monkeypatch.setattr(offline, "_interior_point", recorded(offline._interior_point, iterates))
+    monkeypatch.setattr(offline, "_maximize", recorded(offline._maximize, iterates))
     monkeypatch.setattr(offline, "storage_slacks", recorded(offline.storage_slacks, verdicts))
     eff, tl, eps = _per_epoch_eps_instance(seed, n)
     storage = HybridStorage(sc_cap=5.0, b_cap=100.0, eta=0.5)

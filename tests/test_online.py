@@ -17,6 +17,8 @@ from ehsched import (
     solve_offline_ideal,
     solve_p_o,
 )
+from ehsched import online
+from ehsched.energy import FEAS_TOL
 from ehsched.experiments import reference_profile
 from ehsched.online import _exact_prefix_sums
 
@@ -250,6 +252,15 @@ def _bitwise_case(name):
         amounts = [0.0] * 4 + [1.5, 0.2, 3.0] + [0.0] * 9
         tl = build_timeline([(float(i), e) for i, e in enumerate(amounts)], T=16.0)
         return tl, HybridStorage(2.0, 6.0, 0.6), 4.0, np.full(tl.N, 0.8)
+    if name.startswith("boundary-levels"):
+        # Both buffers start at -0.0, exactly full, or at the constructor's
+        # limit cap + FEAS_TOL/2.  The first arrival is -0.0; under even
+        # spreading the second overflows a store that did not start empty.
+        amounts = [-0.0, 3.0, 0.0, 0.4, 7.0, 0.0, 1.2, 3.3, 0.0, 0.0, 5.0, 0.1]
+        tl = build_timeline([(float(i), e) for i, e in enumerate(amounts)], T=12.0)
+        over = {"-0.0": None, "full": 0.0, "limit": FEAS_TOL / 2}[name.split("=")[1]]
+        levels = (-0.0, -0.0) if over is None else (2.0 + over, 6.0 + over)
+        return tl, HybridStorage(2.0, 6.0, 0.6, *levels), 4.0, np.full(tl.N, 0.8)
     if name == "overflow":
         # Mean arrivals of 30 J into a 20 J battery: most epochs discard.
         tl, rng = _random_timeline(0x0F10, 40, 60.0)
@@ -294,6 +305,10 @@ _CASE_REGIMES = {
     "tiny-peak": {"high"},
     "single-epoch": {"scarce"},
     "zero-energy": {"idle", "scarce"},
+    **{
+        f"boundary-levels={start}": {"idle", "scarce", "middle", "peak"}
+        for start in ("-0.0", "full", "limit")
+    },
 }
 
 
@@ -331,8 +346,12 @@ def test_run_online_equals_the_epoch_by_epoch_loop_bitwise(pair_eff, policy, cas
     if case == "tiny-peak":
         assert np.any(sched.power == p_peak)
     if case == "zero-energy":
-        # The drain's zero-consumption branch, under either policy.
+        # Epochs that consume nothing, under either policy.
         assert np.any(sched.tau * (sched.power + (sched.eps_sc + sched.eps_b)) == 0.0)
+    if case == "boundary-levels=-0.0":
+        assert sched.power[0] == 0.0
+    elif case.startswith("boundary-levels") and policy == "even":
+        assert res.discarded[1] > 0.0
     if eps is not None:
         p_o = solve_p_o(pair_eff, None, np.broadcast_to(np.asarray(eps, dtype=float), (tl.N,)))
         assert _burst_regimes(sched, p_o, p_peak) >= _CASE_REGIMES[case]
@@ -366,6 +385,33 @@ def test_run_online_guards_raise_like_the_epoch_rules(pair_eff, policy, bad):
         run_online(pair_eff, None, tl, storage, 4.0, eps=eps)
     assert str(got.value) == str(want.value)
     assert "arrival" in str(got.value) or "deposit exceeds" in str(got.value)
+
+
+@pytest.mark.parametrize("level", [-1.0, -10.0, -5e-324, math.nan, math.inf])
+@pytest.mark.parametrize("buffer", ["level_sc", "level_b"])
+@pytest.mark.parametrize("policy", ["even", "burst"])
+def test_run_online_rejects_levels_set_invalid_after_construction(
+    pair_eff, monkeypatch, policy, buffer, level
+):
+    """A level set negative or non-finite after construction is refused
+    with the constructor's message before any epoch runs.  (Once -1 J
+    returned a schedule, -10 J raised at a drain and NaN at a drain's sign
+    check.)"""
+    with pytest.raises(ValueError) as want:
+        HybridStorage(5.0, 100.0, 0.5, **{buffer: level})
+    storage = HybridStorage(5.0, 100.0, 0.5)
+    setattr(storage, buffer, level)
+
+    def epoch_loop(*args):
+        raise AssertionError("an epoch ran")
+
+    monkeypatch.setattr(online, "_spread_evenly", epoch_loop)
+    monkeypatch.setattr(online, "_burst", epoch_loop)
+    tl = reference_profile()
+    eps = None if policy == "even" else np.ones(tl.N)
+    with pytest.raises(ValueError) as got:
+        run_online(pair_eff, None, tl, storage, 4.0, eps=eps)
+    assert str(got.value) == str(want.value) == "storage levels must be nonnegative and finite"
 
 
 _finite = st.one_of(
