@@ -10,8 +10,11 @@ covers the objective (as a hex float), the Newton step count,
 ``Schedule`` and the certificate's residual tables; a solve that raises
 ``SolverError`` digests the message instead.  A ``run_online`` digest
 (labels ending in ``online``) covers the throughput (as a hex float),
-every array of its ``Schedule``, the trace and the discards.  The solves
-and runs are:
+every array of its ``Schedule``, the trace and the discards.  A
+``band`` digest covers the arrays a Newton step reads from one program:
+its right-hand sides ``u``, its band (the band map times fixed positive
+row weights) and ``[A; Q]`` times a fixed vector.  The solves, runs and
+programs are:
 
 * perfbench's two banks: ``sweep-eta`` (12 trials at 5 etas, ideal and
   circuit, through ``experiments.run_trial``, with each trial's offline
@@ -25,7 +28,11 @@ and runs are:
   ~ U(0.5, 8) W (``eps_range``), where 190 of the 200 circuit programs
   split some but not all of their epochs into burst and full parts;
 * the ``scaling`` cells of ``scripts/bench.py`` at N <= 1000 (three
-  models, streams 100 and 101).
+  models, streams 100 and 101);
+* the programs of ``scripts/bench.py``'s N = 10^4 draw of stream 101:
+  ideal, eps = 1 W and per-epoch eps ~ U(0.5, 8) W (4352 split epochs),
+  whose shapes are too large for the offline module's cache of program
+  shapes, so that no other line covers their build.
 
 ``--reverse`` runs the jobs in the opposite order and prints the same
 lines in the same order, so ``cmp`` of a forward and a reverse run shows
@@ -52,7 +59,7 @@ import numpy as np  # noqa: E402
 from workloads import P_PEAK, REFERENCE_SEED, LongHorizon, OnlineLong, SweepEta  # noqa: E402
 from workloads import default_storage, rng_for, seed_key  # noqa: E402
 
-from ehsched import cli, experiments, online  # noqa: E402
+from ehsched import cli, experiments, offline, online  # noqa: E402
 from ehsched.experiments import ExperimentSpec  # noqa: E402
 from ehsched.offline import SolverError  # noqa: E402
 from ehsched.online import OnlineResult  # noqa: E402
@@ -65,12 +72,19 @@ MIXED_TRIALS = 40
 MIXED_EPS_RANGE = (0.5, 8.0)
 #: perfbench ``online-long`` operations digested, each under both rules.
 ONLINE_DRAWS = 4
+#: Epoch count and stream of the ``band`` programs.
+BAND_N = 10_000
+BAND_STREAM = 101
 
 
 def digest(outcome) -> str:
     h = hashlib.sha256()
     if isinstance(outcome, SolverError):
         h.update(f"SolverError: {outcome}".encode())
+        return h.hexdigest()
+    if isinstance(outcome, tuple):
+        for v in outcome:
+            h.update(v.tobytes())
         return h.hexdigest()
     if isinstance(outcome, OnlineResult):
         h.update(outcome.throughput.hex().encode())
@@ -151,6 +165,22 @@ def scaling_job(model: str, stream: int, n: int):
     return run
 
 
+def band_job(eff, timeline, eps):
+    """The right-hand sides, the band at fixed positive weights and
+    ``[A; Q]`` times a fixed vector of the program with circuit powers
+    ``eps``."""
+    def run():
+        inst = offline._make_instance(eff, None, timeline, default_storage(), P_PEAK, eps)
+        prog = offline._Program(inst, offline._ValueModel(inst))
+        rng = np.random.default_rng(0)
+        weights = rng.uniform(0.1, 10.0, prog.u.size + prog.N + 1)
+        weights[-1] = 1.0
+        x = rng.uniform(-1.0, 1.0, prog.n)
+        return prog.u, offline._mul(prog.band, weights), offline._mul(prog.AQ, x)
+
+    return run
+
+
 def online_job(inp, eps):
     """One ``run_online`` call of a perfbench ``online-long`` operation."""
     def run():
@@ -189,6 +219,11 @@ def jobs(workdir: str) -> list[tuple[str, object]]:
     out += [
         (f"scaling {model} s{stream} N={n}", scaling_job(model, stream, n))
         for model in bench.MODELS for stream in bench.STREAMS for n in SCALING_SIZES
+    ]
+    eff, timeline, eps = bench.instance(BAND_STREAM, BAND_N, MIXED_EPS_RANGE)
+    out += [
+        (f"band {model} s{BAND_STREAM} N={BAND_N}", band_job(eff, timeline, model_eps))
+        for model, model_eps in (("ideal", 0.0), ("circuit", bench.EPS), ("mixed", eps))
     ]
     return out
 

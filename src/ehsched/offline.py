@@ -31,9 +31,9 @@ banded Cholesky factorization, O(N) in time and memory (the structure
 Wang & Boyd exploit for fast MPC, IEEE TCST 2010).  Because each row
 family is one fixed stencil shifted along the epochs, the patterns of
 the constraint matrix and of the Newton matrix's band map are built once
-per program shape (N and the burst/full split), with a few whole-array
-operations per family, and each instance adds only its
-values; each Newton step evaluates the objective from one water-filling
+per program shape (N and the burst/full split), row by row with a few
+whole-array operations per family (the band map as its transpose,
+transposed once), and each instance adds only its values; each Newton step evaluates the objective from one water-filling
 lookup: at short horizons these fixed costs, not the factorization, set
 the solve time.  For the same reason a step calls its kernels directly:
 the band map is a sparse matrix from the row weights to the band in
@@ -44,7 +44,7 @@ rebuilt band with a bumped diagonal), ``dpbtrs`` solves with the factor
 after a finiteness check of each right-hand side, and scipy's CSR/CSC
 kernels form the sparse products from the plain CSR arrays that the
 program keeps.  These three kernels bind as module globals when the
-first program is built (:func:`_bind_kernels`), not at import: importing
+first program shape is built (:func:`_bind_kernels`), not at import: importing
 any scipy module takes longer than the rest of ``import ehsched``.  A
 non-finite Newton matrix or right-hand side raises :class:`SolverError`
 as a numerical failure.  The loop only optimizes: it stops on a small
@@ -311,18 +311,15 @@ _ONE = np.ones(1)
 
 def _tables(terms: tuple) -> tuple:
     """A family's fixed tables from its stencil ``terms``: the column
-    offsets of its terms in column order and the terms in that order; its
-    upper-triangle term pairs ``(pa, pb)`` in stencil order with, per
-    pair, the band diagonal and the larger and smaller column offset; the
+    offsets of its terms in column order, the terms in that order and the
+    upper-triangle term pairs ``(a, b)``, ``a <= b``, of that order; the
     coefficient code (``_CONSTS``) of each term and the terms ``(t,
     name)`` whose coefficient a name gives instead."""
     off = np.array([_NV * shift + var for shift, var, _ in terms])
     term = np.argsort(off)
-    pa, pb = np.triu_indices(len(terms))
-    col, low = np.maximum(off[pa], off[pb]), np.minimum(off[pa], off[pb])
     code = np.array([0 if isinstance(c, str) else _CONSTS.index(c) for *_, c in terms], np.uint8)
     named = tuple((t, c) for t, (*_, c) in enumerate(terms) if isinstance(c, str))
-    return off[term], term, pa, pb, _BAND - (col - low), col, low, code, named
+    return off[term], term, np.triu_indices(len(terms)), code, named
 
 
 _TABLES = {name: _tables(terms) for name, (_, terms) in _FAMILIES.items()}
@@ -335,7 +332,7 @@ _KERNELS = ("dpbtrf", "dpbtrs", "_sparsetools")
 
 def _bind_kernels() -> None:
     """Bind LAPACK ``dpbtrf``/``dpbtrs`` and scipy's sparse kernels as
-    module globals, once.  The first :class:`_Program` calls it, as does
+    module globals, once.  The first :class:`_Shape` calls it, as does
     a first read of one of them from outside (``offline.dpbtrf``, through
     the module's ``__getattr__``), so ``import ehsched`` loads no scipy
     module and the Newton loop calls plain globals."""
@@ -374,80 +371,78 @@ def _mul_t(M: tuple, v: np.ndarray) -> np.ndarray:
 class _Shape:
     """The part of a :class:`_Program` that only its split mask (and so
     N) fixes, built one family at a time (``_TABLES``): every family's
-    pattern is fixed, so its CSR rows of the stacked ``[A; Q]`` and its
-    band map entries are that pattern shifted by ``_NV`` columns per
+    pattern is fixed, so its CSR rows of the stacked ``[A; Q]`` and of the
+    band map's transpose are that pattern shifted by ``_NV`` columns per
     epoch, less the terms of epoch -1.  Entries hold coefficient codes
     (``_CONSTS``), band entries ``_NCODE * ca + cb`` for the product of a
-    term pair.  The arrays, ``nbytes`` in all, are read-only: one shape
-    serves every program of that shape (:func:`_shape`)."""
+    term pair.  One transpose turns the band map's rows (one per weight)
+    into its columns (one per band slot).  The arrays, ``nbytes`` in all,
+    are read-only: one shape serves every program of that shape
+    (:func:`_shape`)."""
 
     def __init__(self, split: np.ndarray):
+        _bind_kernels()
         N = split.size
         n = N * _NV
         al, sp = np.arange(N), np.flatnonzero(split)
         # "-split" is the negated 0/1 mask: -1 on split epochs, else -0.
         coef = {"eta": _ETA, "-eta": _ETA + 1, "-split": np.where(split, 1, 2)}
         self.rows: dict[str, tuple[slice, np.ndarray]] = {}
-        # CSR parts of [A; Q] (columns, coefficient codes, entries per row).
-        indices, codes, counts = [], [], []
-        epochs = {name: sp if on_split else al for name, (on_split, _) in _FAMILIES.items()}
-        # The band map's entries: entry k adds coefficient product
-        # bcode[k] times w[brow[k]] to band slot slot[k], w being the
-        # stacked weights.  The tables have room for every term pair and
-        # pin, and the slots take the narrowest unsigned type that holds
-        # them (numpy sorts 16-bit keys stably by radix, up to N = 2047).
-        idle = _NV * np.flatnonzero(~split) + _A
-        size = sum(_TABLES[name][2].size * ep.size for name, ep in epochs.items()) + idle.size
-        slot = np.empty(size, dtype=np.min_scalar_type((_BAND + 1) * n))
-        bcode = np.empty(size, dtype=np.uint8)
-        brow = np.empty(size, dtype=np.int32)
-        m = j = 0
-        for name, ep in epochs.items():
-            off, term, pa, pb, diag, col, low, code, named = _TABLES[name]
-            k = ep.size
-            ep4 = _NV * ep
-            C = np.repeat(code[:, None], k, axis=1)
+        # CSR parts of [A; Q] and of the band map's transpose, per family:
+        # columns or band slots, coefficient codes or codes of their
+        # products, and entries per row.
+        aq, band = [], []
+        m = 0
+        for name, (on_split, _) in _FAMILIES.items():
+            ep = sp if on_split else al
+            off, term, (a, b), code, named = _TABLES[name]
+            C = np.repeat(code[:, None], ep.size, axis=1)
             for t, c in named:
                 C[t] = coef[c]
-            # A term of epoch -1 has a negative column: it is left out.
-            cols = ep4[:, None] + off
+            C = C[term].T
+            # A term of epoch -1 has a negative column: it is left out,
+            # and so is every pair it is in.
+            cols = _NV * ep[:, None] + off
             keep = cols >= 0
-            indices.append(cols[keep])
-            codes.append(C[term].T[keep])
-            counts.append(keep.sum(axis=1))
-            # Term pairs by rows, less the pairs with a term of epoch -1.
-            keep = ep4 + low[:, None] >= 0
-            end = j + np.count_nonzero(keep)
-            slot[j:end] = ((ep4 + col[:, None]) * (_BAND + 1) + diag[:, None])[keep]
-            bcode[j:end] = (_NCODE * C[pa] + C[pb])[keep]
-            brow[j:end] = m + np.nonzero(keep)[1]
-            j = end
-            self.rows[name] = (slice(m, m + k), ep)
-            m += k
+            aq.append((cols[keep], C[keep], keep.sum(axis=1)))
+            # Entry (cols[a], cols[b]) of the upper triangle, in LAPACK's
+            # column-major band storage.
+            keep = keep[:, a]
+            slot = cols[:, b] * _BAND + cols[:, a] + _BAND
+            band.append((slot[keep], (_NCODE * C[:, a] + C[:, b])[keep], keep.sum(axis=1)))
+            self.rows[name] = (slice(m, m + ep.size), ep)
+            m += ep.size
         del self.rows["objective"]
         self.m = m = m - N
         self.split, self.burst = sp, _NV * sp + _A
-        # 32-bit indices suffice for any band that fits in memory.
-        self.indices = np.concatenate(indices, dtype=np.int32)
-        self.code = np.concatenate(codes)
-        self.indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))], dtype=np.int32)
-        self.q_indptr = self.indptr[m:] - self.indptr[m]
         # Placeholder burst parts sit in no row: pin them with a unit
-        # diagonal (their gradient is zero, so they stay at zero).  The
-        # unit entries come last, as terms of weight one (1.0 * 1.0).
-        end = j + idle.size
-        slot[j:end] = (_BAND + 1) * idle + _BAND
-        bcode[j:end] = 0
-        brow[j:end] = m + N
-        # One stable sort by slot keeps each slot's terms in the order
-        # above, so the band sums them in a fixed order.  Each table is
-        # dropped as soon as it is used: they set the solver's peak memory.
-        slot = slot[:end]
-        self.bptr = np.zeros((_BAND + 1) * n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(slot, minlength=(_BAND + 1) * n), out=self.bptr[1:])
-        order = np.argsort(slot, kind="stable")
-        del slot
-        self.bcode, self.brow = bcode[order], brow[order]
+        # diagonal (their gradient is zero, so they stay at zero), as one
+        # last row of weight one (1.0 * 1.0).
+        idle = _NV * np.flatnonzero(~split) + _A
+        band.append(((_BAND + 1) * idle + _BAND, np.zeros(idle.size, np.uint8), [idle.size]))
+
+        def csr(parts):
+            # The parts go as soon as they are joined: they set the
+            # solver's peak memory.  32-bit indices suffice for any band
+            # that fits in memory.
+            cols, codes, counts = zip(*parts)
+            parts.clear()
+            indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))], dtype=np.int32)
+            return np.concatenate(cols, dtype=np.int32), np.concatenate(codes), indptr
+
+        self.indices, self.code, self.indptr = csr(aq)
+        self.q_indptr = self.indptr[m:] - self.indptr[m]
+        # The transpose (scipy's ``csr_tocsc``, a counting sort) keeps each
+        # slot's terms in row order: family by family and epoch by epoch.
+        # A family adds at most two terms to a slot, from epoch i and from
+        # epoch i + 1's copy of the pair shifted by -1, which every stencil
+        # lists after the unshifted pair: this is also the order of a loop
+        # over families, term pairs and epochs, which fixes the band's bits.
+        slot, bcode, bptr = csr(band)
+        self.bptr = np.empty((_BAND + 1) * n + 1, dtype=np.int32)
+        self.brow, self.bcode = np.empty(slot.size, np.int32), np.empty_like(bcode)
+        _sparsetools.csr_tocsc(m + N + 1, (_BAND + 1) * n, bptr, slot, bcode,
+                               self.bptr, self.brow, self.bcode)
         arrays = [*vars(self).values(), *(ep for _, ep in self.rows.values())]
         arrays = {id(v): v for v in arrays if isinstance(v, np.ndarray)}.values()
         for v in arrays:
@@ -507,12 +502,12 @@ class _Program:
     column-major band storage: its row ``j * (_BAND + 1) + d`` is
     diagonal ``d`` of column ``j``, and its entries there are the
     coefficient products of the term pairs that add to that slot, in the
-    order they were written (family by family, pair by pair and row by
-    row, the placeholder pins last), which one stable sort by slot keeps.
+    order of their weights' rows (family by family and epoch by epoch,
+    the placeholder pins last), which one transpose of the row-wise map
+    keeps.
     """
 
     def __init__(self, inst: OfflineInstance, vm: _ValueModel):
-        _bind_kernels()
         N = inst.timeline.N
         E = inst.timeline.E
         eta = inst.eta
