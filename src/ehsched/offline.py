@@ -31,9 +31,9 @@ banded Cholesky factorization, O(N) in time and memory (the structure
 Wang & Boyd exploit for fast MPC, IEEE TCST 2010).  Because each row
 family is one fixed stencil shifted along the epochs, the patterns of
 the constraint matrix and of the Newton matrix's band map are built once
-per program shape (N and the burst/full split), row by row with a few
-whole-array operations per family (the band map as its transpose,
-transposed once), and each instance adds only its values; each Newton step evaluates the objective from one water-filling
+per program shape (N and the burst/full split), row by row (the band
+map as its transpose, transposed once), and each instance adds only its
+values; each Newton step evaluates the objective from one water-filling
 lookup: at short horizons these fixed costs, not the factorization, set
 the solve time.  For the same reason a step calls its kernels directly:
 the band map is a sparse matrix from the row weights to the band in
@@ -44,7 +44,7 @@ rebuilt band with a bumped diagonal), ``dpbtrs`` solves with the factor
 after a finiteness check of each right-hand side, and scipy's CSR/CSC
 kernels form the sparse products from the plain CSR arrays that the
 program keeps.  These three kernels bind as module globals when the
-first program shape is built (:func:`_bind_kernels`), not at import: importing
+first program is built (:func:`_bind_kernels`), not at import: importing
 any scipy module takes longer than the rest of ``import ehsched``.  A
 non-finite Newton matrix or right-hand side raises :class:`SolverError`
 as a numerical failure.  The loop only optimizes: it stops on a small
@@ -52,9 +52,10 @@ dual residual and a small relative duality gap (or after ``MAX_NEWTON``
 steps).  Windows, powers and covariances are then recovered in closed
 form, after dropping each window shorter than ``TAU_SNAP`` whose drain
 the storage slacks (:func:`~ehsched.energy.storage_slacks`) can do
-without and splitting each drain super-capacitor first.  A schedule that
-fails the feasibility audit raises :class:`SolverError`, and otherwise
-the dual certificate from the loop's multipliers decides convergence.
+without and splitting each drain super-capacitor first; a full epoch's
+power is clipped at the peak.  A schedule that fails the feasibility
+audit raises :class:`SolverError`, and otherwise the dual certificate
+from the loop's multipliers decides convergence.
 The test oracles live in the test suite (``tests/oracle.py``); the solve
 path needs none of them.
 """
@@ -220,18 +221,19 @@ class _ValueModel:
         self.rate_thr = self.ws.rate_at_level_vec(self.level_thr, m)
         with np.errstate(divide="ignore", invalid="ignore"):
             self.r0 = np.where(self.c1 > 0.0, self.rate_thr / (self.p_thr + self.eps), 0.0)
-        self.cmax = self.l * (inst.p_peak + self.eps)
-
-    def _power2(self, c: np.ndarray) -> np.ndarray:
-        return np.maximum(c / self.l - self.eps, 0.0)
+        self.p_peak = inst.p_peak
+        self.cmax = self.l * (self.p_peak + self.eps)
 
     def windows(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form (tau, power) recovery from consumed energies.  With
-        eps = 0, ``c1 = 0`` and a window is either the whole epoch or idle."""
+        eps = 0, ``c1 = 0`` and a window is either the whole epoch or idle.
+        Full power is clipped at the peak, which the loop's drain cap meets
+        only to a tolerance relative to the total arriving energy."""
         c = np.maximum(c, 0.0)
         burst = c < self.c1
         tau = np.divide(c, self.p_thr + self.eps, out=self.l.copy(), where=burst)
-        power = np.where(burst, self.p_thr, self._power2(c))
+        full = np.minimum(np.maximum(c / self.l - self.eps, 0.0), self.p_peak)
+        power = np.where(burst, self.p_thr, full)
         idle = c <= 1e-15
         tau = np.where(idle, 0.0, tau)
         power = np.where(idle, 0.0, power)
@@ -372,12 +374,11 @@ class _Shape:
     """The part of a :class:`_Program` that only its split mask (and so
     N) fixes, built one family at a time (``_TABLES``): every family's
     pattern is fixed, so its CSR rows of the stacked ``[A; Q]`` and of the
-    band map's transpose are that pattern shifted by ``_NV`` columns per
-    epoch, less the terms of epoch -1.  Entries hold coefficient codes
-    (``_CONSTS``), band entries ``_NCODE * ca + cb`` for the product of a
-    term pair.  One transpose turns the band map's rows (one per weight)
-    into its columns (one per band slot).  The arrays, ``nbytes`` in all,
-    are read-only: one shape serves every program of that shape
+    band map's transpose (one row per weight) are that pattern shifted by
+    ``_NV`` columns per epoch, less the terms of epoch -1.  Entries hold
+    coefficient codes (``_CONSTS``), band entries ``_NCODE * ca + cb`` for
+    the product of a term pair.  The arrays, ``nbytes`` in all, are
+    read-only: one shape serves every program of that shape
     (:func:`_shape`)."""
 
     def __init__(self, split: np.ndarray):
@@ -433,11 +434,10 @@ class _Shape:
         self.indices, self.code, self.indptr = csr(aq)
         self.q_indptr = self.indptr[m:] - self.indptr[m]
         # The transpose (scipy's ``csr_tocsc``, a counting sort) keeps each
-        # slot's terms in row order: family by family and epoch by epoch.
-        # A family adds at most two terms to a slot, from epoch i and from
-        # epoch i + 1's copy of the pair shifted by -1, which every stencil
-        # lists after the unshifted pair: this is also the order of a loop
-        # over families, term pairs and epochs, which fixes the band's bits.
+        # slot's terms in row order.  A family adds at most two to a slot:
+        # epoch i's and epoch i + 1's copy shifted by -1, which every
+        # stencil lists later.  So the band sums them as a loop over
+        # families, term pairs and epochs would, which fixes its bits.
         slot, bcode, bptr = csr(band)
         self.bptr = np.empty((_BAND + 1) * n + 1, dtype=np.int32)
         self.brow, self.bcode = np.empty(slot.size, np.int32), np.empty_like(bcode)
@@ -870,8 +870,8 @@ class DualCertificate:
     def ok(self) -> bool:
         """Stationarity within ``STAT_TOL`` of its unit (the largest water
         level for the nats/J families, ``rate_scale`` for ``stat_tau`` in
-        nats/s) and complementarity (nats) within ``COMP_TOL``: both tests
-        are free of the energy scale."""
+        nats/s), free of the energy scale, and complementarity (nats)
+        within ``COMP_TOL``, an absolute bar."""
         level = float(np.max(self.levels))
         stat = all(
             r <= STAT_TOL * (self.rate_scale if name == "stat_tau" else level)

@@ -370,18 +370,29 @@ def test_returned_schedule_passes_the_audit(seed, n, circuit):
     sched = sol.schedule
     assert check_feasibility(tl, sched.split, sched, storage, p_peak).feasible
     assert np.max(np.abs(sched.split.sc + sched.split.b - tl.E)) <= FEAS_TOL
+    assert np.all(sched.power <= p_peak)
 
 
-@pytest.mark.parametrize("seed", [229, 905, 1471])
-def test_feasible_degenerate_instances_return(seed):
-    """Degenerate circuit solves whose loop leaves sub-microsecond windows
-    above the peak power: each snap that keeps the audit's storage
-    slacks within its tolerance is taken, and the schedule passes the
-    audit.  A snap test over the solver's scaled rows refused the first
-    snap of each on a residual of about -1e-8 J in a drain cap row, which
-    no snap can change."""
+@pytest.mark.parametrize(
+    "seed, circuit",
+    [(229, True), (905, True), (1471, True), (10, True), (21, True), (17, False), (27, False)],
+    ids=["229", "905", "1471", "10", "21", "ideal-17", "ideal-27"],
+)
+def test_feasible_degenerate_instances_return(seed, circuit):
+    """Degenerate solves whose loop leaves windows above the peak power
+    pass the audit.  In circuit seeds 229, 905 and 1471 the windows are
+    sub-microsecond: each snap that keeps the audit's storage slacks
+    within its tolerance is taken; a snap test over the solver's scaled
+    rows refused the first snap of each on a residual of about -1e-8 J in
+    a drain cap row, which no snap can change.  In the other four a whole
+    1e-9 to 1e-5 s epoch meets its drain cap only to a tolerance relative
+    to the total arriving energy, up to many times the peak power in W,
+    and its power is clipped at the peak."""
     eff, tl, storage, p_peak, eps = _random_degenerate(seed, 1 + seed % 40)
-    sol = solve_offline_circuit(eff, None, tl, storage, p_peak, eps)
+    if circuit:
+        sol = solve_offline_circuit(eff, None, tl, storage, p_peak, eps)
+    else:
+        sol = solve_offline_ideal(eff, None, tl, storage, p_peak)
     assert check_feasibility(tl, sol.schedule.split, sol.schedule, storage, p_peak).feasible
 
 
@@ -936,7 +947,24 @@ def test_program_assembly_matches_dense_build(case, monkeypatch):
     assert np.max(np.abs(np.triu(H) - banded)) <= 1e-12 * np.max(np.abs(H))
 
 
-@pytest.mark.parametrize("case", _assembly_cases().values(), ids=_assembly_cases().keys())
+def _long_case():
+    """2100 epochs with eps drawn from {0, 1, 50}: split, unsplit and
+    linear epochs, and 67,200 band slots, past 16-bit slot numbers."""
+    rng = np.random.default_rng(2100)
+    N = 2100
+    t = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 2.0, N - 1))))
+    tl = build_timeline(list(zip(t.tolist(), rng.uniform(0.0, 2.0, N).tolist())),
+                        T=float(t[-1]) + 1.0)
+    storage = HybridStorage(sc_cap=1.5, b_cap=8.0, eta=0.6)
+    unit = decompose_zf_dpc(unit_scalar_channelset())
+    return unit, tl, storage, 4.0, rng.choice([0.0, 1.0, 50.0], N)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*_assembly_cases().values(), _long_case()],
+    ids=[*_assembly_cases().keys(), "2100-epochs"],
+)
 def test_band_map_sums_each_slot_in_stencil_order(case):
     """Each band slot sums its terms, a weight row times a coefficient
     product, in the order of a plain loop over ``_FAMILIES``: family by
