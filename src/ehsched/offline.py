@@ -424,7 +424,7 @@ class _Shape:
 
         def csr(parts):
             # The parts go as soon as they are joined: they set the
-            # solver's peak memory.  32-bit indices suffice for any band
+            # build's peak memory.  32-bit indices suffice for any band
             # that fits in memory.
             cols, codes, counts = zip(*parts)
             parts.clear()
