@@ -12,8 +12,9 @@ covers the objective (as a hex float), the Newton step count,
 (labels ending in ``online``) covers the throughput (as a hex float),
 every array of its ``Schedule``, the trace and the discards.  A
 ``band`` digest covers the arrays a Newton step reads from one program:
-its right-hand sides ``u``, its band (the band map times fixed positive
-row weights) and ``[A; Q]`` times a fixed vector.  The solves, runs and
+its right-hand sides ``u``, its band (the band map times one fixed
+positive weight per row of ``[A; Q]``) and ``[A; Q]`` times a fixed
+vector.  The solves, runs and
 programs are:
 
 * perfbench's two banks: ``sweep-eta`` (12 trials at 5 etas, ideal and
@@ -166,15 +167,14 @@ def scaling_job(model: str, stream: int, n: int):
 
 
 def band_job(eff, timeline, eps):
-    """The right-hand sides, the band at fixed positive weights and
-    ``[A; Q]`` times a fixed vector of the program with circuit powers
-    ``eps``."""
+    """The right-hand sides, the band at fixed positive weights (one per
+    row of ``[A; Q]``, the ``m + N`` the band map takes) and ``[A; Q]``
+    times a fixed vector of the program with circuit powers ``eps``."""
     def run():
         inst = offline._make_instance(eff, None, timeline, default_storage(), P_PEAK, eps)
         prog = offline._Program(inst, offline._ValueModel(inst))
         rng = np.random.default_rng(0)
-        weights = rng.uniform(0.1, 10.0, prog.u.size + prog.N + 1)
-        weights[-1] = 1.0
+        weights = rng.uniform(0.1, 10.0, prog.u.size + prog.N)
         x = rng.uniform(-1.0, 1.0, prog.n)
         return prog.u, offline._mul(prog.band, weights), offline._mul(prog.AQ, x)
 

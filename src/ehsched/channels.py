@@ -11,6 +11,7 @@ lower-triangular.  All rates are in nats (natural log).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -54,6 +55,8 @@ class ChannelSet:
                 raise ValueError(
                     f"channel matrix shape {h.shape} does not match (n={u.n}, M={self.M})"
                 )
+            if not np.all(np.isfinite(h)):
+                raise ValueError("channel matrix entries must be finite")
 
     @property
     def gammas(self) -> np.ndarray:
@@ -278,6 +281,17 @@ def channelset_to_json(chans: ChannelSet) -> dict:
     return doc
 
 
+def check_integer(value, name: str) -> int:
+    """``value`` as an int: an integer, or a float with an integral value.
+    A bool, a fractional or non-finite float or any other type raises
+    ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _complex_entry(entry) -> complex:
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
         raise ValueError(f"explicit matrix entry {entry!r} is not an [re, im] pair")
@@ -288,12 +302,12 @@ def channelset_from_json(doc: dict | str) -> ChannelSet:
     if isinstance(doc, str):
         doc = json.loads(doc)
     try:
-        M = int(doc["M"])
+        M = check_integer(doc["M"], "M")
         users = tuple(
-            UserConfig(n=int(u["n"]), gamma=float(u.get("gamma", 1.0)))
+            UserConfig(n=check_integer(u["n"], "n"), gamma=float(u.get("gamma", 1.0)))
             for u in doc["users"]
         )
-        seed = int(doc["seed"]) if "seed" in doc else None
+        seed = check_integer(doc["seed"], "seed") if "seed" in doc else None
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed channel document: {exc}") from exc
     if "H" in doc:

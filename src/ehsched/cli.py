@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from .channels import channelset_from_json, decompose_zf_dpc
+from .channels import channelset_from_json, check_integer, decompose_zf_dpc
 from .energy import HybridStorage, build_timeline, generate_compound_poisson
 from .experiments import (
     SWEEP_AXES,
@@ -81,7 +81,7 @@ def _scenario(path: str):
                 e_avg=float(p["e_avg"]),
                 T=T,
                 initial=float(p.get("initial", 0.0)),
-                seed=int(p["seed"]),
+                seed=check_integer(p["seed"], "seed"),
             )
         else:
             timeline = build_timeline([(float(t), float(E)) for t, E in arrivals], T=T)

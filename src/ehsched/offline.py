@@ -244,14 +244,10 @@ class _ValueModel:
 # Primal-dual interior-point solve in cumulative coordinates
 # ---------------------------------------------------------------------------
 
-#: Columns of the per-epoch variable block: cumulative super-capacitor
-#: drain S, cumulative battery drain B (drainable J), cumulative
-#: super-capacitor deposits D, and the burst part a of the epoch's use.
+#: Columns of an epoch's variable block: cumulative super-capacitor drain
+#: S, cumulative battery drain B (drainable J), cumulative super-capacitor
+#: deposits D and, on a split epoch only, the burst part a of its use.
 _S, _B, _D, _A = range(4)
-_NV = 4
-#: Every row couples epochs i-1 and i only, so every Newton matrix is
-#: banded with this many diagonals above the main one.
-_BAND = 2 * _NV - 1
 MAX_NEWTON = 200
 #: Stopping tolerances, all relative: the dual residual to the gradient,
 #: the primal residual to the row's right-hand side (energies measured in
@@ -282,8 +278,9 @@ _USE = (*_diff(_S, 1.0), *_diff(_B, 1.0))
 #: The row families in row order: whether a family has rows on the split
 #: epochs only, and its stencil terms ``(epoch shift, column,
 #: coefficient)``, a string naming a coefficient that depends on the
-#: instance.  The last family is not a constraint but the map from x to
-#: the curved parts' arguments.
+#: instance.  A term whose column its epoch lacks (epoch -1, or the burst
+#: part of an epoch not split) is left out.  The last family is not a
+#: constraint but the map from x to the curved parts' arguments.
 _FAMILIES = {
     "sc_caus": (False, ((0, _S, 1.0), (0, _D, -1.0))),
     "sc_over": (False, ((0, _D, 1.0), (-1, _S, -1.0))),
@@ -297,31 +294,26 @@ _FAMILIES = {
     "a_lo": (True, ((0, _A, -1.0),)),
     "a_hi": (True, ((0, _A, 1.0),)),
     "f_lo": (True, ((0, _A, 1.0), *_diff(_S, -1.0), *_diff(_B, -1.0))),
-    # q_i = c_i - a_i, the burst part counting only on split epochs.
-    "objective": (False, (*_USE, (0, _A, "-split"))),
+    # q_i = c_i - a_i: the burst part counts only on split epochs.
+    "objective": (False, (*_USE, (0, _A, -1.0))),
 }
 
 
-#: The values a stencil coefficient takes, by code: the constants of
-#: ``_FAMILIES``, -0 (the "-split" of an epoch not split), then the
-#: instance's eta and -eta, codes ``_ETA`` and ``_ETA + 1``.
-_CONSTS = (1.0, -1.0, -0.0)
-_ETA, _NCODE = len(_CONSTS), len(_CONSTS) + 2
-#: The weight of the band terms that pin the placeholder burst parts.
-_ONE = np.ones(1)
+#: The stencil coefficients by code; a program puts in the instance's eta.
+_CODES = (1.0, -1.0, "eta", "-eta")
 
 
 def _tables(terms: tuple) -> tuple:
-    """A family's fixed tables from its stencil ``terms``: the column
-    offsets of its terms in column order, the terms in that order and the
-    upper-triangle term pairs ``(a, b)``, ``a <= b``, of that order; the
-    coefficient code (``_CONSTS``) of each term and the terms ``(t,
-    name)`` whose coefficient a name gives instead."""
-    off = np.array([_NV * shift + var for shift, var, _ in terms])
-    term = np.argsort(off)
-    code = np.array([0 if isinstance(c, str) else _CONSTS.index(c) for *_, c in terms], np.uint8)
-    named = tuple((t, c) for t, (*_, c) in enumerate(terms) if isinstance(c, str))
-    return off[term], term, np.triu_indices(len(terms)), code, named
+    """A family's fixed tables from its stencil ``terms``, in column order:
+    each term's column in an epoch's stencil table (:class:`_Shape`,
+    ``3 + 3 * shift + column``) and code (``_CODES``), the upper-triangle
+    term pairs ``(a, b)``, ``a <= b``, and each pair's product code
+    ``len(_CODES) * code[a] + code[b]``."""
+    terms = sorted(terms, key=lambda t: 3 * t[0] + t[1])
+    col = np.array([3 + 3 * shift + var for shift, var, _ in terms])
+    code = np.array([_CODES.index(c) for *_, c in terms], np.uint8)
+    a, b = np.triu_indices(len(terms))
+    return col, code, a, b, len(_CODES) * code[a] + code[b]
 
 
 _TABLES = {name: _tables(terms) for name, (_, terms) in _FAMILIES.items()}
@@ -372,22 +364,36 @@ def _mul_t(M: tuple, v: np.ndarray) -> np.ndarray:
 
 class _Shape:
     """The part of a :class:`_Program` that only its split mask (and so
-    N) fixes, built one family at a time (``_TABLES``): every family's
-    pattern is fixed, so its CSR rows of the stacked ``[A; Q]`` and of the
-    band map's transpose (one row per weight) are that pattern shifted by
-    ``_NV`` columns per epoch, less the terms of epoch -1.  Entries hold
-    coefficient codes (``_CONSTS``), band entries ``_NCODE * ca + cb`` for
-    the product of a term pair.  The arrays, ``nbytes`` in all, are
-    read-only: one shape serves every program of that shape
-    (:func:`_shape`)."""
+    N) fixes, built one family at a time (``_TABLES``).  An epoch has the
+    columns S, B and D, a split epoch a fourth, a; epoch i's columns
+    start at ``first[i]``.  Every row couples two neighbouring epochs, so
+    the band has ``kd`` diagonals above the main one: the widest such
+    pair's columns less one.  A family's CSR rows of the stacked ``[A;
+    Q]`` and of the band map's transpose (one row per weight) read its
+    fixed pattern from each epoch's stencil table of columns, less the
+    columns the epoch lacks.  Entries hold coefficient codes
+    (``_CODES``), band entries the codes of term pairs' products.  The
+    arrays, ``nbytes`` in all, are read-only: one shape serves every
+    program of that shape (:func:`_shape`)."""
 
     def __init__(self, split: np.ndarray):
         _bind_kernels()
         N = split.size
-        n = N * _NV
-        al, sp = np.arange(N), np.flatnonzero(split)
-        # "-split" is the negated 0/1 mask: -1 on split epochs, else -0.
-        coef = {"eta": _ETA, "-eta": _ETA + 1, "-split": np.where(split, 1, 2)}
+        sp = np.flatnonzero(split)
+        width = split + 3  # columns per epoch
+        self.first = np.cumsum(width) - width
+        self.n = n = 3 * N + sp.size
+        self.kd = kd = int(np.max(width[:-1] + width[1:], initial=6)) - 1
+        # Each epoch's stencil table: the columns of S, B and D of the
+        # epoch before, then of its own S, B, D and a.  A column the epoch
+        # lacks (epoch -1's, or the a of an epoch not split) is minus the
+        # band's slot count, so that its entries and the band slots of its
+        # pairs are negative and left out.
+        absent = -(kd + 1) * n
+        prev = np.concatenate(([absent], self.first[:-1]))
+        stencil = np.hstack((prev[:, None] + np.arange(3), self.first[:, None] + np.arange(4)))
+        stencil[~split, -1] = absent
+        epochs = {False: (np.arange(N), stencil), True: (sp, stencil[sp])}
         self.rows: dict[str, tuple[slice, np.ndarray]] = {}
         # CSR parts of [A; Q] and of the band map's transpose, per family:
         # columns or band slots, coefficient codes or codes of their
@@ -395,32 +401,21 @@ class _Shape:
         aq, band = [], []
         m = 0
         for name, (on_split, _) in _FAMILIES.items():
-            ep = sp if on_split else al
-            off, term, (a, b), code, named = _TABLES[name]
-            C = np.repeat(code[:, None], ep.size, axis=1)
-            for t, c in named:
-                C[t] = coef[c]
-            C = C[term].T
-            # A term of epoch -1 has a negative column: it is left out,
-            # and so is every pair it is in.
-            cols = _NV * ep[:, None] + off
+            ep, table = epochs[on_split]
+            col, code, a, b, pcode = _TABLES[name]
+            cols = table[:, col]
             keep = cols >= 0
-            aq.append((cols[keep], C[keep], keep.sum(axis=1)))
+            aq.append((cols[keep], np.repeat(code[None], ep.size, 0)[keep], keep.sum(axis=1)))
             # Entry (cols[a], cols[b]) of the upper triangle, in LAPACK's
             # column-major band storage.
-            keep = keep[:, a]
-            slot = cols[:, b] * _BAND + cols[:, a] + _BAND
-            band.append((slot[keep], (_NCODE * C[:, a] + C[:, b])[keep], keep.sum(axis=1)))
+            slot = cols[:, b] * kd + cols[:, a] + kd
+            keep = slot >= 0
+            band.append((slot[keep], np.repeat(pcode[None], ep.size, 0)[keep], keep.sum(axis=1)))
             self.rows[name] = (slice(m, m + ep.size), ep)
             m += ep.size
         del self.rows["objective"]
         self.m = m = m - N
-        self.split, self.burst = sp, _NV * sp + _A
-        # Placeholder burst parts sit in no row: pin them with a unit
-        # diagonal (their gradient is zero, so they stay at zero), as one
-        # last row of weight one (1.0 * 1.0).
-        idle = _NV * np.flatnonzero(~split) + _A
-        band.append(((_BAND + 1) * idle + _BAND, np.zeros(idle.size, np.uint8), [idle.size]))
+        self.split, self.burst = sp, self.first[sp] + _A
 
         def csr(parts):
             # The parts go as soon as they are joined: they set the
@@ -439,9 +434,9 @@ class _Shape:
         # stencil lists later.  So the band sums them as a loop over
         # families, term pairs and epochs would, which fixes its bits.
         slot, bcode, bptr = csr(band)
-        self.bptr = np.empty((_BAND + 1) * n + 1, dtype=np.int32)
+        self.bptr = np.empty((kd + 1) * n + 1, dtype=np.int32)
         self.brow, self.bcode = np.empty(slot.size, np.int32), np.empty_like(bcode)
-        _sparsetools.csr_tocsc(m + N + 1, (_BAND + 1) * n, bptr, slot, bcode,
+        _sparsetools.csr_tocsc(m + N, (kd + 1) * n, bptr, slot, bcode,
                                self.bptr, self.brow, self.bcode)
         arrays = [*vars(self).values(), *(ep for _, ep in self.rows.values())]
         arrays = {id(v): v for v in arrays if isinstance(v, np.ndarray)}.values()
@@ -451,8 +446,9 @@ class _Shape:
 
 
 #: Program shapes by split mask, least recently used first, and the bytes
-#: they may take in all: a shape takes about 0.7 KB per epoch, so a
-#: sweep's shapes stay and one of N = 10^4 is built for its program only.
+#: they may take in all: a shape takes 0.5 KB (no epoch split) to 0.7 KB
+#: (every epoch split) per epoch, so a sweep's shapes stay and one of
+#: N = 10^4 is built for its program only.
 _SHAPES: dict[bytes, _Shape] = {}
 _SHAPE_BYTES = 4 << 20
 
@@ -475,18 +471,18 @@ def _shape(split: np.ndarray) -> _Shape:
 class _Program:
     """The horizon problem as ``max F(x)`` subject to ``A x <= u``.
 
-    Each epoch holds the block ``x[i] = (S_i, B_i, D_i, a_i)`` and every
-    constraint family is a stencil over epochs ``i-1`` and ``i``
+    Each epoch holds the columns ``S_i, B_i, D_i`` (``first[i]`` onward)
+    and every constraint family is a stencil over epochs ``i-1`` and ``i``
     (``_FAMILIES``).  Epoch i's use ``c_i = s_i + b_i`` (with
     ``s_i = S_i - S_{i-1}``) is worth ``V_i(c_i)``.  Where the burst/full
     junction ``c1`` lies inside the feasible range, the use is split into
     a burst part ``a`` in ``[0, c1]`` worth ``r0`` per joule and a full
     part ``f = c - a >= 0`` worth ``l (W(p_thr + f/l) - W(p_thr))``:
-    Newton steps then never straddle the jump of V'' at ``c1``.  Elsewhere
-    ``a`` is an unused placeholder and the curved part takes the whole use
-    (linear with slope ``r0`` when ``c1 = cmax``).  Below zero, where only
-    infeasible iterates go, the curved part continues as its quadratic
-    model at zero.  Energies are measured in units of the total arriving
+    Newton steps then never straddle the jump of V'' at ``c1``.  Only such
+    a split epoch has the column ``a_i``; elsewhere the curved part takes
+    the whole use (linear with slope ``r0`` when ``c1 = cmax``).  Below
+    zero, where only infeasible iterates go, the curved part continues as
+    its quadratic model at zero.  Energies are measured in units of the total arriving
     energy and F in units of its largest marginal value times that energy.
 
     Assembly has two parts.  The shape part depends only on the split
@@ -498,13 +494,12 @@ class _Program:
     arguments) is kept as plain CSR arrays ``(data, indices, indptr,
     shape)``, with ``A`` and ``Q`` views into it, which :func:`_mul` and
     :func:`_mul_t` hand to scipy's kernels.  So is the band map ``band``,
-    which takes the stacked weights ``(w, kappa, 1)`` to LAPACK's
-    column-major band storage: its row ``j * (_BAND + 1) + d`` is
-    diagonal ``d`` of column ``j``, and its entries there are the
-    coefficient products of the term pairs that add to that slot, in the
-    order of their weights' rows (family by family and epoch by epoch,
-    the placeholder pins last), which one transpose of the row-wise map
-    keeps.
+    which takes the ``m + N`` stacked weights ``(w, kappa)`` to LAPACK's
+    column-major band storage: its row ``j * (kd + 1) + d`` is diagonal
+    ``d`` of column ``j``, and its entries there are the coefficient
+    products of the term pairs that add to that slot, in the order of
+    their weights' rows (family by family and epoch by epoch), which one
+    transpose of the row-wise map keeps.
     """
 
     def __init__(self, inst: OfflineInstance, vm: _ValueModel):
@@ -544,15 +539,16 @@ class _Program:
         self.u = np.empty(m)
         for name, (rows, _) in self.rows.items():
             self.u[rows] = rhs[name] / self.escale
-        coef = np.array((*_CONSTS, eta, -eta))
+        coef = np.array((1.0, -1.0, eta, -eta))
         data = coef[shape.code]
-        n = self.n = N * _NV
+        n = self.n = shape.n
+        self.kd, self.first = shape.kd, shape.first
         nnz = shape.indptr[m]
         self.AQ = (data, shape.indices, shape.indptr, (m + N, n))
         self.A = (data[:nnz], shape.indices[:nnz], shape.indptr[: m + 1], (m, n))
         self.Q = (data[nnz:], shape.indices[nnz:], shape.q_indptr, (N, n))
         bcoef = np.multiply.outer(coef, coef).ravel()[shape.bcode]
-        self.band = (bcoef, shape.brow, shape.bptr, (shape.bptr.size - 1, m + N + 1))
+        self.band = (bcoef, shape.brow, shape.bptr, (shape.bptr.size - 1, m + N))
         self.burst = shape.burst
         self.lin = np.zeros(n)
         self.lin[self.burst] = self.escale * vm.r0[sp] / self.fscale
@@ -606,11 +602,10 @@ class _Program:
 
     def factor(self, w: np.ndarray, kappa: np.ndarray) -> np.ndarray:
         """Upper banded Cholesky factor of ``A' diag(w) A + Q' diag(kappa)
-        Q``, with a unit diagonal on the placeholder burst parts: row
-        weights ``w`` and the curved parts' scaled curvatures.
+        Q`` for row weights ``w`` and the curved parts' scaled curvatures.
 
         The band is one product of the band map with the stacked weights
-        ``(w, kappa, 1)``, already in the column-major layout LAPACK takes,
+        ``(w, kappa)``, already in the column-major layout LAPACK takes,
         and ``dpbtrf`` factors it in place; the Newton solves of
         :func:`_maximize` use the factor with ``dpbtrs``.  A band
         with a non-finite entry raises :class:`SolverError` (a numerical
@@ -619,10 +614,10 @@ class _Program:
         relative 1e-12, then 1e-10, then 1e-8, each time on a band built
         anew from the map, since the failed attempt overwrote the last;
         when every attempt fails, ``np.linalg.LinAlgError`` is raised."""
-        wk = np.concatenate((w, kappa, _ONE))
+        wk = np.concatenate((w, kappa))
 
         def band():
-            return _mul(self.band, wk).reshape(self.n, _BAND + 1).T
+            return _mul(self.band, wk).reshape(self.n, self.kd + 1).T
 
         ab = band()
         if not np.logical_and.reduce(np.isfinite(ab), axis=None):
@@ -636,7 +631,7 @@ class _Program:
             # directions.
             for reg in (1e-12, 1e-10, 1e-8):
                 ab = band()
-                ab[_BAND] *= 1.0 + reg
+                ab[-1] *= 1.0 + reg
                 L, info = dpbtrf(ab, overwrite_ab=1)
                 if not info:
                     break
@@ -746,8 +741,7 @@ def _maximize(prog: _Program) -> _Iterate:
         F, grad, slope, kappa = prog.objective(x, AQx[m:])
     if not np.all(np.isfinite(x)):
         raise SolverError("solver produced non-finite iterates")
-    X = x.reshape(prog.N, _NV)
-    s_, b_, e_ = (np.diff(X[:, v], prepend=0.0) * prog.escale for v in (_S, _B, _D))
+    s_, b_, e_ = (np.diff(x[prog.first + v], prepend=0.0) * prog.escale for v in (_S, _B, _D))
     unit = prog.fscale / prog.escale
     multipliers = {}
     for name, (sl, ep) in prog.rows.items():

@@ -44,11 +44,13 @@ class WaterSystem:
     thresholds ``thr`` in decreasing order, the sums G, C, S of the first m
     modes in ``cg[m]``, ``cil[m]``, ``cgl[m]``, and the ``breaks``.  The
     tables are read-only, so one system can serve every caller of the
-    same channels and weights (:meth:`shared`)."""
+    same channels and weights (:meth:`shared`).  It keeps the channels'
+    mode tables rather than the channel object that caches it, so no
+    reference cycle keeps a dropped channel object alive."""
 
     def __init__(self, eff: EffectiveChannels, weights=None):
         w = np.array(resolve_weights(eff, weights))
-        self.eff = eff
+        self._X, self._lam = eff.X, eff.lam
         self.weights = w
         gamma = np.repeat(w, [lam.size for lam in eff.lam])
         lam = np.concatenate(eff.lam)
@@ -123,7 +125,7 @@ class WaterSystem:
         batched build (exact zero matrices where power <= 0)."""
         p = np.asarray(power, dtype=float)
         level, _ = self.level_at_power_vec(p)
-        return covariances_for_level(self.eff, self.weights, np.where(p <= 0.0, np.inf, level))
+        return _covariances(self._X, self._lam, self.weights, np.where(p <= 0.0, np.inf, level))
 
     def efficient_power(self, eps):
         """The sum power p_o maximizing the efficiency ratio W(p)/(p + eps),
@@ -195,13 +197,18 @@ def covariances_for_level(eff: EffectiveChannels, weights, levels) -> Covariance
     """Closed-form covariances at each water level of an array (positive
     part applied), stacked along the leading axes of ``levels``; an
     infinite level carries no power and gives exact zero matrices."""
+    return _covariances(eff.X, eff.lam, resolve_weights(eff, weights), levels)
+
+
+def _covariances(Xs, lams, w, levels) -> CovarianceSet:
+    """:func:`covariances_for_level` on the covariance bases ``Xs``, the
+    eigenvalues ``lams`` and the weights ``w`` of the users."""
     levels = np.asarray(levels, dtype=float)
     if not np.all(levels > 0.0):
         raise ValueError("water levels must be positive")
-    w = resolve_weights(eff, weights)
     on = np.isfinite(levels)[..., None, None]
     Phi = []
-    for gamma, X, lam in zip(w, eff.X, eff.lam):
+    for gamma, X, lam in zip(w, Xs, lams):
         d = np.maximum(gamma * lam / levels[..., None] - 1.0, 0.0)
         P = (X * d[..., None, :]) @ X.conj().T
         Phi.append(np.where(on, 0.5 * (P + P.conj().swapaxes(-1, -2)), 0.0))

@@ -259,6 +259,43 @@ def test_json_rejects_malformed_documents():
             channelset_from_json({"M": 1, "users": [{"n": 1}], "H": [[[entry]]]})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_channel_set_rejects_non_finite_matrices(bad):
+    H = np.array([[1.0 + 0.5j, bad]])
+    with pytest.raises(ValueError, match="must be finite"):
+        ChannelSet(M=2, users=(UserConfig(1),), H=(H,))
+    doc = {"M": 2, "users": [{"n": 1}], "H": [[[[1.0, 0.5], [bad.real, bad.imag]]]]}
+    with pytest.raises(ValueError, match="must be finite"):
+        channelset_from_json(json.dumps(doc))
+
+
+_SEEDED = {"M": 2, "users": [{"n": 1, "gamma": 1.0}], "seed": 3}
+
+
+def _with(field, value):
+    doc = json.loads(json.dumps(_SEEDED))
+    if field == "n":
+        doc["users"][0]["n"] = value
+    else:
+        doc[field] = value
+    return doc
+
+
+@pytest.mark.parametrize("field", ["M", "n", "seed"])
+@pytest.mark.parametrize("value", [2.9, True, "2", None, math.inf])
+def test_json_rejects_non_integral_fields(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        channelset_from_json(_with(field, value))
+
+
+def test_json_accepts_integral_floats():
+    want = channelset_from_json(_SEEDED)
+    got = channelset_from_json(_with("M", 2.0) | {"seed": 3.0})
+    assert (got.M, got.seed, type(got.M), type(got.seed)) == (2, 3, int, int)
+    assert np.array_equal(got.H[0], want.H[0])
+    assert channelset_from_json(_with("n", 1.0)).users[0].n == 1
+
+
 def test_readme_channel_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("### Channel JSON", 1)[1].split("```json", 1)[1].split("```", 1)[0]

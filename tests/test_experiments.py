@@ -675,6 +675,50 @@ def test_cli_rejects_json_numbers_out_of_range(files, kind, doc, capsys):
     assert capsys.readouterr().err.startswith(f"error: bad {noun} file")
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+@pytest.mark.parametrize("command", ["solve", "simulate", "p-o", "level"])
+def test_cli_rejects_non_finite_channel_matrices(files, command, bad, capsys):
+    """An explicit channel matrix with a NaN or infinite entry is invalid
+    input for every command that reads channels."""
+    tmp, _, scen = files
+    chan = tmp / "bad.json"
+    chan.write_text('{"M": 2, "users": [{"n": 1}], "H": [[[[1.0, 0.0], [%s, 0.0]]]]}' % bad)
+    extra = {
+        "solve": ["--scenario", scen, "--p-peak", "4.0"],
+        "simulate": ["--scenario", scen, "--p-peak", "4.0"],
+        "p-o": ["--eps", "1.0"],
+        "level": ["--budget", "2.0"],
+    }[command]
+    assert main([command, "--channels", str(chan), *extra]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == "" and "must be finite" in err
+
+
+@pytest.mark.parametrize("value", ["2.9", "true"])
+@pytest.mark.parametrize("field", ["M", "n", "seed", "poisson-seed"])
+def test_cli_rejects_non_integral_fields(files, field, value, capsys):
+    """``M``, ``n`` and ``seed`` of a channel file and a scenario's Poisson
+    ``seed`` are integers: a fraction or a bool is invalid input that
+    names the field, where it once truncated to an int."""
+    tmp, chan, scen = files
+    docs = {
+        "M": '{"M": %s, "users": [{"n": 1}], "seed": 3}',
+        "n": '{"M": 3, "users": [{"n": %s}], "seed": 3}',
+        "seed": '{"M": 2, "users": [{"n": 1}], "seed": %s}',
+        "poisson-seed": '{"T": 5.0, "arrivals": {"poisson": {"rate": 1.0, "e_avg": 1.0, '
+                        '"seed": %s}}, ' + _STORE + '}',
+    }
+    path = tmp / "doc.json"
+    path.write_text(docs[field] % value)
+    kind = "scenario" if field == "poisson-seed" else "channels"
+    paths = {"channels": chan, "scenario": scen, kind: str(path)}
+    argv = ["solve", "--channels", paths["channels"], "--scenario", paths["scenario"],
+            "--p-peak", "4.0"]
+    assert main(argv) == EXIT_INVALID
+    name = field.removeprefix("poisson-")
+    assert f"{name} must be an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "poisson",
     ['"rate": 1e999, "e_avg": 1.0', '"rate": NaN, "e_avg": 1.0',

@@ -841,6 +841,16 @@ def test_tiny_window_snap(seed, n, refused, monkeypatch):
 _S, _B, _D, _A = range(4)
 
 
+def _columns(split):
+    """The program's column of each ``(epoch, variable)``, counted epoch by
+    epoch: S, B and D, then a on a split epoch only; and the column count."""
+    col = {}
+    for i, s in enumerate(split):
+        for var in (_S, _B, _D, _A) if s else (_S, _B, _D):
+            col[i, var] = len(col)
+    return col, len(col)
+
+
 def _use(i, sign):
     """Terms of ``sign * c_i`` with ``c_i = S_i - S_{i-1} + B_i - B_{i-1}``."""
     return [(i, _S, sign), (i - 1, _S, -sign), (i, _B, sign), (i - 1, _B, -sign)]
@@ -848,18 +858,20 @@ def _use(i, sign):
 
 def _dense_program(inst, vm):
     """Dense A, u and Q of the horizon program, row by row from the row
-    families as ``_Program`` states them (variables S, B, D, a per epoch,
-    right-hand sides in units of the total arriving energy)."""
+    families as ``_Program`` states them (variables S, B, D per epoch and a
+    per split epoch, right-hand sides in units of the total arriving
+    energy)."""
     N, E, eta = inst.timeline.N, inst.timeline.E, inst.eta
     cumE = np.cumsum(E)
     escale = float(cumE[-1]) if cumE[-1] > 0.0 else 1.0
     split = (vm.c1 < vm.cmax) & (vm.c1 > 0.0)
+    col, n = _columns(split)
 
     def dense(terms):
-        row = np.zeros(4 * N)
+        row = np.zeros(n)
         for i, var, coef in terms:
             if i >= 0:
-                row[4 * i + var] += coef
+                row[col[i, var]] += coef
         return row
 
     families = [
@@ -937,8 +949,7 @@ def test_program_assembly_matches_dense_build(case, monkeypatch):
     w, kappa = rng.uniform(0.1, 10.0, u.size), rng.uniform(0.1, 10.0, inst.timeline.N)
     prog.factor(w, kappa)
     H = A.T @ (w[:, None] * A) + Q.T @ (kappa[:, None] * Q)
-    H[np.diag_indices_from(H)] += np.where(np.arange(prog.n) % 4 == _A, ~split.repeat(4), False)
-    band = offline._BAND
+    band = prog.kd
     ab = captured[0]
     banded = np.zeros_like(H)
     for d in range(min(band, prog.n - 1) + 1):
@@ -960,52 +971,62 @@ def _long_case():
     return unit, tl, storage, 4.0, rng.choice([0.0, 1.0, 50.0], N)
 
 
-@pytest.mark.parametrize(
-    "case",
-    [*_assembly_cases().values(), _long_case()],
-    ids=[*_assembly_cases().keys(), "2100-epochs"],
-)
-def test_band_map_sums_each_slot_in_stencil_order(case):
-    """Each band slot sums its terms, a weight row times a coefficient
-    product, in the order of a plain loop over ``_FAMILIES``: family by
-    family, term pair by term pair in stencil order, epoch by epoch, and
-    the unit pins of the placeholder burst parts last.  That order fixes
-    the band's bits."""
+#: Columns and band width (diagonals above the main one) of each case: 3
+#: columns per epoch not split and 4 per split one; a band of 5 when no
+#: epoch is split, 6 when no two neighbours are and 7 otherwise.
+_LAYOUTS = {
+    "ideal": (3 * 5, 5),
+    "constant-eps": (4 * 5, 7),
+    "per-epoch-eps": (3 * 5 + 2, 6),
+    "one-epoch": (4, 5),
+    "2100-epochs": (3 * 2100 + 698, 7),
+}
+
+
+@pytest.mark.parametrize("name", _LAYOUTS)
+def test_band_map_sums_each_slot_in_stencil_order(name):
+    """Each epoch has its own columns only, and each band slot sums its
+    terms, a weight row times a coefficient product, in the order of a
+    plain loop over ``_FAMILIES``: family by family, term pair by term
+    pair in stencil order, epoch by epoch.  That order fixes the band's
+    bits."""
     from itertools import combinations_with_replacement
 
     from ehsched import offline
 
-    eff, *rest = case
+    eff, *rest = {**_assembly_cases(), "2100-epochs": _long_case()}[name]
     inst = _make_instance(eff, None, *rest)
     vm = offline._ValueModel(inst)
     prog = offline._Program(inst, vm)
-    N, width = inst.timeline.N, offline._BAND + 1
+    N, width = inst.timeline.N, prog.kd + 1
     split = (vm.c1 < vm.cmax) & (vm.c1 > 0.0)
+    col, n = _columns(split)
+    assert (prog.n, prog.kd) == (n, _LAYOUTS[name][1]) == _LAYOUTS[name]
+    assert prog.first.tolist() == [col[i, _S] for i in range(N)]
+    assert prog.burst.tolist() == [col[i, _A] for i in np.flatnonzero(split)]
 
-    def value(coef, i):
-        named = {"eta": inst.eta, "-eta": -inst.eta, "-split": -1.0 if split[i] else -0.0}
-        return named[coef] if isinstance(coef, str) else coef
+    def value(coef):
+        return {"eta": inst.eta, "-eta": -inst.eta}.get(coef, coef)
 
     def slot(r, c):
         # Upper-triangle entry (r, c), r <= c, in LAPACK's band storage.
-        return c * width + offline._BAND + r - c
+        return c * width + prog.kd + r - c
 
     want, row = {}, 0
     for on_split, terms in offline._FAMILIES.values():
         epochs = np.flatnonzero(split) if on_split else np.arange(N)
         for a, b in combinations_with_replacement(terms, 2):
             for r, i in enumerate(epochs.tolist(), start=row):
-                if min(i + a[0], i + b[0]) < 0:
+                # A term whose column the epoch lacks is left out.
+                if (i + a[0], a[1]) not in col or (i + b[0], b[1]) not in col:
                     continue
-                ca, cb = (4 * (i + t[0]) + t[1] for t in (a, b))
-                term = (r, (value(a[2], i) * value(b[2], i)).hex())
+                ca, cb = (col[i + t[0], t[1]] for t in (a, b))
+                term = (r, (value(a[2]) * value(b[2])).hex())
                 want.setdefault(slot(min(ca, cb), max(ca, cb)), []).append(term)
         row += epochs.size
-    for i in np.flatnonzero(~split).tolist():
-        want.setdefault(slot(4 * i + _A, 4 * i + _A), []).append((row, (1.0).hex()))
 
     coef, rows, ptr, (slots, weights) = prog.band
-    assert (slots, weights) == (width * prog.n, row + 1)
+    assert (slots, weights) == (width * prog.n, row)
     for s in range(slots):
         got = list(zip(rows[ptr[s] : ptr[s + 1]].tolist(),
                        [v.hex() for v in coef[ptr[s] : ptr[s + 1]].tolist()]))
@@ -1132,7 +1153,7 @@ def test_factor_bumps_the_diagonal_in_order(failures, monkeypatch):
     monkeypatch.setattr(offline, "dpbtrf", flaky)
     rng = np.random.default_rng(3)
     L = prog.factor(rng.uniform(0.1, 10.0, prog.u.size), rng.uniform(0.1, 10.0, inst.timeline.N))
-    band = offline._BAND
+    band = prog.kd
     assert len(inputs) == failures + 1
     diag = inputs[0][band]
     for ab, reg in zip(inputs[1:], (1e-12, 1e-10, 1e-8)):
@@ -1160,7 +1181,7 @@ def test_factor_hands_lapack_a_fortran_band_to_overwrite(monkeypatch):
     L = prog.factor(rng.uniform(0.1, 10.0, prog.u.size), rng.uniform(0.1, 10.0, inst.timeline.N))
     [(ab, kw)] = calls
     assert kw == {"overwrite_ab": 1}
-    assert ab.shape == (offline._BAND + 1, prog.n) and ab.flags.f_contiguous
+    assert ab.shape == (prog.kd + 1, prog.n) and ab.flags.f_contiguous
     assert np.shares_memory(L, ab)
 
 
@@ -1216,7 +1237,9 @@ def _three_query_objective(prog, x):
     slope = np.where(prog.curved, ws.level_at_power_vec(p)[0] - prog.curv0 * qn, prog.slope0)
     kappa = np.where(prog.curved, prog.escale**2 / prog.fscale * curv, 0.0)
     sp = np.flatnonzero(prog.curved & (vm.c1 > 0.0))
-    F = math.fsum(value) + prog.escale * float(vm.r0[sp] @ x[4 * sp + _A])
+    col, _ = _columns(prog.curved & (vm.c1 > 0.0))
+    burst = x[[col[i, _A] for i in sp]]
+    F = math.fsum(value) + prog.escale * float(vm.r0[sp] @ burst)
     grad = (prog.escale / prog.fscale) * (_scipy(prog.Q).T @ slope) + prog.lin
     return F / prog.fscale, grad, slope, kappa
 
@@ -1244,11 +1267,12 @@ def test_objective_matches_three_query_path(eps):
         "across-breakpoints": vm.l * (target - vm.p_thr) / prog.escale,
     }
     rng = np.random.default_rng(11)
+    col, n = _columns(prog.curved & (vm.c1 > 0.0))
+    assert prog.n == n == (4 if eps else 3) * tl.N
     xs = {}
     for name, c in use.items():
-        X = np.zeros((tl.N, 4))
-        X[:, _S] = np.cumsum(c)
-        xs[name] = X.ravel()
+        xs[name] = np.zeros(n)
+        xs[name][[col[i, _S] for i in range(tl.N)]] = np.cumsum(c)
     xs["random"] = rng.uniform(-0.5, 0.5, prog.n)
     seen = set()
     for name, x in xs.items():

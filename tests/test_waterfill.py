@@ -46,6 +46,30 @@ def test_shared_system_per_channels_and_weights(pair_eff):
         WaterSystem.shared(pair_eff, [1.0])
 
 
+def test_dropped_channel_object_is_freed_without_the_cycle_collector():
+    """A system keeps its channels' mode tables, not the channel object
+    that caches it: with the cyclic collector off, dropping the channel
+    object frees it; a channel object with its systems still pickles."""
+    import gc
+    import pickle
+    import weakref
+
+    eff = decompose_zf_dpc(orthogonal_pair_channelset())
+    ws = WaterSystem.shared(eff)
+    covs = ws.covariances(np.array([0.5, 2.0]))
+    back = pickle.loads(pickle.dumps(eff))
+    for got, want in zip(WaterSystem.shared(back).covariances(np.array([0.5, 2.0])).Phi,
+                         covs.Phi):
+        assert np.array_equal(got, want)
+    ref = weakref.ref(eff)
+    gc.disable()
+    try:
+        del eff
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_system_tables_are_read_only(pair_eff):
     weights = np.array([1.0, 2.0])
     ws = WaterSystem.shared(pair_eff, weights)
