@@ -292,10 +292,22 @@ def check_integer(value, name: str) -> int:
     return int(value)
 
 
+def check_real(value, name: str) -> float:
+    """``value`` as a float: an integer or a float.  A bool, a string or
+    any other type, or an integer too large for a float, raises
+    ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name} is out of a float's range") from exc
+
+
 def _complex_entry(entry) -> complex:
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
         raise ValueError(f"explicit matrix entry {entry!r} is not an [re, im] pair")
-    return complex(entry[0], entry[1])
+    return complex(check_real(entry[0], "H entry"), check_real(entry[1], "H entry"))
 
 
 def channelset_from_json(doc: dict | str) -> ChannelSet:
@@ -304,7 +316,9 @@ def channelset_from_json(doc: dict | str) -> ChannelSet:
     try:
         M = check_integer(doc["M"], "M")
         users = tuple(
-            UserConfig(n=check_integer(u["n"], "n"), gamma=float(u.get("gamma", 1.0)))
+            UserConfig(
+                n=check_integer(u["n"], "n"), gamma=check_real(u.get("gamma", 1.0), "gamma")
+            )
             for u in doc["users"]
         )
         seed = check_integer(doc["seed"], "seed") if "seed" in doc else None

@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from .channels import channelset_from_json, check_integer, decompose_zf_dpc
+from .channels import channelset_from_json, check_integer, check_real, decompose_zf_dpc
 from .energy import HybridStorage, build_timeline, generate_compound_poisson
 from .experiments import (
     SWEEP_AXES,
@@ -72,21 +72,27 @@ def _channels(path: str):
 def _scenario(path: str):
     doc = _load_json(path)
     try:
-        T = float(doc["T"])
+        T = check_real(doc["T"], "T")
         arrivals = doc["arrivals"]
         if isinstance(arrivals, dict):
             p = arrivals["poisson"]
             timeline = generate_compound_poisson(
-                rate=float(p["rate"]),
-                e_avg=float(p["e_avg"]),
+                rate=check_real(p["rate"], "rate"),
+                e_avg=check_real(p["e_avg"], "e_avg"),
                 T=T,
-                initial=float(p.get("initial", 0.0)),
+                initial=check_real(p.get("initial", 0.0), "initial"),
                 seed=check_integer(p["seed"], "seed"),
             )
         else:
-            timeline = build_timeline([(float(t), float(E)) for t, E in arrivals], T=T)
+            timeline = build_timeline(
+                [(check_real(t, "arrival time"), check_real(E, "arrival energy"))
+                 for t, E in arrivals],
+                T=T,
+            )
         storage = HybridStorage(
-            sc_cap=float(doc["sc_cap"]), b_cap=float(doc["b_cap"]), eta=float(doc["eta"])
+            sc_cap=check_real(doc["sc_cap"], "sc_cap"),
+            b_cap=check_real(doc["b_cap"], "b_cap"),
+            eta=check_real(doc["eta"], "eta"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"bad scenario file {path}: {exc}") from exc

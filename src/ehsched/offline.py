@@ -159,10 +159,11 @@ class Schedule:
     power and ``eps_sc + eps_b`` the circuit power while transmitting.
     ``split`` records how each arrival was divided between the buffers.
 
-    The offline solvers and the causal simulator both build it with
-    :meth:`assemble`, so ``rate`` and ``objective`` always derive from
-    ``power`` and ``tau`` the same way, and ``covs`` from ``power`` and
-    the water-filling system the schedule was assembled with.
+    The offline solvers build it with :meth:`assemble`, and the causal
+    simulator with the same rates and the same correctly rounded sum, so
+    ``rate`` and ``objective`` always derive from ``power`` and ``tau`` the
+    same way, and ``covs`` from ``power`` and the water-filling system the
+    schedule was assembled with.
     """
 
     tau: np.ndarray
@@ -183,7 +184,10 @@ class Schedule:
         """The schedule of these windows, sum and per-buffer powers and
         arrival split: the rates at each epoch's sum power come from
         ``ws``, and ``objective`` is the correctly rounded sum of ``tau *
-        rate``."""
+        rate``.  :func:`~ehsched.online.run_online` takes the rates from
+        ``ws`` the same way and that sum from the last of its trace's
+        exact prefix sums, which equals ``math.fsum`` bit for bit, so each
+        run forms ``tau * rate`` and sums it once."""
         rate = ws.rate_at_power_vec(power)
         objective = math.fsum((tau * rate).tolist())
         return cls(tau, p_sc, p_b, eps_sc, eps_b, split, power, rate, objective, ws)
@@ -673,7 +677,20 @@ def _maximize(prog: _Program) -> _Iterate:
     and ``Q x``.  The loop only optimizes; the audit of the schedule
     judges feasibility.  A non-finite Newton right-hand side, matrix or
     final iterate raises :class:`SolverError`, so overflows on the way
-    there are not warned about."""
+    there are not warned about.
+
+    Each vector ends its life at its last reader, so the loop's memory
+    peak is what one step reads at once, not what it has ever made.
+    Across steps only ``x``, ``sz``, ``usize``, ``AQx`` and the objective's
+    outputs live; ``AQx``, the gradient and the objective's closure go
+    once the stopping test has read them, the factor, ``rd`` and the
+    step's right-hand sides once the corrector's solve has, and the
+    predictor's ``dsz`` once the corrector's right-hand side is formed
+    from it.  Updates are formed in place with the float operations of
+    their plain expressions, in the same order: IEEE addition and
+    multiplication are commutative, negation is exact and every ufunc is
+    elementwise, so ``t = z * ds; t += rc`` has the bits of ``rc + z *
+    ds``, and ``dpbtrs`` solves in the right-hand side's own storage."""
     A, AQ, u = prog.A, prog.AQ, prog.u
     m = u.size
     x = np.zeros(prog.n)
@@ -682,23 +699,25 @@ def _maximize(prog: _Program) -> _Iterate:
     sz = np.concatenate((np.maximum(u, 1.0), np.ones(m)))
     s, z = sz[:m], sz[m:]
     usize = np.maximum(1.0, np.abs(u))
-    rtol = TOL_PRIMAL * usize
     it = 0
     AQx = _mul(AQ, x)
     F, grad, slope, kappa = prog.objective(x, AQx[m:])
     while True:
-        rd = _mul_t(A, z) - grad
+        rd = _mul_t(A, z)
+        rd -= grad
         Ax = AQx[:m]
-        rp = Ax + s - u
+        rp = Ax + s
+        rp -= u
         gap = float(s @ z)
         dual = float(np.maximum.reduce(np.abs(rd)))
         excess = dual - TOL_DUAL * (1.0 + float(np.maximum.reduce(np.abs(grad))))
         excess -= ROUNDING * float(np.maximum.reduce(kappa))
         optimal = (
             excess <= 0.0
-            and bool(np.logical_and.reduce(Ax - u <= rtol))
+            and bool(np.logical_and.reduce(Ax - u <= TOL_PRIMAL * usize))
             and gap <= TOL_MU * m * abs(F()) + ROUNDING * float(z @ usize)
         )
+        del AQx, Ax, F, grad
         if optimal or it == MAX_NEWTON:
             break
         it += 1
@@ -708,35 +727,54 @@ def _maximize(prog: _Program) -> _Iterate:
             break
 
         def newton(rc, rps):
-            rhs = _mul_t(A, (rc - z * rps) / s) - rd
+            t = z * rps
+            np.subtract(rc, t, out=t)
+            t /= s
+            rhs = _mul_t(A, t)
+            del t
+            rhs -= rd
             if not np.logical_and.reduce(np.isfinite(rhs)):
                 raise SolverError("numerical failure: a Newton right-hand side is not finite")
-            dx = dpbtrs(L, rhs)[0]
+            dx = dpbtrs(L, rhs, overwrite_b=1)[0]
             dsz = np.empty(2 * m)
             ds, dz = dsz[:m], dsz[m:]
-            np.subtract(-rps, _mul(A, dx), out=ds)
-            np.divide(-(rc + z * ds), s, out=dz)
+            np.negative(rps, out=ds)
+            ds -= _mul(A, dx)
+            np.multiply(z, ds, out=dz)
+            dz += rc
+            np.negative(dz, out=dz)
+            dz /= s
             return dx, dsz
 
         mu = gap / m
         sz_prod = s * z
-        dx, dsz = newton(sz_prod, rp)
-        ds, dz = dsz[:m], dsz[m:]
-        affine = sz + min(1.0, _step_to_boundary(sz, dsz)) * dsz
+        dsz = newton(sz_prod, rp)[1]
+        affine = min(1.0, _step_to_boundary(sz, dsz)) * dsz
+        affine += sz
         mu_aff = float(affine[:m] @ affine[m:]) / m
-        # Freed now, it stays out of the memory peak of the next solve.
         del affine
         # Centre harder while the dual residual lags behind mu, or mu
         # overtakes it and the iteration jams.
         sigma = min(1.0, max((mu_aff / mu) ** 3, SIGMA_FLOOR * excess / mu))
         # Every row is relaxed by the target mu: rows that are tight on the
         # whole feasible set (an empty deposit box, say) then keep slacks
-        # of order mu, so their multipliers stay bounded.
+        # of order mu, so their multipliers stay bounded.  The corrector's
+        # right-hand sides overwrite the predictor's.
         target = sigma * mu
-        dx, dsz = newton(sz_prod + ds * dz - target, rp - target)
+        ds, dz = dsz[:m], dsz[m:]
+        ds *= dz
+        sz_prod += ds
+        del dsz, ds, dz
+        sz_prod -= target
+        rp -= target
+        dx, dsz = newton(sz_prod, rp)
+        del L, rd, rp, sz_prod
         alpha = min(1.0, STEP_FRAC * _step_to_boundary(sz, dsz))
-        x += alpha * dx
-        sz += alpha * dsz
+        dx *= alpha
+        x += dx
+        dsz *= alpha
+        sz += dsz
+        del dx, dsz
         AQx = _mul(AQ, x)
         F, grad, slope, kappa = prog.objective(x, AQx[m:])
     if not np.all(np.isfinite(x)):

@@ -29,10 +29,12 @@ super-capacitor drain and, for the burst rule, the window) into a per-run
 table of six contiguous columns, one ``memoryview`` per column; the
 consumption, the discards and the per-buffer powers follow from those
 columns after the loop, with the same float operations.  The columns
-become a :class:`~ehsched.offline.Schedule` through
+become a :class:`~ehsched.offline.Schedule` with the rates of
 ``Schedule.assemble``, the assembly the offline solvers use.  The trace
-holds the exact prefix sums of that schedule's ``tau * rate``, each
-correctly rounded once, so its last value is the throughput bit for bit.
+holds the exact prefix sums of ``tau * rate``, each correctly rounded
+once, formed once per run: its last value is the correctly rounded sum
+that ``Schedule.assemble`` takes as the objective, bit for bit, so it is
+the schedule's throughput.
 """
 
 from __future__ import annotations
@@ -171,12 +173,14 @@ def run_online(
     for col in (p_sc, p_b, eps_sc, eps_b):
         col[idle] = 0.0
 
-    sched = Schedule.assemble(
-        tau, power, p_sc, p_b, eps_sc, eps_b, ArrivalSplit(sc=dep_sc, b=dep_b), ws
-    )
+    # Schedule.assemble's rates; its objective, the correctly rounded sum
+    # of tau * rate, is the trace's last prefix sum bit for bit.
+    rate = ws.rate_at_power_vec(power)
     trace = np.zeros((N + 1, 2))
     trace[1:, 0] = timeline.t + timeline.l
-    trace[1:, 1] = _exact_prefix_sums(tau * sched.rate)
+    trace[1:, 1] = _exact_prefix_sums(tau * rate)
+    split = ArrivalSplit(sc=dep_sc, b=dep_b)
+    sched = Schedule(tau, p_sc, p_b, eps_sc, eps_b, split, power, rate, float(trace[N, 1]), ws)
     return OnlineResult(schedule=sched, trace=trace, discarded=discarded)
 
 

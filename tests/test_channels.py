@@ -288,6 +288,35 @@ def test_json_rejects_non_integral_fields(field, value):
         channelset_from_json(_with(field, value))
 
 
+_EXPLICIT = {"M": 1, "users": [{"n": 1, "gamma": 1.0}], "H": [[[[1.0, 0.0]]]]}
+
+
+@pytest.mark.parametrize("field", ["gamma", "H-re", "H-im"])
+@pytest.mark.parametrize("value", [True, "1.0"])
+def test_json_rejects_real_fields_that_are_not_numbers(field, value):
+    """``gamma`` and the explicit matrix entries are JSON numbers: a bool
+    or a numeric string is invalid input that names the field, where it
+    once read as 1.0."""
+    doc = json.loads(json.dumps(_EXPLICIT))
+    if field == "gamma":
+        doc["users"][0]["gamma"] = value
+    else:
+        doc["H"][0][0][0][field == "H-im"] = value
+    name = "gamma" if field == "gamma" else "H entry"
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        channelset_from_json(doc)
+    assert channelset_from_json(_EXPLICIT).H[0][0, 0] == 1.0
+
+
+def test_json_rejects_an_integer_entry_past_the_float_range():
+    """A JSON integer too large for a float is invalid input, where an
+    explicit matrix entry once leaked ``OverflowError``."""
+    doc = json.loads(json.dumps(_EXPLICIT))
+    doc["H"][0][0][0][0] = 10**400
+    with pytest.raises(ValueError, match="H entry is out of a float's range"):
+        channelset_from_json(doc)
+
+
 def test_json_accepts_integral_floats():
     want = channelset_from_json(_SEEDED)
     got = channelset_from_json(_with("M", 2.0) | {"seed": 3.0})

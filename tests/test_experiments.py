@@ -719,6 +719,48 @@ def test_cli_rejects_non_integral_fields(files, field, value, capsys):
     assert f"{name} must be an integer" in capsys.readouterr().err
 
 
+_REAL_FIELDS = {
+    "gamma": ("channels", '{"M": 1, "users": [{"n": 1, "gamma": %s}], "H": [[[[1.0, 0.0]]]]}'),
+    "H entry": ("channels", '{"M": 1, "users": [{"n": 1}], "H": [[[[1.0, %s]]]]}'),
+    "T": ("scenario", '{"T": %s, "arrivals": [[0.0, 2.0]], ' + _STORE + '}'),
+    "arrival time": ("scenario", '{"T": 2.0, "arrivals": [[0.0, 2.0], [%s, 1.0]], '
+                                 + _STORE + '}'),
+    "arrival energy": ("scenario", '{"T": 2.0, "arrivals": [[0.0, %s]], ' + _STORE + '}'),
+    "sc_cap": ("scenario", '{"T": 2.0, "arrivals": [[0.0, 2.0]], '
+                           '"sc_cap": %s, "b_cap": 100.0, "eta": 0.5}'),
+    "b_cap": ("scenario", '{"T": 2.0, "arrivals": [[0.0, 2.0]], '
+                          '"sc_cap": 0.5, "b_cap": %s, "eta": 0.5}'),
+    "eta": ("scenario", '{"T": 2.0, "arrivals": [[0.0, 2.0]], '
+                        '"sc_cap": 5.0, "b_cap": 100.0, "eta": %s}'),
+    "rate": ("scenario", '{"T": 5.0, "arrivals": {"poisson": {"rate": %s, "e_avg": 1.0, '
+                         '"seed": 3}}, ' + _STORE + '}'),
+    "e_avg": ("scenario", '{"T": 5.0, "arrivals": {"poisson": {"rate": 1.0, "e_avg": %s, '
+                          '"seed": 3}}, ' + _STORE + '}'),
+    "initial": ("scenario", '{"T": 5.0, "arrivals": {"poisson": {"rate": 1.0, "e_avg": 1.0, '
+                            '"initial": %s, "seed": 3}}, ' + _STORE + '}'),
+}
+
+
+@pytest.mark.parametrize("value", ["true", '"1.0"'])
+@pytest.mark.parametrize("field", _REAL_FIELDS)
+def test_cli_rejects_real_fields_that_are_not_numbers(files, field, value, capsys):
+    """Every real-valued field of a channel or scenario file is a JSON
+    number: a bool or a numeric string is invalid input that names the
+    field, where ``true`` once read as 1.0 and ``"0.5"`` as 0.5."""
+    tmp, chan, scen = files
+    kind, doc = _REAL_FIELDS[field]
+    path = tmp / "doc.json"
+    path.write_text(doc % value)
+    paths = {"channels": chan, "scenario": scen, kind: str(path)}
+    argv = ["solve", "--channels", paths["channels"], "--scenario", paths["scenario"],
+            "--p-peak", "4.0"]
+    assert main(argv) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == "" and f"{field} must be a number" in err
+    path.write_text(doc % "1")
+    assert main(argv) == EXIT_OK
+
+
 @pytest.mark.parametrize(
     "poisson",
     ['"rate": 1e999, "e_avg": 1.0', '"rate": NaN, "e_avg": 1.0',

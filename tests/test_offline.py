@@ -1223,6 +1223,35 @@ def test_step_to_boundary_matches_the_masked_ratio():
     assert _step_to_boundary(np.ones(3), np.array([0.0, -0.0, 2.0])) == math.inf
 
 
+@pytest.mark.parametrize("model", ["ideal", "eps=1", "per-epoch-eps"])
+def test_newton_loop_keeps_only_the_vectors_a_step_reads(model):
+    """Each vector of a Newton step ends its life at its last reader, so
+    one solve's memory peak above its entry stays within 16 vectors of
+    the row count m (about 12 at N = 1000; 20 to 23 when every vector
+    lived until it was next assigned)."""
+    import tracemalloc
+
+    from ehsched import offline
+
+    N = 1000
+    rng = np.random.default_rng(1000)
+    t = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 2.0, N - 1))))
+    tl = build_timeline(list(zip(t.tolist(), rng.uniform(0.0, 2.0, N).tolist())),
+                        T=float(t[-1]) + 1.0)
+    eff = decompose_zf_dpc(generate_channels(2, [UserConfig(1)] * 2, seed=1000))
+    eps = {"ideal": 0.0, "eps=1": 1.0, "per-epoch-eps": rng.choice([0.0, 1.0, 50.0], N)}[model]
+    inst = _make_instance(eff, None, tl, HybridStorage(sc_cap=1.5, b_cap=8.0, eta=0.6), 4.0, eps)
+    prog = offline._Program(inst, offline._ValueModel(inst))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        offline._maximize(prog)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 8 * prog.u.size
+
+
 def _three_query_objective(prog, x):
     """``_Program.objective`` written with one water-filling query per
     quantity (rate, level and curvature)."""
